@@ -43,16 +43,11 @@ from .initial_data import (
 )
 from .kernels import (
     SERIES_ASYMPTOTIC_SWITCH,
-    KernelFamily,
-    bessel_i,
     bessel_i_scaled,
-    bessel_i_two_corrections,
     kernel_at_zero,
     kernel_deriv_at_zero,
-    kernel_k,
     kernel_ktilde_scaled,
     kernel_scaled,
-    ktilde_expansion_smallo,
     ktilde_expansion_sqrt,
     ktilde_leading_order,
 )
@@ -83,17 +78,12 @@ from .solution import (
 
 __all__ = [
     # kernels
-    "KernelFamily",
     "SERIES_ASYMPTOTIC_SWITCH",
-    "bessel_i",
     "bessel_i_scaled",
-    "bessel_i_two_corrections",
     "kernel_at_zero",
     "kernel_deriv_at_zero",
-    "kernel_k",
     "kernel_ktilde_scaled",
     "kernel_scaled",
-    "ktilde_expansion_smallo",
     "ktilde_expansion_sqrt",
     "ktilde_leading_order",
     # quadrature

@@ -12,6 +12,7 @@ analytic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,8 +69,9 @@ class ConvexPolytope:
         self.hull_tol = float(hull_tol)
         self.vertices.setflags(write=False)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
+        # The vertices are read-only, so the O(V^2) pairwise scan runs once.
         v = self.vertices
         if self.dimension == 1:
             return float(v.max() - v.min())

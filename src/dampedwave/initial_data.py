@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .geometry import ConvexPolytope, hull_of_balls
-from .quadrature import ball_nodes, clipped_ball_nodes, with_refinement
+from .quadrature import ball_nodes, with_refinement
 
 __all__ = [
     "SmoothBump",
@@ -199,24 +199,6 @@ class InitialDatum:
         self.mass = float(self.bump_masses.sum())
         # Each bump is radially symmetric, so its first moment sits at its center.
         self.centroid = (self.bump_masses @ centers) / self.mass
-        # Clipped quadrature reaches dimension three; higher dimensions only
-        # ever use the radial principal-part path and never this integral.
-        self.inscribed_ball_mass = (self._half_inball_mass()
-                                    if dimension <= 3 else float("nan"))
-
-    def _half_inball_mass(self) -> float:
-        def evaluate(order: int) -> Tuple[float, float]:
-            total = 0.0
-            for bump in self.bumps:
-                pts, _, w, _ = clipped_ball_nodes(
-                    self.incenter, 0.5 * self.inradius,
-                    bump.center_array, bump.radius, order)
-                if pts.shape[0]:
-                    total += float(w @ bump.value(pts))
-            return total, max(abs(total), 1e-30)
-
-        return float(with_refinement(evaluate, DEFAULT_ORDER, rtol=1e-6,
-                                     label="inscribed ball mass"))
 
     def value(self, x: Union[Array, float]) -> Union[Array, float]:
         pts, single = _as_batch(x, self.dimension)

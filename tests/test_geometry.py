@@ -112,6 +112,20 @@ def test_hull_tol_formula_2d():
     assert body.hull_tol <= 2.0 * (1.0 - math.cos(math.pi / 256)) + 2e-6
 
 
+def test_diameter_3d_is_pairwise_maximum():
+    # A two-ball 3D hull: the cached diameter equals a brute-force maximum
+    # over all vertex pairs, is stored after the first read, and lies
+    # within the hull's discretization slack of the exact span.
+    centers = np.array([[0.0, 0.0, 0.0], [1.5, -0.4, 0.8]])
+    body = hull_of_balls(centers, [1.0, 0.6], 3)
+    verts = body.vertices
+    brute = max(float(np.linalg.norm(verts - v, axis=1).max()) for v in verts)
+    assert body.diameter == pytest.approx(brute, rel=1e-15)
+    assert vars(body)["diameter"] == body.diameter
+    exact = float(np.linalg.norm(centers[1] - centers[0])) + 1.6
+    assert exact - 2.0 * body.hull_tol <= body.diameter <= exact
+
+
 def test_inscribed_ball_containment_bundled(single_1d, two_1d, two_2d,
                                             single_3d):
     for datum in (single_1d, two_1d, two_2d, single_3d):
