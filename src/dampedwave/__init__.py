@@ -59,7 +59,6 @@ from .quadrature import (
     gauss_legendre,
     interval_nodes,
     periodic_nodes,
-    sphere_cap_nodes,
     unit_sphere_nodes,
     with_refinement,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "gauss_legendre",
     "interval_nodes",
     "periodic_nodes",
-    "sphere_cap_nodes",
     "unit_sphere_nodes",
     "with_refinement",
     # geometry

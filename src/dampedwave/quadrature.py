@@ -22,7 +22,6 @@ __all__ = [
     "unit_sphere_nodes",
     "ball_nodes",
     "clipped_ball_nodes",
-    "sphere_cap_nodes",
     "with_refinement",
 ]
 
@@ -65,30 +64,6 @@ def unit_sphere_nodes(order: int) -> Tuple[Array, Array]:
     dirs[:, :, 0] = sin_theta[:, None] * np.cos(phi)[None, :]
     dirs[:, :, 1] = sin_theta[:, None] * np.sin(phi)[None, :]
     dirs[:, :, 2] = mu[:, None]
-    weights = wmu[:, None] * wphi[None, :]
-    return dirs.reshape(-1, 3), weights.ravel()
-
-
-def _frame(axis: Array) -> Tuple[Array, Array, Array]:
-    """Right-handed orthonormal frame with e3 along axis."""
-    e3 = axis / np.linalg.norm(axis)
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(e3)))] = 1.0
-    e1 = np.cross(helper, e3)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
-    return e1, e2, e3
-
-
-def _axis_cap_directions(axis: Array, mu_lo: float, order: int) -> Tuple[Array, Array]:
-    """Directions in the cap mu >= mu_lo around axis, with sphere weights."""
-    mu, wmu = interval_nodes(mu_lo, 1.0, order)
-    phi, wphi = periodic_nodes(2 * order)
-    e1, e2, e3 = _frame(axis)
-    sin_theta = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-    plane = (np.cos(phi)[:, None] * e1[None, :]
-             + np.sin(phi)[:, None] * e2[None, :])
-    dirs = sin_theta[:, None, None] * plane[None, :, :] + mu[:, None, None] * e3
     weights = wmu[:, None] * wphi[None, :]
     return dirs.reshape(-1, 3), weights.ravel()
 
@@ -136,17 +111,15 @@ def _cone_directions(x: Array, center: Array, radius: float,
             base = float(np.arctan2(offset[1], offset[0]))
             ang, wang = interval_nodes(base - span, base + span, 2 * order)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1), wang
-    if dimension == 3:
-        if dist <= radius:
-            return unit_sphere_nodes(order)
-        mu_lo = float(np.sqrt(max(1.0 - (radius / dist) ** 2, 0.0)))
-        return _axis_cap_directions(offset, mu_lo, order)
     raise ValueError(f"unsupported dimension {dimension}")
 
 
 def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
                        order: int) -> Tuple[Array, Array, Array, Array]:
     """Nodes for the region B_t(x) intersected with the ball (center, radius).
+
+    One and two dimensions; the three-dimensional evaluator reduces each
+    bump to a radial and an angular rule of its own.
 
     Returns (points, radii, weights, rim_cosines) where radii = |point - x|
     and rim_cosines = sqrt(1 - (radii / t)**2) evaluated without cancellation.
@@ -186,27 +159,6 @@ def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
     points = x[None, None, :] + rad[:, :, None] * omegas[:, None, :]
     return (points.reshape(-1, dimension), rad.ravel(), weights.ravel(),
             cos_phi.ravel())
-
-
-def sphere_cap_nodes(x: Array, t: float, center: Array, radius: float,
-                     order: int) -> Tuple[Array, Array]:
-    """Unit directions theta with x + t*theta inside the ball, sphere weights.
-
-    Three-dimensional only; the returned weights integrate over the unit
-    sphere (the caller scales by t**2 if an area measure is needed).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    offset = center - x
-    dist = float(np.linalg.norm(offset))
-    if dist < 1e-14 * max(t, radius, 1.0):
-        if t < radius:
-            return unit_sphere_nodes(order)
-        return np.zeros((0, 3)), np.zeros(0)
-    mu_lo = (t * t + dist * dist - radius * radius) / (2.0 * t * dist)
-    if mu_lo >= 1.0:
-        return np.zeros((0, 3)), np.zeros(0)
-    return _axis_cap_directions(offset, max(mu_lo, -1.0), order)
 
 
 Value = Union[float, Array]

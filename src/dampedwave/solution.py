@@ -11,13 +11,18 @@ Gradients and second directional derivatives are the displayed derivative
 formulas: one kernel order higher inside the ball integral, plus boundary
 sphere terms (odd dimensions) or wave-weighted moment terms (even dimensions,
 where the radial kernel derivative carries a 1/sqrt(t^2 - r^2) factor).
+
+In three dimensions every term is a sum over bumps of integrals over spheres
+around x of a radial profile times powers of the direction, so each reduces
+to a radial rule in r and an angular rule in the angle to the bump centre
+(spherical means; F. John, Plane Waves and Spherical Means, 1955).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .geometry import fibonacci_sphere
 from .initial_data import InitialDatum, SmoothBump
 from .kernels import kernel_at_zero, kernel_deriv_at_zero, kernel_ktilde_scaled
 from .quadrature import (ball_nodes, clipped_ball_nodes, gauss_legendre,
-                         interval_nodes, sphere_cap_nodes, with_refinement)
+                         interval_nodes, with_refinement)
 
 __all__ = [
     "DimensionConstants",
@@ -95,18 +100,166 @@ def _bump_nodes(datum: InitialDatum, x: Array, t: float,
             yield bump, pts, rad, w, rim
 
 
-def _sphere_terms(datum: InitialDatum, x: Array, t: float,
-                  order: int) -> Iterable[Tuple[SmoothBump, Array, Array, Array]]:
-    """Per-bump cap nodes on the radius-t sphere: (bump, points, dirs, w)."""
+def _rim_coef(ell: int, t: float) -> float:
+    """t k_(ell+1)(0) - 2 k_ell(0) of the odd family: e^(t/2) times the
+    kernel ktilde_ell on the sphere r = t, which weighs the boundary terms."""
+    return t * kernel_at_zero("odd", ell + 1) - 2.0 * kernel_at_zero("odd", ell)
+
+
+def _sphere_area(n: int) -> float:
+    """Surface area of the unit sphere in R^n."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+class _Shells(NamedTuple):
+    """One bump seen from x, on the spheres of radius r around x.
+
+    mu is the cosine of the angle between a direction and the axis
+    e = (x - c) / d, so the node x + r*theta lies at squared distance
+    rho2 = d**2 + r**2 + 2*d*r*mu from the bump centre c. wr integrates dr;
+    each row of wmu integrates over the unit sphere S^{n-1}, restricted to
+    the directions that land in the bump's ball.
+    """
+    axis: Array
+    dist: float
+    r: Array
+    wr: Array
+    mu: Array
+    wmu: Array
+    rho2: Array
+
+
+def _shells(bump: SmoothBump, x: Array, t: float, order: int,
+            on_sphere: bool = False) -> Optional[_Shells]:
+    """Nodes for the bump's part of B_t(x), or of the sphere of radius t.
+
+    None when the region misses the bump's ball.
+    """
+    n = x.size
+    offset = x - bump.center_array
+    dist = float(np.linalg.norm(offset))
+    radius = bump.radius
+    if on_sphere:
+        if abs(dist - t) >= radius:
+            return None
+        r, wr = np.array([t]), np.ones(1)
+    else:
+        lo, hi = max(dist - radius, 0.0), min(dist + radius, t)
+        if hi <= lo:
+            return None
+        # The sphere around x starts to leave the ball at r = R - d. The
+        # radial integrand is smooth there but not analytic, so the rule is
+        # split at that radius.
+        cuts = [lo, radius - dist, hi] if lo < radius - dist < hi else [lo, hi]
+        rules = [interval_nodes(math.asin(a / t), math.asin(b / t), order)
+                 for a, b in zip(cuts, cuts[1:])]
+        phi = np.concatenate([p for p, _ in rules])
+        r = t * np.sin(phi)
+        wr = np.concatenate([w for _, w in rules]) * t * np.cos(phi)
+    if dist < 1e-14:
+        # Every integrand is then a function of r times a polynomial of
+        # degree three at most in mu, and the two-point rule mu = +-1/sqrt(n)
+        # has the sphere's moments 1, 0, 1/n, 0 through that degree.
+        axis = np.eye(n)[0]
+        mu = np.tile([-1.0 / math.sqrt(n), 1.0 / math.sqrt(n)], (r.size, 1))
+        wmu = np.full((r.size, 2), 0.5 * _sphere_area(n))
+    else:
+        axis = offset / dist
+        base, wbase = gauss_legendre(order)
+        # Directions with mu below the cut land in the ball.
+        cos_cut = np.clip((radius * radius - dist * dist - r * r)
+                          / (2.0 * dist * r), -1.0, 1.0)
+        if n % 2:
+            # The measure |S^{n-2}| (1 - mu^2)^((n-3)/2) dmu is polynomial
+            # and rho2 is linear in mu, so nodes in mu resolve the steep
+            # edge of the profile's derivatives as finely as nodes in rho2.
+            half = 0.5 * (cos_cut + 1.0)
+            mu = -1.0 + half[:, None] * (base[None, :] + 1.0)
+            wmu = (_sphere_area(n - 1) * half[:, None] * wbase[None, :]
+                   * (1.0 - mu * mu) ** ((n - 3) // 2))
+        else:
+            # In even n that measure is singular at mu = -1; use theta.
+            theta_lo = np.arccos(cos_cut)
+            half = 0.5 * (math.pi - theta_lo)
+            theta = theta_lo[:, None] + half[:, None] * (base[None, :] + 1.0)
+            mu = np.cos(theta)
+            wmu = (_sphere_area(n - 1) * half[:, None] * wbase[None, :]
+                   * np.sin(theta) ** (n - 2))
+    rho2 = np.maximum(dist * dist + r[:, None] ** 2
+                      + 2.0 * dist * r[:, None] * mu, 0.0)
+    return _Shells(axis, dist, r, wr, mu, wmu, rho2)
+
+
+def _profile(bump: SmoothBump, sh: _Shells, top: int) -> Array:
+    """g and its first `top` derivatives in w = |y - c|**2 at the nodes,
+    times the angular weights; zero off the support."""
+    r2 = bump.radius * bump.radius
+    gap = r2 - sh.rho2
+    inside = gap > 1e-12 * r2
+    out = np.zeros((top + 1,) + gap.shape)
+    if np.any(inside):
+        out[:, inside] = bump._g_derivatives(gap, inside, top)
+    return out * sh.wmu
+
+
+def _projections(sh: _Shells, omega: Array) -> Tuple[float, Array, Array]:
+    """(cw, p1, p2) with cw = e . omega, and p1, p2 the means of theta . omega
+    and (theta . omega)**2 over each circle of directions with fixed mu."""
+    n = sh.axis.size
+    cw = float(sh.axis @ omega)
+    mu2 = sh.mu * sh.mu
+    return cw, cw * sh.mu, cw * cw * mu2 + (1.0 - cw * cw) * (1.0 - mu2) / (n - 1)
+
+
+def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[float, float]:
+    """One bump's principal ball integral and the same with |kernel|."""
+    n = ball.axis.size
+    dc = dimension_constants(n)
+    kern = kernel_ktilde_scaled(dc.parity, dc.ell, ball.r, t)
+    weight = 0.25 * dc.gamma * ball.wr * kern * ball.r ** (n - 1)
+    mean = _profile(bump, ball, 0)[0].sum(axis=1)
+    return float(weight @ mean), float(np.abs(weight) @ mean)
+
+
+def _radial_bumps(datum: InitialDatum, x: Array, t: float, order: int
+                  ) -> Iterable[Tuple[SmoothBump, Optional[_Shells], Optional[_Shells]]]:
+    """Per bump: (bump, ball nodes in B_t(x), nodes on the radius-t sphere).
+
+    The sphere terms integrate up to the third derivative of the profile,
+    whose edge is much steeper than the profile's, so the sphere rule takes
+    twice the angular nodes; at a single radius they cost next to nothing.
+    """
     for bump in datum.bumps:
-        dirs, w = sphere_cap_nodes(x, t, bump.center_array, bump.radius, order)
-        if dirs.shape[0]:
-            yield bump, x[None, :] + t * dirs, dirs, w
+        yield (bump, _shells(bump, x, t, order),
+               _shells(bump, x, t, 2 * order, on_sphere=True))
+
+
+def _field_parts_3d(datum: InitialDatum, x: Array, t: float,
+                    order: int) -> Tuple[float, float, float]:
+    dc = dimension_constants(3)
+    principal = 0.0
+    absacc = 0.0
+    mean_f = 0.0
+    mean_df = 0.0
+    for bump, ball, sphere in _radial_bumps(datum, x, t, order):
+        if ball is not None:
+            val, ref = _ball_principal(bump, ball, t)
+            principal += val
+            absacc += ref
+        if sphere is not None:
+            g0, g1 = _profile(bump, sphere, 1)
+            mean_f += float(g0.sum())
+            mean_df += float((2.0 * g1 * (sphere.dist * sphere.mu + t)).sum())
+    wave_raw = dc.gamma * ((0.5 * t * t - 2.0 * t + 4.0) * mean_f + 4.0 * t * mean_df)
+    scale = max(abs(principal), abs(wave_raw) * wave_factor(t), 1e-9 * absacc, 1e-300)
+    return principal, wave_raw, scale
 
 
 def _field_parts(datum: InitialDatum, x: Array, t: float,
                  order: int) -> Tuple[float, float, float]:
     """(principal, wave_raw, scale): wave_raw omits the exp(-t/2) factor."""
+    if datum.dimension == 3:
+        return _field_parts_3d(datum, x, t, order)
     dc = dimension_constants(datum.dimension)
     quarter_gamma = 0.25 * dc.gamma
     principal = 0.0
@@ -131,14 +284,6 @@ def _field_parts(datum: InitialDatum, x: Array, t: float,
         v_plain /= t * t
         v_rate /= t ** 3
         wave_raw = dc.gamma * ((0.25 * t * t - t + 2.0) * v_plain + 2.0 * t * v_rate)
-    elif n == 3:
-        mean_f = 0.0
-        mean_df = 0.0
-        for bump, pts, dirs, w in _sphere_terms(datum, x, t, order):
-            mean_f += float(w @ bump.value(pts))
-            mean_df += float(w @ (dirs * bump.gradient(pts)).sum(axis=1))
-        wave_raw = dc.gamma * ((0.5 * t * t - 2.0 * t + 4.0) * mean_f
-                               + 4.0 * t * mean_df)
     else:
         raise ValueError(f"full field evaluation supports dimensions 1-3, got {n}")
     scale = max(abs(principal), abs(wave_raw) * wave_factor(t), 1e-9 * absacc, 1e-300)
@@ -164,9 +309,43 @@ def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
                        wave_remainder=wave)
 
 
+def _grad_parts_3d(datum: InitialDatum, x: Array, t: float,
+                   order: int) -> Tuple[Array, Array, float]:
+    dc = dimension_constants(3)
+    damp = wave_factor(t)
+    coef = _rim_coef(dc.ell, t)
+    grad_p = np.zeros(3)
+    grad_w = np.zeros(3)
+    absacc = 0.0
+    # Every term is a multiple of the axis e: the integrals of theta and of
+    # y - c = d*e + r*theta over a circle of fixed mu lie along it.
+    for bump, ball, sphere in _radial_bumps(datum, x, t, order):
+        if ball is not None:
+            kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
+            weight = (dc.gamma / 16.0) * ball.wr * kern * ball.r ** 3
+            f = _profile(bump, ball, 0)[0]
+            grad_p += float(weight @ (f * ball.mu).sum(axis=1)) * ball.axis
+            absacc += float(np.abs(weight) @ f.sum(axis=1))
+        if sphere is not None:
+            g0, g1, g2 = _profile(bump, sphere, 2)
+            d, mu = sphere.dist, sphere.mu
+            boundary = t * t * float((g0 * mu).sum())
+            grad_p += 0.25 * dc.gamma * damp * coef * boundary * sphere.axis
+            mean_grad = float((2.0 * g1 * (d + t * mu)).sum())
+            mean_hvp = float((2.0 * g1 * mu
+                              + 4.0 * g2 * (d * mu + t) * (d + t * mu)).sum())
+            grad_w += dc.gamma * ((0.5 * t * t - 2.0 * t + 4.0) * mean_grad
+                                  + 4.0 * t * mean_hvp) * sphere.axis
+    scale = max(float(np.max(np.abs(grad_p))), damp * float(np.max(np.abs(grad_w))),
+                1e-9 * absacc, 1e-300)
+    return grad_p, grad_w, scale
+
+
 def _grad_parts(datum: InitialDatum, x: Array, t: float,
                 order: int) -> Tuple[Array, Array, float]:
     """(principal gradient, raw wave gradient, scale)."""
+    if datum.dimension == 3:
+        return _grad_parts_3d(datum, x, t, order)
     dc = dimension_constants(datum.dimension)
     n = datum.dimension
     damp = wave_factor(t)
@@ -191,33 +370,16 @@ def _grad_parts(datum: InitialDatum, x: Array, t: float,
             gradf = bump.gradient(pts)
             a_w += (w / rim) @ gradf
             b_w += (w / rim) @ bump.hvp(pts, pts - x)
-    if dc.parity == "odd":
-        # Boundary sphere term; the even-family kernel vanishes at s = 0.
-        coef = (t * kernel_at_zero("odd", dc.ell + 1)
-                - 2.0 * kernel_at_zero("odd", dc.ell))
-        if n == 1:
-            boundary = (datum.value(x + t) - datum.value(x - t)) * np.ones(1)
-        else:
-            boundary = np.zeros(n)
-            for bump, pts, dirs, w in _sphere_terms(datum, x, t, order):
-                boundary += (w * bump.value(pts)) @ dirs
-            boundary *= t ** (n - 1)
-        grad_p += 0.25 * dc.gamma * damp * coef * boundary
-
     if n == 1:
+        # Boundary sphere term; the even-family kernel vanishes at s = 0.
+        coef = _rim_coef(dc.ell, t)
+        boundary = (datum.value(x + t) - datum.value(x - t)) * np.ones(1)
+        grad_p += 0.25 * dc.gamma * damp * coef * boundary
         grad_w = 0.5 * (datum.gradient(x + t) + datum.gradient(x - t))
-    elif n == 2:
+    else:
         a_w /= t * t
         b_w /= t ** 3
         grad_w = dc.gamma * ((0.25 * t * t - t + 2.0) * a_w + 2.0 * t * b_w)
-    else:
-        mean_grad = np.zeros(3)
-        mean_hvp = np.zeros(3)
-        for bump, pts, dirs, w in _sphere_terms(datum, x, t, order):
-            mean_grad += w @ bump.gradient(pts)
-            mean_hvp += w @ bump.hvp(pts, dirs)
-        grad_w = dc.gamma * ((0.5 * t * t - 2.0 * t + 4.0) * mean_grad
-                             + 4.0 * t * mean_hvp)
     scale = max(float(np.max(np.abs(grad_p))), damp * float(np.max(np.abs(grad_w))),
                 1e-9 * absacc, 1e-300)
     return grad_p, grad_w, scale
@@ -238,8 +400,50 @@ def eval_grad_u(datum: InitialDatum, x: Union[Array, float], t: float,
     return gp + wave_factor(t) * gw
 
 
+def _dir2_parts_3d(datum: InitialDatum, x: Array, t: float, omega: Array,
+                   order: int) -> Tuple[float, float, float]:
+    dc = dimension_constants(3)
+    damp = wave_factor(t)
+    coef1 = _rim_coef(dc.ell, t)
+    coef2 = _rim_coef(dc.ell + 1, t)
+    val_p = 0.0
+    absacc = 0.0
+    mean_d2 = 0.0
+    mean_d3 = 0.0
+    for bump, ball, sphere in _radial_bumps(datum, x, t, order):
+        if ball is not None:
+            k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, ball.r, t)
+            k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
+            w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** 4
+            w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** 2
+            f = _profile(bump, ball, 0)[0]
+            sq = (f * _projections(ball, omega)[2]).sum(axis=1)
+            mass = f.sum(axis=1)
+            val_p += float(w2 @ sq) - float(w1 @ mass)
+            absacc += float(np.abs(w2) @ sq) + float(np.abs(w1) @ mass)
+        if sphere is not None:
+            g0, g1, g2, g3 = _profile(bump, sphere, 3)
+            d = sphere.dist
+            cw, p1, p2 = _projections(sphere, omega)
+            # Circle means of ((y - c) . omega)**2 and of
+            # (theta . omega) ((y - c) . omega), with y - c = d*e + t*theta.
+            along2 = d * d * cw * cw + 2.0 * d * cw * t * p1 + t * t * p2
+            mixed = d * cw * p1 + t * p2
+            rate = d * sphere.mu + t
+            val_p += (dc.gamma / 16.0) * damp * coef2 * t ** 3 * float((g0 * p2).sum())
+            val_p += 0.25 * dc.gamma * damp * coef1 * t * t * float((2.0 * g1 * mixed).sum())
+            mean_d2 += float((2.0 * g1 + 4.0 * g2 * along2).sum())
+            mean_d3 += float((4.0 * g2 * rate + 8.0 * g3 * rate * along2
+                              + 8.0 * g2 * mixed).sum())
+    wave_raw = dc.gamma * ((0.5 * t * t - 2.0 * t + 4.0) * mean_d2 + 4.0 * t * mean_d3)
+    scale = max(abs(val_p), damp * abs(wave_raw), 1e-9 * absacc, 1e-300)
+    return val_p, wave_raw, scale
+
+
 def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
                 order: int) -> Tuple[float, float, float]:
+    if datum.dimension == 3:
+        return _dir2_parts_3d(datum, x, t, omega, order)
     dc = dimension_constants(datum.dimension)
     n = datum.dimension
     damp = wave_factor(t)
@@ -272,40 +476,18 @@ def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
             zeta = (pts - x) / t
             a_w += float((w / rim) @ bump.dir2(pts, omega))
             b_w += float((w / rim) @ bump.dir3(pts, omega, zeta))
-    if dc.parity == "odd":
-        coef1 = (t * kernel_at_zero("odd", dc.ell + 1)
-                 - 2.0 * kernel_at_zero("odd", dc.ell))
-        coef2 = (t * kernel_at_zero("odd", dc.ell + 2)
-                 - 2.0 * kernel_at_zero("odd", dc.ell + 1))
-        if n == 1:
-            sq = datum.value(x + t) + datum.value(x - t)
-            mixed = float(datum.gradient(x + t)[0] - datum.gradient(x - t)[0])
-            val_p += (dc.gamma / 16.0) * damp * coef2 * t * sq
-            val_p += 0.25 * dc.gamma * damp * coef1 * mixed
-        else:
-            sq = 0.0
-            mixed = 0.0
-            for bump, pts, dirs, w in _sphere_terms(datum, x, t, order):
-                proj = dirs @ omega
-                sq += float((w * proj * proj) @ bump.value(pts))
-                mixed += float((w * proj) @ (bump.gradient(pts) @ omega))
-            val_p += (dc.gamma / 16.0) * damp * coef2 * t ** n * sq
-            val_p += 0.25 * dc.gamma * damp * coef1 * t ** (n - 1) * mixed
-
     if n == 1:
+        coef1 = _rim_coef(dc.ell, t)
+        coef2 = _rim_coef(dc.ell + 1, t)
+        sq = datum.value(x + t) + datum.value(x - t)
+        mixed = float(datum.gradient(x + t)[0] - datum.gradient(x - t)[0])
+        val_p += (dc.gamma / 16.0) * damp * coef2 * t * sq
+        val_p += 0.25 * dc.gamma * damp * coef1 * mixed
         wave_raw = 0.5 * (datum.dir2(x + t, omega) + datum.dir2(x - t, omega))
-    elif n == 2:
+    else:
         a_w /= t * t
         b_w /= t * t
         wave_raw = dc.gamma * ((0.25 * t * t - t + 2.0) * a_w + 2.0 * t * b_w)
-    else:
-        mean_d2 = 0.0
-        mean_d3 = 0.0
-        for bump, pts, dirs, w in _sphere_terms(datum, x, t, order):
-            mean_d2 += float(w @ bump.dir2(pts, omega))
-            mean_d3 += float(w @ bump.dir3(pts, omega, dirs))
-        wave_raw = dc.gamma * ((0.5 * t * t - 2.0 * t + 4.0) * mean_d2
-                               + 4.0 * t * mean_d3)
     scale = max(abs(val_p), damp * abs(wave_raw), 1e-9 * absacc, 1e-300)
     return val_p, wave_raw, scale
 
@@ -330,15 +512,6 @@ def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float,
     return vp + wave_factor(t) * wraw
 
 
-def _bump_profile(bump: SmoothBump, rho: Array) -> Array:
-    r2 = bump.radius * bump.radius
-    gap = r2 - rho * rho
-    ok = gap > 1e-12 * r2
-    out = np.zeros_like(rho)
-    out[ok] = bump.amplitude * np.e * np.exp(-r2 / gap[ok])
-    return out
-
-
 def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: float,
                              order: int = DEFAULT_ORDER,
                              check: bool = False) -> float:
@@ -361,39 +534,12 @@ def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: flo
             return float(with_refinement(evaluate_low, order, label="principal value"))
         return _field_parts(datum, pt, t, order)[0]
     bump = datum.bumps[0]
-    dc = dimension_constants(n)
-    center = bump.center_array
-    dist = float(np.linalg.norm(pt - center))
-    sphere_nm2 = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
 
     def evaluate(o: int) -> Tuple[float, float]:
-        r_lo = max(dist - bump.radius, 0.0)
-        r_hi = min(dist + bump.radius, t)
-        if r_hi <= r_lo:
+        ball = _shells(bump, pt, t, o)
+        if ball is None:
             return 0.0, 1e-300
-        phi, wphi = interval_nodes(math.asin(min(r_lo / t, 1.0)),
-                                   math.asin(min(r_hi / t, 1.0)), o)
-        rad = t * np.sin(phi)
-        jac = t * np.cos(phi) * rad ** (n - 1)
-        kern = kernel_ktilde_scaled(dc.parity, dc.ell, rad, t)
-        if dist < 1e-14:
-            shell = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-            mean = shell * _bump_profile(bump, rad)
-        else:
-            base, wbase = gauss_legendre(o)
-            cos_cut = (bump.radius ** 2 - dist * dist - rad * rad) / (2.0 * dist * rad)
-            theta_lo = np.arccos(np.clip(cos_cut, -1.0, 1.0))
-            half = 0.5 * (math.pi - theta_lo)
-            theta = theta_lo[:, None] + half[:, None] * (base[None, :] + 1.0)
-            wtheta = half[:, None] * wbase[None, :]
-            rho = np.sqrt(np.maximum(
-                dist * dist + rad[:, None] ** 2
-                + 2.0 * dist * rad[:, None] * np.cos(theta), 0.0))
-            mean = sphere_nm2 * (wtheta * np.sin(theta) ** (n - 2)
-                                 * _bump_profile(bump, rho)).sum(axis=1)
-        integral = float((wphi * jac * kern) @ mean)
-        val = 0.25 * dc.gamma * integral
-        ref = 0.25 * dc.gamma * float((wphi * jac * np.abs(kern)) @ np.abs(mean))
+        val, ref = _ball_principal(bump, ball, t)
         return val, max(abs(val), 1e-9 * ref, 1e-300)
 
     if check:

@@ -28,3 +28,9 @@ def two_2d():
 @pytest.fixture(scope="session")
 def single_3d():
     return make_datum([SmoothBump((0.0, 0.0, 0.0), 1.0, 1.0)], 3)
+
+
+@pytest.fixture(scope="session")
+def two_3d():
+    return make_datum([SmoothBump((0.0, 0.0, 0.0), 1.0, 1.0),
+                       SmoothBump((2.0, 1.0, -0.5), 0.55, 0.8)], 3)

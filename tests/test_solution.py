@@ -93,33 +93,41 @@ def test_translation_invariance():
         assert b == pytest.approx(a, rel=1e-12, abs=1e-18)
 
 
-def test_gradient_matches_fd(two_2d):
+def test_gradient_matches_fd(two_2d, two_3d):
     h = 1e-4
-    for x, t in ((np.array([0.5, 0.1]), 3.0), (np.array([2.5, 1.0]), 8.0)):
-        grad = eval_grad_u(two_2d, x, t)
-        for i in range(2):
-            e = np.zeros(2)
+    # In 3D both bumps meet the sphere of radius t around x.
+    cases = ((two_2d, np.array([0.5, 0.1]), 3.0),
+             (two_2d, np.array([2.5, 1.0]), 8.0),
+             (two_3d, np.array([0.6, -0.3, 0.2]), 1.5))
+    for datum, x, t in cases:
+        n = datum.dimension
+        grad = eval_grad_u(datum, x, t)
+        for i in range(n):
+            e = np.zeros(n)
             e[i] = h
-            fd = (eval_u(two_2d, x + e, t).value
-                  - eval_u(two_2d, x - e, t).value) / (2.0 * h)
+            fd = (eval_u(datum, x + e, t).value
+                  - eval_u(datum, x - e, t).value) / (2.0 * h)
             assert grad[i] == pytest.approx(fd, rel=5e-6, abs=1e-9)
 
 
-def test_dir2_matches_fd(two_2d):
+def test_dir2_matches_fd(two_2d, two_3d):
     rng = np.random.default_rng(6)
 
-    def second_diff(x, t, w, h):
-        return (eval_u(two_2d, x + h * w, t).value
-                - 2.0 * eval_u(two_2d, x, t).value
-                + eval_u(two_2d, x - h * w, t).value) / (h * h)
+    def second_diff(datum, x, t, w, h):
+        return (eval_u(datum, x + h * w, t).value
+                - 2.0 * eval_u(datum, x, t).value
+                + eval_u(datum, x - h * w, t).value) / (h * h)
 
-    for x, t in ((np.array([0.5, 0.1]), 3.0), (np.array([1.5, -0.5]), 7.0)):
-        w = rng.normal(size=2)
+    cases = ((two_2d, np.array([0.5, 0.1]), 3.0),
+             (two_2d, np.array([1.5, -0.5]), 7.0),
+             (two_3d, np.array([0.6, -0.3, 0.2]), 1.5))
+    for datum, x, t in cases:
+        w = rng.normal(size=datum.dimension)
         w /= np.linalg.norm(w)
         # Second derivatives at short times need more nodes than the default.
-        d2 = eval_dir2_u(two_2d, x, t, w, order=128)
-        coarse = second_diff(x, t, w, 1e-3)
-        fine = second_diff(x, t, w, 5e-4)
+        d2 = eval_dir2_u(datum, x, t, w, order=128)
+        coarse = second_diff(datum, x, t, w, 1e-3)
+        fine = second_diff(datum, x, t, w, 5e-4)
         fd = (4.0 * fine - coarse) / 3.0
         assert d2 == pytest.approx(fd, rel=5e-6, abs=1e-10)
 
@@ -128,7 +136,7 @@ def test_radial_path_matches_direct(single_3d):
     single_2d = make_datum([SmoothBump((0.0, 0.0), 1.0, 1.0)], 2)
     for datum in (single_2d, single_3d):
         n = datum.dimension
-        for dist, t in ((0.0, 6.0), (1.7, 6.0), (4.0, 9.0)):
+        for dist, t in ((0.0, 6.0), (0.5, 6.0), (1.7, 6.0), (4.0, 9.0)):
             x = np.zeros(n)
             x[0] = dist
             direct = eval_u(datum, x, t).principal
@@ -165,12 +173,75 @@ def test_matches_spectral_oracle_3d(single_3d):
     assert worst < 3e-4
 
 
-def test_refinement_check_flags_underresolution(two_2d):
+def test_refinement_check_flags_underresolution(two_2d, two_3d):
     x = np.array([0.5, 0.1])
     with pytest.raises(QuadratureConvergenceError):
         eval_grad_u(two_2d, x, 3.0, order=24, check=True)
     grad = eval_grad_u(two_2d, x, 3.0, order=96, check=True)
     assert np.all(np.isfinite(grad))
+    x3 = np.zeros(3)
+    omega = np.array([0.48, -0.6, 0.64])
+    evaluators = (lambda o: eval_u(two_3d, x3, 2.5, order=o, check=True).value,
+                  lambda o: eval_grad_u(two_3d, x3, 2.5, order=o, check=True),
+                  lambda o: eval_dir2_u(two_3d, x3, 2.5, omega, order=o, check=True))
+    for evaluate in evaluators:
+        with pytest.raises(QuadratureConvergenceError):
+            evaluate(8)
+        assert np.all(np.isfinite(evaluate(64)))
+
+
+# Two-bump 3D datum (the two_3d fixture): u, grad u and the second derivative
+# along FROZEN_OMEGA, recorded at quadrature order 128 with the earlier 3D
+# rule (a direction cone times a clipped chord per bump, and sphere caps in
+# direction cosine and azimuth). Rows: the centre of a ball (d = 0), a point
+# inside a ball, a point outside both; t = 1.5, 2.5 and 6 put a bump on the
+# sphere of radius t around x, t = 200 is the late-time regime. At x = 0,
+# t = 1.5 only the ball centred at x is reached, so the gradient is zero by
+# symmetry.
+FROZEN_OMEGA = np.array([0.48, -0.6, 0.64])
+FROZEN_3D = (
+    ((0.0, 0.0, 0.0), 1.5, -0.002439325166782045,
+     [0.0, 0.0, 0.0],
+     0.00015974838920283365),
+    ((0.0, 0.0, 0.0), 2.5, -0.010784484429064194,
+     [-0.024667913371348864, -0.012333956685674372, 0.006166978342837231],
+     0.012499757520622694),
+    ((0.0, 0.0, 0.0), 6.0, -0.00037242605641465715,
+     [-5.0418540122437375e-06, -2.5209270061218976e-06, 1.2604635030585805e-06],
+     2.3481322317345907e-05),
+    ((0.0, 0.0, 0.0), 200.0, -8.021168765599191e-08,
+     [-7.638980076290198e-11, -3.8194900381451106e-11, 1.909745019071189e-11],
+     3.2753746591823264e-10),
+    ((0.6, -0.3, 0.2), 1.5, -0.048736606343890126,
+     [-0.3891109820986534, 0.19455738084138158, -0.12970476307824996],
+     0.7699997704606739),
+    ((0.6, -0.3, 0.2), 2.5, -0.003706770224127117,
+     [0.05182774370210452, 0.048044569256713215, -0.025866509412161773],
+     -0.08957915445614535),
+    ((0.6, -0.3, 0.2), 6.0, -0.00036873211174451927,
+     [8.837448725580387e-06, -9.579853769208223e-06, 5.956475062270236e-06],
+     2.299389320697556e-05),
+    ((0.6, -0.3, 0.2), 200.0, -8.016204632182802e-08,
+     [1.1988752147868407e-10, -1.364777600913081e-10, 8.460734011487468e-11],
+     3.269803440926924e-10),
+    ((3.8, -3.2, 2.0), 6.0, -0.0015459407922512338,
+     [-0.001814825665346689, 0.001524145825378191, -0.0009527833956735264],
+     0.027498231803031424),
+    ((3.8, -3.2, 2.0), 200.0, -7.575186338794856e-08,
+     [1.1133811617348481e-09, -1.0363594739210754e-09, 6.431248392969073e-10],
+     2.8552692015333093e-10),
+)
+
+
+def test_frozen_3d_values(two_3d):
+    for x, t, u, grad, d2 in FROZEN_3D:
+        x = np.array(x)
+        assert eval_u(two_3d, x, t).value == pytest.approx(u, rel=1e-10)
+        gap = np.linalg.norm(eval_grad_u(two_3d, x, t) - np.array(grad))
+        # A gradient that vanishes by symmetry is measured against |u|.
+        scale = np.linalg.norm(grad) or abs(u)
+        assert gap <= 1e-10 * scale, (x, t, gap)
+        assert eval_dir2_u(two_3d, x, t, FROZEN_OMEGA) == pytest.approx(d2, rel=1e-10)
 
 
 def test_heat_eval_matches_trapezoid(unit_1d):
