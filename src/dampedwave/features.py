@@ -250,8 +250,10 @@ def _extremum_search(datum: InitialDatum, t: float, x0: Array, sense: float,
         moved = False
         for _ in range(40):
             trial = x + step * direction
-            if hull is not None and not hull.contains(trial, tol=hull.hull_tol):
-                trial = hull.distance(trial)[1]
+            if hull is not None:
+                rho, nearest, _ = hull.distance(trial)
+                if rho > hull.hull_tol:
+                    trial = nearest
             trial_value = sense * eval_u(datum, trial, t, order=order).value
             if trial_value > value + 1e-4 * step * gnorm:
                 displacement = float(np.linalg.norm(trial - x))
@@ -317,20 +319,19 @@ def _interior_points(hull: ConvexPolytope, count: int, seed: int) -> Array:
     hi = verts.max(axis=0)
     n = verts.shape[1]
     sampler = qmc.Halton(d=n, scramble=True, seed=seed)
-    points: List[Array] = []
-    guard = 0
-    while len(points) < count and guard < 64:
+    blocks: List[Array] = []
+    found = 0
+    for _ in range(64):
+        if found == count:
+            break
         block = lo + (hi - lo) * sampler.random(4 * count)
-        for row in block:
-            if hull.contains(row):
-                points.append(row)
-                if len(points) == count:
-                    break
-        guard += 1
-    if not points:
+        rows = block[hull.inside(block)][:count - found]
+        blocks.append(rows)
+        found += len(rows)
+    if not found:
         # Degenerate hull: fall back to its vertex average.
-        points.append(verts.mean(axis=0))
-    return np.array(points)
+        return verts.mean(axis=0)[None, :]
+    return np.concatenate(blocks)
 
 
 def _parity_factor(n: int) -> float:

@@ -86,6 +86,24 @@ class ConvexPolytope:
     def contains(self, x: Array, tol: float = 0.0) -> bool:
         return self.distance(x)[0] <= tol
 
+    def inside(self, points: Array) -> Array:
+        """Row-wise membership of an (m, n) array, without the nearest-point
+        problem: the rows `distance` puts at 0 (boundary slack included).
+        In 3-D it reads the facet `equations`."""
+        x = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        v = self.vertices
+        if self.dimension == 1:
+            return (x[:, 0] >= v.min()) & (x[:, 0] <= v.max())
+        slack = 1e-12 * max(self.diameter, 1.0)
+        if self.dimension == 2:
+            edge = np.roll(v, -1, axis=0) - v
+            rel = x[:, None, :] - v[None, :, :]
+            # CCW polygon: non-negative cross products for every edge.
+            cross = edge[:, 0] * rel[:, :, 1] - edge[:, 1] * rel[:, :, 0]
+            return np.all(cross >= -slack, axis=1)
+        eqs = self.equations
+        return np.all(x @ eqs[:, :3].T + eqs[:, 3] <= slack, axis=1)
+
     def distance(self, x: Array) -> Tuple[float, Array, Optional[Array]]:
         """Distance to the body with nearest boundary point and outward unit
         direction; direction is None (and the point is x itself) inside."""
@@ -103,14 +121,11 @@ class ConvexPolytope:
         return self._distance_polyhedron(x)
 
     def _distance_polygon(self, x: Array) -> Tuple[float, Array, Optional[Array]]:
-        v = self.vertices
-        nxt = np.roll(v, -1, axis=0)
-        edge = nxt - v
-        rel = x[None, :] - v
-        cross = edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0]
-        # CCW polygon: non-negative cross products for every edge means inside.
-        if np.all(cross >= -1e-12 * max(self.diameter, 1.0)):
+        if self.inside(x)[0]:
             return 0.0, x.copy(), None
+        v = self.vertices
+        edge = np.roll(v, -1, axis=0) - v
+        rel = x[None, :] - v
         seg_len2 = np.maximum((edge * edge).sum(axis=1), 1e-300)
         frac = np.clip((rel * edge).sum(axis=1) / seg_len2, 0.0, 1.0)
         candidate = v + frac[:, None] * edge
@@ -122,8 +137,7 @@ class ConvexPolytope:
         return rho, xi, (x - xi) / rho
 
     def _distance_polyhedron(self, x: Array) -> Tuple[float, Array, Optional[Array]]:
-        eqs = self.equations
-        if eqs is not None and np.all(eqs[:, :3] @ x + eqs[:, 3] <= 1e-12 * max(self.diameter, 1.0)):
+        if self.equations is not None and self.inside(x)[0]:
             return 0.0, x.copy(), None
         xi = _nearest_on_triangles(x, self.vertices, self.faces)
         gap = x - xi
@@ -216,16 +230,7 @@ def hull_of_balls(centers: Array, radii: Sequence[float],
         lo = float((centers[:, 0] - radii).min())
         hi = float((centers[:, 0] + radii).max())
         return ConvexPolytope(np.array([[lo], [hi]]), 1, hull_tol=1e-6)
-    cloud = _ball_cloud(centers, radii, dimension)
-    hull = ConvexHull(cloud)
-    vertices = cloud[hull.vertices]
-    faces = None
-    equations = None
-    if dimension == 3:
-        remap = {int(old): new for new, old in enumerate(hull.vertices)}
-        faces = np.array([[remap[int(i)] for i in simplex] for simplex in hull.simplices])
-        equations = hull.equations
-    body = ConvexPolytope(vertices, dimension, faces=faces, equations=equations)
+    body = hull_of_points(_ball_cloud(centers, radii, dimension), dimension)
     probes = _probe_directions(dimension)
     exact = ((probes @ centers.T) + radii[None, :]).max(axis=1)
     deficiency = float(np.clip(exact - body.support(probes), 0.0, None).max())

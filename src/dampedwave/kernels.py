@@ -8,6 +8,12 @@ Two kernel families, indexed by the parity of the space dimension they serve:
 and the combined kernel ktilde_l(r, t) = t k_(l+1)(s) - 2 k_l(s) evaluated at
 s = sqrt(t^2 - r^2)/2.  All large-time consumers need e^(-t/2) ktilde_l, which
 is computed here in scaled form so that nothing overflows for t up to 1e6.
+
+The odd family is scipy's ive over its whole domain, except below s = 1e-3,
+where ive(l, s) / s^l underflows and a short power series takes over.  The
+even family has no SciPy routine that is both fast and accurate on small
+arrays, so it keeps its own positive series and terminating large-argument
+form.
 """
 
 from __future__ import annotations
@@ -17,10 +23,10 @@ import math
 import numpy as np
 from scipy.special import ive
 
-# Small/large argument switch.  Up to max(switch, ell^2) the odd family is
-# scipy's ive and the even family its positive series; above that, both use
-# their large-argument forms.  The even family's form terminates but drops
-# the Struve term of DLMF 11.6.2, of relative size about
+# Small/large argument switch of the even family (the odd family is ive
+# everywhere).  Up to max(switch, ell^2) it is the positive series, above
+# that the large-argument form.  That form terminates but drops the Struve
+# term of DLMF 11.6.2, of relative size about
 # 2 (s/2)^(ell-1) e^(-s) / (ell-1)!: 2.3e-10 at ell = 5 just above s = 30,
 # so the switch sits at 45.  There, against mpmath for ell <= 64 and
 # s in [1e-3, 1e5], the worst relative error is 2.2e-14 for the even family
@@ -67,43 +73,10 @@ def _give_back(value: np.ndarray, template) -> float | np.ndarray:
 # modified Bessel I_ell
 
 
-def _series_cut(ell: int) -> float:
-    # The large-argument expansions only converge usefully once ell^2 / s is
-    # small, so keep the small-argument form up to ~ell^2.
-    return max(SERIES_ASYMPTOTIC_SWITCH, float(ell * ell))
-
-
-def _bessel_asymptotic_scaled(ell: int, s: np.ndarray) -> np.ndarray:
-    """e^(-s) I_ell(s) from the large-argument expansion, adaptively truncated.
-
-    Terms are added per element until the next term's magnitude stops
-    shrinking (optimal truncation) or drops below 1e-18 of the sum.
-    """
-    term = np.ones_like(s)
-    total = np.ones_like(s)
-    done = np.zeros(s.shape, dtype=bool)
-    for i in range(220):
-        nxt = term * (-(ell - (i + 0.5)) * (ell + (i + 0.5)) / (2.0 * (i + 1) * s))
-        done |= np.abs(nxt) >= np.abs(term)
-        np.add(total, nxt, out=total, where=~done)
-        term = np.where(done, term, nxt)
-        done |= np.abs(term) <= 1e-18 * np.abs(total)
-        if done.all():
-            break
-    return total / np.sqrt(2.0 * np.pi * s)
-
-
 def bessel_i_scaled(ell: int, s):
     """e^(-s) I_ell(s); never overflows for s up to 1e6."""
     ell = _check_order(ell)
-    arr = _as_array(s)
-    out = np.empty_like(arr)
-    low = arr <= _series_cut(ell)
-    if low.any():
-        out[low] = ive(ell, arr[low])
-    if (~low).any():
-        out[~low] = _bessel_asymptotic_scaled(ell, arr[~low])
-    return _give_back(out, s)
+    return _give_back(ive(ell, _as_array(s)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +113,8 @@ def _even_k_series_scaled(ell: int, s: np.ndarray) -> np.ndarray:
 def _even_k_asymptotic_scaled(ell: int, s: np.ndarray) -> np.ndarray:
     """e^(-s) k_ell(s), even family, large argument.
 
-    Same expansion shape as the Bessel bracket with order shifted to
-    ell - 1/2; the product (ell - j)(ell + j - 1) hits zero at j = ell, so
+    Same expansion shape as the DLMF 10.40.1 Bessel bracket with order
+    shifted to ell - 1/2; the product (ell - j)(ell + j - 1) hits zero at j = ell, so
     the bracket terminates and the only error is exponentially small.
     """
     term = np.ones_like(s)
@@ -170,9 +143,12 @@ def kernel_scaled(parity: str, ell: int, s):
             # As in _even_k_asymptotic_scaled, an overflowing s**ell means
             # the true value is below the smallest normal double; 0 is right.
             with np.errstate(over="ignore"):
-                out[rest] = bessel_i_scaled(ell, arr[rest]) / arr[rest] ** ell
+                out[rest] = ive(ell, arr[rest]) / arr[rest] ** ell
     else:
-        low = arr <= min(_series_cut(ell), _PLAIN_SERIES_MAX)
+        # The terminating form cancels badly until ell^2 / s is small, so
+        # the series runs up to ~ell^2.
+        cut = max(SERIES_ASYMPTOTIC_SWITCH, float(ell * ell))
+        low = arr <= min(cut, _PLAIN_SERIES_MAX)
         if low.any():
             out[low] = _even_k_series_scaled(ell, arr[low])
         if (~low).any():

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
-from dampedwave.features import (PROPOSITIONS, CertificateResult,
+from dampedwave.features import (INTERIOR_SAMPLES, PROPOSITIONS,
+                                 CertificateResult, _interior_points,
                                  build_spot_report, certify_signs,
                                  default_psi, empirical_threshold,
                                  find_cold_spot, find_critical_radius,
@@ -186,3 +188,20 @@ def test_feature_calls_require_hull():
     assert bare.hull is None
     with pytest.raises(ValueError, match="hull"):
         find_cold_spot(bare, 10.0)
+
+
+@pytest.mark.parametrize("name", ["single_1d", "two_2d", "single_3d"])
+@pytest.mark.parametrize("seed", [0, 424242])
+def test_interior_points_match_contains(name, seed, request):
+    # The masked blocks keep exactly the Halton rows that `contains`
+    # accepts one at a time, in the same order.
+    hull = request.getfixturevalue(name).hull
+    count = INTERIOR_SAMPLES
+    lo, hi = hull.vertices.min(axis=0), hull.vertices.max(axis=0)
+    sampler = qmc.Halton(d=hull.dimension, scramble=True, seed=seed)
+    expected = []
+    while len(expected) < count:
+        block = lo + (hi - lo) * sampler.random(4 * count)
+        expected.extend(row for row in block if hull.contains(row))
+    np.testing.assert_array_equal(_interior_points(hull, count, seed),
+                                  np.array(expected[:count]))

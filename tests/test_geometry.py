@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from dampedwave.geometry import (ConvexPolytope, fibonacci_sphere,
                                  hull_of_balls, hull_of_points,
@@ -104,6 +105,18 @@ def test_hull_of_balls_dimensions(two_1d, two_2d, single_3d):
     assert hull.contains(np.array([0.0, -1.0]), tol=hull.hull_tol * 2)
     assert hull.contains(np.array([1.6, 1.45 - 2e-4]), tol=hull.hull_tol * 2)
     assert single_3d.hull.contains(np.array([0.0, 0.0, 0.99]), tol=5e-3)
+
+
+@pytest.mark.parametrize("name", ["two_2d", "two_3d"])
+def test_inside_matches_delaunay(name, request):
+    # Vectorized membership against an independent test: the point lies in
+    # a simplex of the Delaunay triangulation of the hull's vertices.
+    hull = request.getfixturevalue(name).hull
+    lo, hi = hull.vertices.min(axis=0), hull.vertices.max(axis=0)
+    pts = lo + (hi - lo) * np.random.default_rng(12).random((2000, hull.dimension))
+    want = Delaunay(hull.vertices).find_simplex(pts) >= 0
+    assert 0 < want.sum() < len(pts)
+    np.testing.assert_array_equal(hull.inside(pts), want)
 
 
 def test_hull_tol_formula_2d():
