@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .geometry import ConvexPolytope, NormalPoint, phi_map, sample_normal_bundle
 from .initial_data import InitialDatum
@@ -312,19 +311,52 @@ def find_cold_spot(datum: InitialDatum, t: float, order: int = DEFAULT_ORDER,
     return _extremum_search(datum, t, x0, -1.0, order, hull=hull)
 
 
+# Halton bases of the first three coordinates; hulls live in one to three
+# dimensions.
+_HALTON_BASES = (2, 3, 5)
+
+
+def _halton_permutations(dimension: int, seed: int) -> List[Array]:
+    """Digit permutations of the scrambled Halton sequence (A. B. Owen, "A
+    randomized Halton algorithm in R", 2017), drawn as
+    scipy.stats.qmc.Halton(dimension, scramble=True, seed=seed) draws them:
+    one shuffled row per digit that can move a double, ceil(54/log2 b) - 1."""
+    rng = np.random.default_rng(seed)
+    perms = []
+    for base in _HALTON_BASES[:dimension]:
+        rows = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for row in rows:
+            rng.shuffle(row)
+        perms.append(rows)
+    return perms
+
+
+def _halton_block(perms: List[Array], start: int, count: int) -> Array:
+    """Points start, ..., start + count - 1 of the scrambled Halton sequence."""
+    out = np.zeros((count, len(perms)))
+    for k, rows in enumerate(perms):
+        base = rows.shape[1]
+        idx = np.arange(start, start + count)
+        scale = 1.0 / base
+        for row in rows:
+            out[:, k] += row[idx % base] * scale
+            idx //= base
+            scale /= base
+    return out
+
+
 def _interior_points(hull: ConvexPolytope, count: int, seed: int) -> Array:
     """Deterministic low-discrepancy points inside the hull."""
     verts = hull.vertices
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
-    n = verts.shape[1]
-    sampler = qmc.Halton(d=n, scramble=True, seed=seed)
+    perms = _halton_permutations(verts.shape[1], seed)
     blocks: List[Array] = []
     found = 0
-    for _ in range(64):
+    for k in range(64):
         if found == count:
             break
-        block = lo + (hi - lo) * sampler.random(4 * count)
+        block = lo + (hi - lo) * _halton_block(perms, 4 * count * k, 4 * count)
         rows = block[hull.inside(block)][:count - found]
         blocks.append(rows)
         found += len(rows)

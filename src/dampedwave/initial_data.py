@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +48,48 @@ def _as_batch(x: Union[Array, Sequence[float], float], dimension: int) -> Tuple[
     return pts, False
 
 
+class BumpJet(NamedTuple):
+    """One bump at one set of points y: the offsets y - c, and g with its
+    first derivatives in w = |y - c|**2, stacked, zero off the support.
+
+    Every derivative of f(y) = g(|y - c|**2) at those points is a polynomial
+    in these, so one jet serves all of them.
+    """
+    offset: Array
+    g: Array
+
+    def gradient(self) -> Array:
+        return 2.0 * self.g[1][:, None] * self.offset
+
+    def dir2(self, omega: Array) -> Array:
+        """(omega . grad)^2 f."""
+        along = self.offset @ np.asarray(omega, dtype=float)
+        return 2.0 * self.g[1] + 4.0 * self.g[2] * along * along
+
+    def dir3(self, omega: Array, zeta: Array) -> Array:
+        """Third derivative D^3 f[omega, omega, zeta]; zeta may vary per point."""
+        _, g1, g2, g3 = self.g[:4]
+        omega = np.asarray(omega, dtype=float)
+        zeta = np.asarray(zeta, dtype=float)
+        if zeta.ndim == 2:
+            a_ze = (self.offset * zeta).sum(axis=1)
+            om_ze = zeta @ omega
+        else:
+            a_ze = self.offset @ zeta
+            om_ze = float(omega @ zeta)
+        a_om = self.offset @ omega
+        return (4.0 * g2 * a_ze + 8.0 * g3 * a_ze * a_om * a_om
+                + 8.0 * g2 * om_ze * a_om)
+
+    def hvp(self, vecs: Array) -> Array:
+        """Hessian-vector products H(y) v(y); vecs is (n,) or one row per point."""
+        vecs = np.asarray(vecs, dtype=float)
+        v = vecs if vecs.ndim == 2 else vecs[None, :]
+        along = (self.offset * v).sum(axis=1)
+        return (2.0 * self.g[1][:, None] * v
+                + 4.0 * (self.g[2] * along)[:, None] * self.offset)
+
+
 @dataclass(frozen=True)
 class SmoothBump:
     """One radial bump; center is stored as a tuple so the datum is hashable."""
@@ -73,13 +115,6 @@ class SmoothBump:
         inside = gap > 1e-12 * r2
         return offset, gap, inside
 
-    def value(self, pts: Array) -> Array:
-        offset, gap, inside = self._shape(pts)
-        out = np.zeros(pts.shape[0])
-        r2 = self.radius * self.radius
-        out[inside] = self.amplitude * np.e * np.exp(-r2 / gap[inside])
-        return out
-
     def _g_derivatives(self, gap: Array, inside: Array,
                        top: int) -> List[Array]:
         """g, g', g'', g''' of g(w) = a*e*exp(-R^2/(R^2 - w)) on the inside mask."""
@@ -96,55 +131,37 @@ class SmoothBump:
                             - 6.0 * r2 * inv**4))
         return out
 
-    def gradient(self, pts: Array) -> Array:
-        offset, gap, inside = self._shape(pts)
-        out = np.zeros_like(pts)
+    def _g_table(self, gap: Array, inside: Array, top: int) -> Array:
+        """g and its first `top` derivatives in w, stacked to
+        (top + 1,) + gap.shape, from the gap R^2 - w; zero off `inside`."""
+        out = np.zeros((top + 1,) + gap.shape)
         if np.any(inside):
-            _, g1 = self._g_derivatives(gap, inside, 1)
-            out[inside] = 2.0 * g1[:, None] * offset[inside]
+            out[:, inside] = self._g_derivatives(gap, inside, top)
         return out
+
+    def jet(self, pts: Array, top: int) -> BumpJet:
+        """Offsets and g up to its `top`-th derivative at the points, in one
+        pass; `top` is 1 for the gradient, 2 for dir2 and hvp, 3 for dir3."""
+        offset, gap, inside = self._shape(pts)
+        return BumpJet(offset, self._g_table(gap, inside, top))
+
+    def value(self, pts: Array) -> Array:
+        return self.jet(pts, 0).g[0]
+
+    def gradient(self, pts: Array) -> Array:
+        return self.jet(pts, 1).gradient()
 
     def dir2(self, pts: Array, omega: Array) -> Array:
         """(omega . grad)^2 of the bump."""
-        offset, gap, inside = self._shape(pts)
-        out = np.zeros(pts.shape[0])
-        if np.any(inside):
-            _, g1, g2 = self._g_derivatives(gap, inside, 2)
-            along = offset[inside] @ np.asarray(omega, dtype=float)
-            out[inside] = 2.0 * g1 + 4.0 * g2 * along * along
-        return out
+        return self.jet(pts, 2).dir2(omega)
 
     def dir3(self, pts: Array, omega: Array, zeta: Array) -> Array:
         """Third derivative D^3 f[omega, omega, zeta]; zeta may vary per point."""
-        offset, gap, inside = self._shape(pts)
-        out = np.zeros(pts.shape[0])
-        if np.any(inside):
-            _, g1, g2, g3 = self._g_derivatives(gap, inside, 3)
-            omega = np.asarray(omega, dtype=float)
-            zeta = np.asarray(zeta, dtype=float)
-            if zeta.ndim == 2:
-                a_ze = (offset[inside] * zeta[inside]).sum(axis=1)
-                om_ze = zeta[inside] @ omega
-            else:
-                a_ze = offset[inside] @ zeta
-                om_ze = float(omega @ zeta)
-            a_om = offset[inside] @ omega
-            out[inside] = (4.0 * g2 * a_ze + 8.0 * g3 * a_ze * a_om * a_om
-                           + 8.0 * g2 * om_ze * a_om)
-        return out
+        return self.jet(pts, 3).dir3(omega, zeta)
 
     def hvp(self, pts: Array, vecs: Array) -> Array:
         """Hessian-vector products H(y) v(y); vecs is (n,) or one row per point."""
-        offset, gap, inside = self._shape(pts)
-        out = np.zeros_like(pts)
-        if np.any(inside):
-            _, g1, g2 = self._g_derivatives(gap, inside, 2)
-            vecs = np.asarray(vecs, dtype=float)
-            v = vecs[inside] if vecs.ndim == 2 else vecs[None, :]
-            d = offset[inside]
-            along = (d * v).sum(axis=1)
-            out[inside] = 2.0 * g1[:, None] * v + 4.0 * (g2 * along)[:, None] * d
-        return out
+        return self.jet(pts, 2).hvp(vecs)
 
     def mass(self, dimension: int) -> float:
         return self.amplitude * self.radius**dimension * unit_ball_mass(dimension)

@@ -28,7 +28,8 @@ import numpy as np
 
 from .geometry import fibonacci_sphere
 from .initial_data import InitialDatum, SmoothBump
-from .kernels import kernel_at_zero, kernel_deriv_at_zero, kernel_ktilde_scaled
+from .kernels import (_ktilde_pair_scaled, kernel_at_zero, kernel_deriv_at_zero,
+                      kernel_ktilde_scaled)
 from .quadrature import (ball_nodes, clipped_ball_nodes, gauss_legendre,
                          interval_nodes, with_refinement)
 
@@ -195,11 +196,7 @@ def _profile(bump: SmoothBump, sh: _Shells, top: int) -> Array:
     times the angular weights; zero off the support."""
     r2 = bump.radius * bump.radius
     gap = r2 - sh.rho2
-    inside = gap > 1e-12 * r2
-    out = np.zeros((top + 1,) + gap.shape)
-    if np.any(inside):
-        out[:, inside] = bump._g_derivatives(gap, inside, top)
-    return out * sh.wmu
+    return bump._g_table(gap, gap > 1e-12 * r2, top) * sh.wmu
 
 
 def _projections(sh: _Shells, omega: Array) -> Tuple[float, Array, Array]:
@@ -221,27 +218,30 @@ def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[float, f
     return float(weight @ mean), float(np.abs(weight) @ mean)
 
 
-def _radial_bumps(datum: InitialDatum, x: Array, t: float, order: int
+def _radial_bumps(datum: InitialDatum, x: Array, t: float, order: int,
+                  live: bool
                   ) -> Iterable[Tuple[SmoothBump, Optional[_Shells], Optional[_Shells]]]:
     """Per bump: (bump, ball nodes in B_t(x), nodes on the radius-t sphere).
 
     The sphere terms integrate up to the third derivative of the profile,
     whose edge is much steeper than the profile's, so the sphere rule takes
     twice the angular nodes; at a single radius they cost next to nothing.
+    Every sphere term carries exp(-t/2), so without `live` there are none.
     """
     for bump in datum.bumps:
         yield (bump, _shells(bump, x, t, order),
-               _shells(bump, x, t, 2 * order, on_sphere=True))
+               _shells(bump, x, t, 2 * order, on_sphere=True) if live else None)
 
 
-def _field_parts_3d(datum: InitialDatum, x: Array, t: float,
-                    order: int) -> Tuple[float, float, float]:
+def _field_parts_3d(datum: InitialDatum, x: Array, t: float, order: int,
+                    raw: bool) -> Tuple[float, float, float]:
     dc = dimension_constants(3)
     principal = 0.0
     absacc = 0.0
     mean_f = 0.0
     mean_df = 0.0
-    for bump, ball, sphere in _radial_bumps(datum, x, t, order):
+    live = raw or wave_factor(t) > 0.0
+    for bump, ball, sphere in _radial_bumps(datum, x, t, order, live):
         if ball is not None:
             val, ref = _ball_principal(bump, ball, t)
             principal += val
@@ -255,12 +255,18 @@ def _field_parts_3d(datum: InitialDatum, x: Array, t: float,
     return principal, wave_raw, scale
 
 
-def _field_parts(datum: InitialDatum, x: Array, t: float,
-                 order: int) -> Tuple[float, float, float]:
-    """(principal, wave_raw, scale): wave_raw omits the exp(-t/2) factor."""
+def _field_parts(datum: InitialDatum, x: Array, t: float, order: int,
+                 raw: bool = False) -> Tuple[float, float, float]:
+    """(principal, wave_raw, scale): wave_raw omits the exp(-t/2) factor.
+
+    Where that factor is zero, wave_raw is 0 and not computed, unless raw.
+    """
     if datum.dimension == 3:
-        return _field_parts_3d(datum, x, t, order)
+        return _field_parts_3d(datum, x, t, order, raw)
     dc = dimension_constants(datum.dimension)
+    n = datum.dimension
+    live = raw or wave_factor(t) > 0.0
+    wave_2d = live and n == 2
     quarter_gamma = 0.25 * dc.gamma
     principal = 0.0
     absacc = 0.0
@@ -268,18 +274,18 @@ def _field_parts(datum: InitialDatum, x: Array, t: float,
     v_rate = 0.0
     for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
         kern = kernel_ktilde_scaled(dc.parity, dc.ell, rad, t)
-        fv = bump.value(pts)
+        jet = bump.jet(pts, 1 if wave_2d else 0)
+        fv = jet.g[0]
         contrib = w * kern * fv
         principal += quarter_gamma * float(contrib.sum())
         absacc += quarter_gamma * float(np.abs(contrib).sum())
-        if datum.dimension == 2:
+        if wave_2d:
             wave_w = w * fv / rim
             v_plain += float(wave_w.sum())
-            v_rate += float((w / rim) @ (((pts - x) * bump.gradient(pts)).sum(axis=1)))
+            v_rate += float((w / rim) @ (((pts - x) * jet.gradient()).sum(axis=1)))
 
-    n = datum.dimension
     if n == 1:
-        wave_raw = 0.5 * (datum.value(x + t) + datum.value(x - t))
+        wave_raw = 0.5 * (datum.value(x + t) + datum.value(x - t)) if live else 0.0
     elif n == 2:
         v_plain /= t * t
         v_rate /= t ** 3
@@ -309,8 +315,8 @@ def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
                        wave_remainder=wave)
 
 
-def _grad_parts_3d(datum: InitialDatum, x: Array, t: float,
-                   order: int) -> Tuple[Array, Array, float]:
+def _grad_parts_3d(datum: InitialDatum, x: Array, t: float, order: int,
+                   raw: bool) -> Tuple[Array, Array, float]:
     dc = dimension_constants(3)
     damp = wave_factor(t)
     coef = _rim_coef(dc.ell, t)
@@ -319,7 +325,7 @@ def _grad_parts_3d(datum: InitialDatum, x: Array, t: float,
     absacc = 0.0
     # Every term is a multiple of the axis e: the integrals of theta and of
     # y - c = d*e + r*theta over a circle of fixed mu lie along it.
-    for bump, ball, sphere in _radial_bumps(datum, x, t, order):
+    for bump, ball, sphere in _radial_bumps(datum, x, t, order, raw or damp > 0.0):
         if ball is not None:
             kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
             weight = (dc.gamma / 16.0) * ball.wr * kern * ball.r ** 3
@@ -341,41 +347,49 @@ def _grad_parts_3d(datum: InitialDatum, x: Array, t: float,
     return grad_p, grad_w, scale
 
 
-def _grad_parts(datum: InitialDatum, x: Array, t: float,
-                order: int) -> Tuple[Array, Array, float]:
-    """(principal gradient, raw wave gradient, scale)."""
+def _grad_parts(datum: InitialDatum, x: Array, t: float, order: int,
+                raw: bool = False) -> Tuple[Array, Array, float]:
+    """(principal gradient, raw wave gradient, scale).
+
+    Where exp(-t/2) is zero, the terms it multiplies are skipped and the raw
+    wave gradient is 0, unless raw.
+    """
     if datum.dimension == 3:
-        return _grad_parts_3d(datum, x, t, order)
+        return _grad_parts_3d(datum, x, t, order, raw)
     dc = dimension_constants(datum.dimension)
     n = datum.dimension
     damp = wave_factor(t)
+    live = raw or damp > 0.0
+    # Only the even family (n = 2 here) has damped terms inside the ball.
+    wave_2d = live and n == 2
     grad_p = np.zeros(n)
     absacc = 0.0
-    if dc.parity == "even":
+    if wave_2d:
         beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
                  - 2.0 * kernel_deriv_at_zero("even", dc.ell))
     a_w = np.zeros(n)
     b_w = np.zeros(n)
     for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
         kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, rad, t)
-        fv = bump.value(pts)
+        jet = bump.jet(pts, 2 if wave_2d else 0)
+        fv = jet.g[0]
         moment = (x[None, :] - pts)
         core = (w * kern * fv) @ moment
         grad_p += -(dc.gamma / 16.0) * core
         absacc += (dc.gamma / 16.0) * float(np.abs(w * kern * fv) @ np.abs(moment).max(axis=1))
-        if dc.parity == "even":
+        if wave_2d:
             s = 0.5 * t * rim
             grad_p += -(dc.gamma / 16.0) * damp * beta1 * ((w * fv / s) @ moment)
-        if n == 2:
-            gradf = bump.gradient(pts)
-            a_w += (w / rim) @ gradf
-            b_w += (w / rim) @ bump.hvp(pts, pts - x)
+            a_w += (w / rim) @ jet.gradient()
+            b_w += (w / rim) @ jet.hvp(pts - x)
     if n == 1:
-        # Boundary sphere term; the even-family kernel vanishes at s = 0.
-        coef = _rim_coef(dc.ell, t)
-        boundary = (datum.value(x + t) - datum.value(x - t)) * np.ones(1)
-        grad_p += 0.25 * dc.gamma * damp * coef * boundary
-        grad_w = 0.5 * (datum.gradient(x + t) + datum.gradient(x - t))
+        grad_w = np.zeros(1)
+        if live:
+            # Boundary sphere term; the even-family kernel vanishes at s = 0.
+            coef = _rim_coef(dc.ell, t)
+            boundary = (datum.value(x + t) - datum.value(x - t)) * np.ones(1)
+            grad_p += 0.25 * dc.gamma * damp * coef * boundary
+            grad_w = 0.5 * (datum.gradient(x + t) + datum.gradient(x - t))
     else:
         a_w /= t * t
         b_w /= t ** 3
@@ -410,10 +424,9 @@ def _dir2_parts_3d(datum: InitialDatum, x: Array, t: float, omega: Array,
     absacc = 0.0
     mean_d2 = 0.0
     mean_d3 = 0.0
-    for bump, ball, sphere in _radial_bumps(datum, x, t, order):
+    for bump, ball, sphere in _radial_bumps(datum, x, t, order, damp > 0.0):
         if ball is not None:
-            k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, ball.r, t)
-            k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
+            k2, k1 = _ktilde_pair_scaled(dc.parity, dc.ell + 1, ball.r, t)
             w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** 4
             w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** 2
             f = _profile(bump, ball, 0)[0]
@@ -442,14 +455,22 @@ def _dir2_parts_3d(datum: InitialDatum, x: Array, t: float, omega: Array,
 
 def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
                 order: int) -> Tuple[float, float, float]:
+    """(principal, raw wave, scale) of the second derivative along omega.
+
+    Where exp(-t/2) is zero, the terms it multiplies are skipped and the raw
+    wave part is 0.
+    """
     if datum.dimension == 3:
         return _dir2_parts_3d(datum, x, t, omega, order)
     dc = dimension_constants(datum.dimension)
     n = datum.dimension
     damp = wave_factor(t)
+    live = damp > 0.0
+    # Only the even family (n = 2 here) has damped terms inside the ball.
+    wave_2d = live and n == 2
     val_p = 0.0
     absacc = 0.0
-    if dc.parity == "even":
+    if wave_2d:
         beta2 = (t * kernel_deriv_at_zero("even", dc.ell + 2)
                  - 2.0 * kernel_deriv_at_zero("even", dc.ell + 1))
         beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
@@ -457,33 +478,34 @@ def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
     a_w = 0.0
     b_w = 0.0
     for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
-        fv = bump.value(pts)
+        jet = bump.jet(pts, 3 if wave_2d else 0)
+        fv = jet.g[0]
         along = (x[None, :] - pts) @ omega
-        k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, rad, t)
-        k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, rad, t)
+        k2, k1 = _ktilde_pair_scaled(dc.parity, dc.ell + 1, rad, t)
         term = (dc.gamma / 64.0) * float((w * fv * k2) @ (along * along))
         term -= (dc.gamma / 16.0) * float((w * fv * k1).sum())
         absacc += (dc.gamma / 64.0) * float(np.abs(w * fv * k2) @ (along * along))
         absacc += (dc.gamma / 16.0) * float(np.abs(w * fv * k1).sum())
-        if dc.parity == "even":
+        if wave_2d:
             s = 0.5 * t * rim
             term += (dc.gamma / 64.0) * damp * beta2 * float(
                 (w * fv / s) @ (along * along))
             term += -(dc.gamma / 16.0) * damp * beta1 * float(
-                (w / s) @ (along * (bump.gradient(pts) @ omega)))
-        val_p += term
-        if n == 2:
+                (w / s) @ (along * (jet.gradient() @ omega)))
             zeta = (pts - x) / t
-            a_w += float((w / rim) @ bump.dir2(pts, omega))
-            b_w += float((w / rim) @ bump.dir3(pts, omega, zeta))
+            a_w += float((w / rim) @ jet.dir2(omega))
+            b_w += float((w / rim) @ jet.dir3(omega, zeta))
+        val_p += term
     if n == 1:
-        coef1 = _rim_coef(dc.ell, t)
-        coef2 = _rim_coef(dc.ell + 1, t)
-        sq = datum.value(x + t) + datum.value(x - t)
-        mixed = float(datum.gradient(x + t)[0] - datum.gradient(x - t)[0])
-        val_p += (dc.gamma / 16.0) * damp * coef2 * t * sq
-        val_p += 0.25 * dc.gamma * damp * coef1 * mixed
-        wave_raw = 0.5 * (datum.dir2(x + t, omega) + datum.dir2(x - t, omega))
+        wave_raw = 0.0
+        if live:
+            coef1 = _rim_coef(dc.ell, t)
+            coef2 = _rim_coef(dc.ell + 1, t)
+            sq = datum.value(x + t) + datum.value(x - t)
+            mixed = float(datum.gradient(x + t)[0] - datum.gradient(x - t)[0])
+            val_p += (dc.gamma / 16.0) * damp * coef2 * t * sq
+            val_p += 0.25 * dc.gamma * damp * coef1 * mixed
+            wave_raw = 0.5 * (datum.dir2(x + t, omega) + datum.dir2(x - t, omega))
     else:
         a_w /= t * t
         b_w /= t * t
@@ -605,11 +627,11 @@ def error_decay_diagnostic(datum: InitialDatum, t_values: List[float],
         top = 0.0
         for pt in _diagnostic_points(datum, t):
             if gradient:
-                _, raw, _ = _grad_parts(datum, pt, t, order)
+                _, raw, _ = _grad_parts(datum, pt, t, order, raw=True)
                 mag = float(np.max(np.abs(raw)))
                 top = max(top, mag / (1.0 + t) ** (n + 1))
             else:
-                _, raw, _ = _field_parts(datum, pt, t, order)
+                _, raw, _ = _field_parts(datum, pt, t, order, raw=True)
                 top = max(top, abs(raw) / (1.0 + t) ** n)
         rows.append((t, top))
     return rows

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -189,3 +192,16 @@ def test_asymptotics_bad_regime(tmp_path):
     cfg = _write_config(tmp_path, mode="asymptotics", t=10.0,
                         asymptotics={"regime": "wild"})
     assert main(["--config", str(cfg)]) == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up and the package needs
+    # none of it.
+    import dampedwave
+    src = str(Path(dampedwave.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, dampedwave; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

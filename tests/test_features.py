@@ -6,7 +6,8 @@ import pytest
 from scipy.stats import qmc
 
 from dampedwave.features import (INTERIOR_SAMPLES, PROPOSITIONS,
-                                 CertificateResult, _interior_points,
+                                 CertificateResult, _halton_block,
+                                 _halton_permutations, _interior_points,
                                  build_spot_report, certify_signs,
                                  default_psi, empirical_threshold,
                                  find_cold_spot, find_critical_radius,
@@ -188,6 +189,20 @@ def test_feature_calls_require_hull():
     assert bare.hull is None
     with pytest.raises(ValueError, match="hull"):
         find_cold_spot(bare, 10.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 424242])
+def test_halton_matches_scipy(dimension, seed):
+    # The package's scrambled Halton sequence is scipy's, bit for bit, over
+    # consecutive draws (the interior sampler continues the index per block).
+    sampler = qmc.Halton(d=dimension, scramble=True, seed=seed)
+    perms = _halton_permutations(dimension, seed)
+    start = 0
+    for count in (64, 37):
+        np.testing.assert_array_equal(_halton_block(perms, start, count),
+                                      sampler.random(count))
+        start += count
 
 
 @pytest.mark.parametrize("name", ["single_1d", "two_2d", "single_3d"])

@@ -244,6 +244,107 @@ def test_frozen_3d_values(two_3d):
         assert eval_dir2_u(two_3d, x, t, FROZEN_OMEGA) == pytest.approx(d2, rel=1e-10)
 
 
+# Two-bump 2D datum (the two_2d fixture): u, its wave remainder, grad u and
+# the second derivative along FROZEN_2D_OMEGA at quadrature order 64. Rows:
+# the centre of a ball, a point inside a ball, a point outside both; t = 1.5
+# reaches part of the data, t = 400 leaves exp(-t/2) tiny but nonzero, and
+# at t = 3200 it underflows to zero, so the remainder is exactly 0.
+FROZEN_2D_OMEGA = np.array([0.6, -0.8])
+FROZEN_2D = (
+    ((0.0, 0.0), 1.5, -0.03575913907143463, -0.028613679365122734,
+     [0.17275768312196657, 0.09717619675610596],
+     -0.26047406963837777),
+    ((0.0, 0.0), 10.0, -0.0012164319820247614, 0.00011012365789868138,
+     [-2.5328009256986432e-05, -1.4247005207054784e-05],
+     8.560796449369897e-05),
+    ((0.0, 0.0), 400.0, -7.824819524473235e-07, 4.292669816927686e-89,
+     [-6.039694302278665e-10, -3.397328045031754e-10],
+     1.941625962033437e-09),
+    ((0.0, 0.0), 3200.0, -1.2237976757335062e-08, 0.0,
+     [-1.1908213006293133e-12, -6.698369816039868e-13],
+     3.820803224241593e-12),
+    ((1.2, 0.4), 1.5, -0.02465373239630285, -0.020012293301147968,
+     [0.26267165626405936, 0.10013402251181548],
+     0.11434411255055169),
+    ((1.2, 0.4), 10.0, -0.0011857264653938812, 0.00011039569955778682,
+     [7.419230309669391e-05, 1.8541638145124224e-05],
+     8.38480960227681e-05),
+    ((1.2, 0.4), 400.0, -7.817909685071751e-07, 4.29267936045402e-89,
+     [1.7228374712525038e-09, 4.354896192153013e-10],
+     1.939906454234901e-09),
+    ((1.2, 0.4), 3200.0, -1.223661744821999e-08, 0.0,
+     [3.3933604111903694e-12, 8.581290577521545e-13],
+     3.820375547455158e-12),
+    ((2.6, -0.4), 1.5, 0.054788516710001865, 0.054937828727506015,
+     [0.03914624282265908, -0.05089011566945701],
+     -0.9554336627543903),
+    ((2.6, -0.4), 10.0, -0.0009975628830349423, 0.00011226028266585558,
+     [0.0001720938641282187, -4.489094789547251e-05],
+     6.47207343119655e-05),
+    ((2.6, -0.4), 400.0, -7.772155562105906e-07, 4.292742776247579e-89,
+     [4.418623416827288e-09, -1.1127119336295226e-09],
+     1.9198541123102295e-09),
+    ((2.6, -0.4), 3200.0, -1.2227589262422541e-08, 0.0,
+     [8.73687826568108e-12, -2.1972432518562857e-12],
+     3.815371272246868e-12),
+)
+
+
+def test_frozen_2d_values(two_2d):
+    for x, t, u, wave, grad, d2 in FROZEN_2D:
+        x = np.array(x)
+        sample = eval_u(two_2d, x, t, order=64)
+        assert sample.value == pytest.approx(u, rel=1e-12)
+        assert sample.wave_remainder == pytest.approx(wave, rel=1e-12)
+        if t == 3200.0:
+            assert sample.wave_remainder == 0.0
+        np.testing.assert_allclose(eval_grad_u(two_2d, x, t, order=64), grad,
+                                   rtol=1e-12, atol=0.0)
+        assert eval_dir2_u(two_2d, x, t, FROZEN_2D_OMEGA, order=64) == pytest.approx(
+            d2, rel=1e-12)
+
+
+def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
+    # Each bump reached from x gets one node set, and every term at those
+    # nodes (value, gradient, Hessian and third derivative of f) comes from
+    # one pass over its offsets.
+    calls = []
+    shape = SmoothBump._shape
+
+    def counted(self, pts):
+        calls.append(pts.shape[0])
+        return shape(self, pts)
+
+    monkeypatch.setattr(SmoothBump, "_shape", counted)
+    x = np.array([0.9, 0.5])
+    evaluators = (lambda t: eval_u(two_2d, x, t),
+                  lambda t: eval_grad_u(two_2d, x, t),
+                  lambda t: eval_dir2_u(two_2d, x, t, FROZEN_2D_OMEGA))
+    for t in (10.0, 3200.0):
+        for evaluate in evaluators:
+            calls.clear()
+            evaluate(t)
+            assert len(calls) == len(two_2d.bumps), (t, calls)
+
+
+# error_decay_diagnostic at t = 1600, where exp(-t/2) is zero in double
+# precision, with the evaluators' dead-term skip in place: the raw remainder
+# must still be computed. Values of the (value, gradient) diagnostics from
+# the evaluators that computed every term at every t.
+DIAGNOSTIC_T1600 = {"two_2d": (4.997479708263065e-07, 3.3676480479324495e-10),
+                    "unit_1d": (0.0003123048094940662, 3.026749966293563e-07)}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSTIC_T1600))
+def test_diagnostic_reads_raw_remainder_when_damped_to_zero(name, request):
+    datum = request.getfixturevalue(name)
+    assert wave_factor(1600.0) == 0.0
+    for gradient, expected in zip((False, True), DIAGNOSTIC_T1600[name]):
+        [(t, value)] = error_decay_diagnostic(datum, [1600.0], gradient=gradient)
+        assert value > 0.0
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
 def test_heat_eval_matches_trapezoid(unit_1d):
     t = 2.0
     x = np.array([0.3])
