@@ -89,6 +89,13 @@ class BumpJet(NamedTuple):
         return (2.0 * self.g[1][:, None] * v
                 + 4.0 * (self.g[2] * along)[:, None] * self.offset)
 
+    def hessian(self) -> Array:
+        """H(y) = 2 g'(w) I + 4 g''(w) (y - c)(y - c)^T, one matrix per point."""
+        d = self.offset
+        eye = np.eye(d.shape[1])
+        return (2.0 * self.g[1][:, None, None] * eye[None, :, :]
+                + 4.0 * self.g[2][:, None, None] * d[:, :, None] * d[:, None, :])
+
 
 @dataclass(frozen=True)
 class SmoothBump:
@@ -257,14 +264,8 @@ class InitialDatum:
         pts, single = _as_batch(x, self.dimension)
         n = self.dimension
         out = np.zeros((pts.shape[0], n, n))
-        eye = np.eye(n)
         for bump in self.bumps:
-            offset, gap, inside = bump._shape(pts)
-            if np.any(inside):
-                _, g1, g2 = bump._g_derivatives(gap, inside, 2)
-                d = offset[inside]
-                out[inside] += (2.0 * g1[:, None, None] * eye[None, :, :]
-                                + 4.0 * g2[:, None, None] * d[:, :, None] * d[:, None, :])
+            out += bump.jet(pts, 2).hessian()
         return out[0] if single else out
 
     def sup_norm(self) -> float:

@@ -232,26 +232,6 @@ def kernel_ktilde_scaled(parity: str, ell: int, r, t):
     return val
 
 
-def _ktilde_pair_scaled(parity: str, ell: int, r: np.ndarray,
-                        t: float) -> tuple[np.ndarray, np.ndarray]:
-    """kernel_ktilde_scaled at orders ell + 1 and ell on one array of r.
-
-    The two share k_(ell+1), s and the exponential factor, so each kernel
-    order is evaluated once; the arithmetic is that of kernel_ktilde_scaled.
-    The even family's order-0 form is not shared, so ell >= 1 there.
-    """
-    _check_parity(parity)
-    ell = _check_order(ell)
-    if parity == "even" and ell == 0:
-        raise ValueError("even-family pair needs ell >= 1")
-    r_arr, t_arr = _check_rt(r, t)
-    gap = np.clip(t_arr - r_arr, 0.0, None)
-    s = 0.5 * np.sqrt(gap * (t_arr + r_arr))
-    expfac = np.exp(-r_arr * r_arr / (2.0 * (t_arr + 2.0 * s)))
-    k0, k1, k2 = (kernel_scaled(parity, ell + j, s) for j in range(3))
-    return expfac * (t_arr * k2 - 2.0 * k1), expfac * (t_arr * k1 - 2.0 * k0)
-
-
 def ktilde_leading_order(parity: str, ell: int, t):
     """Fixed-radius leading order of e^(-t/2) ktilde_ell(r, t) as t grows."""
     _check_parity(parity)

@@ -28,8 +28,7 @@ import numpy as np
 
 from .geometry import fibonacci_sphere
 from .initial_data import InitialDatum, SmoothBump
-from .kernels import (_ktilde_pair_scaled, kernel_at_zero, kernel_deriv_at_zero,
-                      kernel_ktilde_scaled)
+from .kernels import kernel_at_zero, kernel_deriv_at_zero, kernel_ktilde_scaled
 from .quadrature import (ball_nodes, clipped_ball_nodes, gauss_legendre,
                          interval_nodes, with_refinement)
 
@@ -218,30 +217,27 @@ def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[float, f
     return float(weight @ mean), float(np.abs(weight) @ mean)
 
 
-def _radial_bumps(datum: InitialDatum, x: Array, t: float, order: int,
-                  live: bool
+def _radial_bumps(datum: InitialDatum, x: Array, t: float, order: int
                   ) -> Iterable[Tuple[SmoothBump, Optional[_Shells], Optional[_Shells]]]:
     """Per bump: (bump, ball nodes in B_t(x), nodes on the radius-t sphere).
 
     The sphere terms integrate up to the third derivative of the profile,
     whose edge is much steeper than the profile's, so the sphere rule takes
     twice the angular nodes; at a single radius they cost next to nothing.
-    Every sphere term carries exp(-t/2), so without `live` there are none.
     """
     for bump in datum.bumps:
         yield (bump, _shells(bump, x, t, order),
-               _shells(bump, x, t, 2 * order, on_sphere=True) if live else None)
+               _shells(bump, x, t, 2 * order, on_sphere=True))
 
 
-def _field_parts_3d(datum: InitialDatum, x: Array, t: float, order: int,
-                    raw: bool) -> Tuple[float, float, float]:
+def _field_parts_3d(datum: InitialDatum, x: Array, t: float,
+                    order: int) -> Tuple[float, float, float]:
     dc = dimension_constants(3)
     principal = 0.0
     absacc = 0.0
     mean_f = 0.0
     mean_df = 0.0
-    live = raw or wave_factor(t) > 0.0
-    for bump, ball, sphere in _radial_bumps(datum, x, t, order, live):
+    for bump, ball, sphere in _radial_bumps(datum, x, t, order):
         if ball is not None:
             val, ref = _ball_principal(bump, ball, t)
             principal += val
@@ -259,14 +255,14 @@ def _field_parts(datum: InitialDatum, x: Array, t: float, order: int,
                  raw: bool = False) -> Tuple[float, float, float]:
     """(principal, wave_raw, scale): wave_raw omits the exp(-t/2) factor.
 
-    Where that factor is zero, wave_raw is 0 and not computed, unless raw.
+    Where that factor is zero, the 2D wave integrals are not computed and
+    wave_raw is 0, unless raw.
     """
     if datum.dimension == 3:
-        return _field_parts_3d(datum, x, t, order, raw)
+        return _field_parts_3d(datum, x, t, order)
     dc = dimension_constants(datum.dimension)
     n = datum.dimension
-    live = raw or wave_factor(t) > 0.0
-    wave_2d = live and n == 2
+    wave_2d = n == 2 and (raw or wave_factor(t) > 0.0)
     quarter_gamma = 0.25 * dc.gamma
     principal = 0.0
     absacc = 0.0
@@ -285,7 +281,7 @@ def _field_parts(datum: InitialDatum, x: Array, t: float, order: int,
             v_rate += float((w / rim) @ (((pts - x) * jet.gradient()).sum(axis=1)))
 
     if n == 1:
-        wave_raw = 0.5 * (datum.value(x + t) + datum.value(x - t)) if live else 0.0
+        wave_raw = 0.5 * (datum.value(x + t) + datum.value(x - t))
     elif n == 2:
         v_plain /= t * t
         v_rate /= t ** 3
@@ -315,8 +311,8 @@ def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
                        wave_remainder=wave)
 
 
-def _grad_parts_3d(datum: InitialDatum, x: Array, t: float, order: int,
-                   raw: bool) -> Tuple[Array, Array, float]:
+def _grad_parts_3d(datum: InitialDatum, x: Array, t: float,
+                   order: int) -> Tuple[Array, Array, float]:
     dc = dimension_constants(3)
     damp = wave_factor(t)
     coef = _rim_coef(dc.ell, t)
@@ -325,7 +321,7 @@ def _grad_parts_3d(datum: InitialDatum, x: Array, t: float, order: int,
     absacc = 0.0
     # Every term is a multiple of the axis e: the integrals of theta and of
     # y - c = d*e + r*theta over a circle of fixed mu lie along it.
-    for bump, ball, sphere in _radial_bumps(datum, x, t, order, raw or damp > 0.0):
+    for bump, ball, sphere in _radial_bumps(datum, x, t, order):
         if ball is not None:
             kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
             weight = (dc.gamma / 16.0) * ball.wr * kern * ball.r ** 3
@@ -347,49 +343,41 @@ def _grad_parts_3d(datum: InitialDatum, x: Array, t: float, order: int,
     return grad_p, grad_w, scale
 
 
-def _grad_parts(datum: InitialDatum, x: Array, t: float, order: int,
-                raw: bool = False) -> Tuple[Array, Array, float]:
-    """(principal gradient, raw wave gradient, scale).
-
-    Where exp(-t/2) is zero, the terms it multiplies are skipped and the raw
-    wave gradient is 0, unless raw.
-    """
+def _grad_parts(datum: InitialDatum, x: Array, t: float,
+                order: int) -> Tuple[Array, Array, float]:
+    """(principal gradient, raw wave gradient, scale)."""
     if datum.dimension == 3:
-        return _grad_parts_3d(datum, x, t, order, raw)
+        return _grad_parts_3d(datum, x, t, order)
     dc = dimension_constants(datum.dimension)
     n = datum.dimension
     damp = wave_factor(t)
-    live = raw or damp > 0.0
-    # Only the even family (n = 2 here) has damped terms inside the ball.
-    wave_2d = live and n == 2
     grad_p = np.zeros(n)
     absacc = 0.0
-    if wave_2d:
+    # Only the even family (n = 2 here) has damped terms inside the ball.
+    if n == 2:
         beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
                  - 2.0 * kernel_deriv_at_zero("even", dc.ell))
     a_w = np.zeros(n)
     b_w = np.zeros(n)
     for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
         kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, rad, t)
-        jet = bump.jet(pts, 2 if wave_2d else 0)
+        jet = bump.jet(pts, 2 if n == 2 else 0)
         fv = jet.g[0]
         moment = (x[None, :] - pts)
         core = (w * kern * fv) @ moment
         grad_p += -(dc.gamma / 16.0) * core
         absacc += (dc.gamma / 16.0) * float(np.abs(w * kern * fv) @ np.abs(moment).max(axis=1))
-        if wave_2d:
+        if n == 2:
             s = 0.5 * t * rim
             grad_p += -(dc.gamma / 16.0) * damp * beta1 * ((w * fv / s) @ moment)
             a_w += (w / rim) @ jet.gradient()
             b_w += (w / rim) @ jet.hvp(pts - x)
     if n == 1:
-        grad_w = np.zeros(1)
-        if live:
-            # Boundary sphere term; the even-family kernel vanishes at s = 0.
-            coef = _rim_coef(dc.ell, t)
-            boundary = (datum.value(x + t) - datum.value(x - t)) * np.ones(1)
-            grad_p += 0.25 * dc.gamma * damp * coef * boundary
-            grad_w = 0.5 * (datum.gradient(x + t) + datum.gradient(x - t))
+        # Boundary sphere term; the even-family kernel vanishes at s = 0.
+        coef = _rim_coef(dc.ell, t)
+        boundary = (datum.value(x + t) - datum.value(x - t)) * np.ones(1)
+        grad_p += 0.25 * dc.gamma * damp * coef * boundary
+        grad_w = 0.5 * (datum.gradient(x + t) + datum.gradient(x - t))
     else:
         a_w /= t * t
         b_w /= t ** 3
@@ -424,9 +412,10 @@ def _dir2_parts_3d(datum: InitialDatum, x: Array, t: float, omega: Array,
     absacc = 0.0
     mean_d2 = 0.0
     mean_d3 = 0.0
-    for bump, ball, sphere in _radial_bumps(datum, x, t, order, damp > 0.0):
+    for bump, ball, sphere in _radial_bumps(datum, x, t, order):
         if ball is not None:
-            k2, k1 = _ktilde_pair_scaled(dc.parity, dc.ell + 1, ball.r, t)
+            k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, ball.r, t)
+            k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
             w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** 4
             w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** 2
             f = _profile(bump, ball, 0)[0]
@@ -455,22 +444,15 @@ def _dir2_parts_3d(datum: InitialDatum, x: Array, t: float, omega: Array,
 
 def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
                 order: int) -> Tuple[float, float, float]:
-    """(principal, raw wave, scale) of the second derivative along omega.
-
-    Where exp(-t/2) is zero, the terms it multiplies are skipped and the raw
-    wave part is 0.
-    """
     if datum.dimension == 3:
         return _dir2_parts_3d(datum, x, t, omega, order)
     dc = dimension_constants(datum.dimension)
     n = datum.dimension
     damp = wave_factor(t)
-    live = damp > 0.0
-    # Only the even family (n = 2 here) has damped terms inside the ball.
-    wave_2d = live and n == 2
     val_p = 0.0
     absacc = 0.0
-    if wave_2d:
+    # Only the even family (n = 2 here) has damped terms inside the ball.
+    if n == 2:
         beta2 = (t * kernel_deriv_at_zero("even", dc.ell + 2)
                  - 2.0 * kernel_deriv_at_zero("even", dc.ell + 1))
         beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
@@ -478,15 +460,16 @@ def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
     a_w = 0.0
     b_w = 0.0
     for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
-        jet = bump.jet(pts, 3 if wave_2d else 0)
+        jet = bump.jet(pts, 3 if n == 2 else 0)
         fv = jet.g[0]
         along = (x[None, :] - pts) @ omega
-        k2, k1 = _ktilde_pair_scaled(dc.parity, dc.ell + 1, rad, t)
+        k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, rad, t)
+        k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, rad, t)
         term = (dc.gamma / 64.0) * float((w * fv * k2) @ (along * along))
         term -= (dc.gamma / 16.0) * float((w * fv * k1).sum())
         absacc += (dc.gamma / 64.0) * float(np.abs(w * fv * k2) @ (along * along))
         absacc += (dc.gamma / 16.0) * float(np.abs(w * fv * k1).sum())
-        if wave_2d:
+        if n == 2:
             s = 0.5 * t * rim
             term += (dc.gamma / 64.0) * damp * beta2 * float(
                 (w * fv / s) @ (along * along))
@@ -497,15 +480,13 @@ def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
             b_w += float((w / rim) @ jet.dir3(omega, zeta))
         val_p += term
     if n == 1:
-        wave_raw = 0.0
-        if live:
-            coef1 = _rim_coef(dc.ell, t)
-            coef2 = _rim_coef(dc.ell + 1, t)
-            sq = datum.value(x + t) + datum.value(x - t)
-            mixed = float(datum.gradient(x + t)[0] - datum.gradient(x - t)[0])
-            val_p += (dc.gamma / 16.0) * damp * coef2 * t * sq
-            val_p += 0.25 * dc.gamma * damp * coef1 * mixed
-            wave_raw = 0.5 * (datum.dir2(x + t, omega) + datum.dir2(x - t, omega))
+        coef1 = _rim_coef(dc.ell, t)
+        coef2 = _rim_coef(dc.ell + 1, t)
+        sq = datum.value(x + t) + datum.value(x - t)
+        mixed = float(datum.gradient(x + t)[0] - datum.gradient(x - t)[0])
+        val_p += (dc.gamma / 16.0) * damp * coef2 * t * sq
+        val_p += 0.25 * dc.gamma * damp * coef1 * mixed
+        wave_raw = 0.5 * (datum.dir2(x + t, omega) + datum.dir2(x - t, omega))
     else:
         a_w /= t * t
         b_w /= t * t
@@ -627,7 +608,7 @@ def error_decay_diagnostic(datum: InitialDatum, t_values: List[float],
         top = 0.0
         for pt in _diagnostic_points(datum, t):
             if gradient:
-                _, raw, _ = _grad_parts(datum, pt, t, order, raw=True)
+                _, raw, _ = _grad_parts(datum, pt, t, order)
                 mag = float(np.max(np.abs(raw)))
                 top = max(top, mag / (1.0 + t) ** (n + 1))
             else:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import iv, ive, modstruve
 
-from dampedwave.kernels import (_ktilde_pair_scaled, bessel_i_scaled, kernel_at_zero,
+from dampedwave.kernels import (bessel_i_scaled, kernel_at_zero,
                                 kernel_deriv_at_zero, kernel_ktilde_scaled,
                                 kernel_scaled, ktilde_expansion_sqrt,
                                 ktilde_leading_order)
@@ -169,22 +169,6 @@ def test_ktilde_recombination():
                 via = kernel_ktilde_scaled(parity, ell, r, t)
                 assert via == pytest.approx(direct, rel=2e-8, abs=1e-300), (
                     parity, ell, r, t)
-
-
-def test_ktilde_pair_is_two_ktildes():
-    # The shared-order pair the second-derivative terms use returns, bit for
-    # bit, kernel_ktilde_scaled at orders ell + 1 and ell.
-    for parity, ells in (("odd", range(0, 5)), ("even", range(1, 5))):
-        for ell in ells:
-            for t in (0.5, 3.0, 200.0, 3200.0):
-                r = np.linspace(0.0, t, 33)
-                upper, lower = _ktilde_pair_scaled(parity, ell, r, t)
-                np.testing.assert_array_equal(
-                    upper, kernel_ktilde_scaled(parity, ell + 1, r, t))
-                np.testing.assert_array_equal(
-                    lower, kernel_ktilde_scaled(parity, ell, r, t))
-    with pytest.raises(ValueError):
-        _ktilde_pair_scaled("even", 0, np.ones(2), 3.0)
 
 
 def test_ktilde_light_cone_edge():

@@ -328,8 +328,8 @@ def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
 
 
 # error_decay_diagnostic at t = 1600, where exp(-t/2) is zero in double
-# precision, with the evaluators' dead-term skip in place: the raw remainder
-# must still be computed. Values of the (value, gradient) diagnostics from
+# precision and eval_u skips the 2D wave integrals: the diagnostic must still
+# compute the raw remainder. Values of the (value, gradient) diagnostics from
 # the evaluators that computed every term at every t.
 DIAGNOSTIC_T1600 = {"two_2d": (4.997479708263065e-07, 3.3676480479324495e-10),
                     "unit_1d": (0.0003123048094940662, 3.026749966293563e-07)}
