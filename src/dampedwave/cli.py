@@ -100,6 +100,10 @@ def _time_list(config: Dict, override: Optional[List[float]]) -> List[float]:
                               f"factor: {exc}") from exc
         if factor <= 1.0:
             raise ConfigError(f"factor must exceed 1, got {factor}")
+        # Otherwise the loop below would never end.
+        if not (t_min > 0.0 and math.isfinite(t_max)):
+            raise ConfigError(f"geometric time grid needs t_min > 0 and a finite "
+                              f"t_max, got {t_min}, {t_max}")
         ts = []
         t = t_min
         while t <= t_max * (1.0 + 1e-12):
@@ -109,8 +113,8 @@ def _time_list(config: Dict, override: Optional[List[float]]) -> List[float]:
         raise ConfigError("config needs 't' or a (t_min, t_max, factor) grid")
     if not ts:
         raise ConfigError("time grid is empty")
-    if any(t <= 0.0 for t in ts):
-        raise ConfigError(f"times must be positive, got {ts}")
+    if not all(math.isfinite(t) and t > 0.0 for t in ts):
+        raise ConfigError(f"times must be finite and positive, got {ts}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ConfigError(f"times must be increasing, got {ts}")
     return ts

@@ -1,10 +1,12 @@
 """Product Gauss-Legendre rules over balls, spheres, and ray-clipped regions.
 
 Every integrand handled here is smooth and supported on finitely many closed
-balls, so rules are built per support ball: angular nodes restricted to the
-cone of rays from the evaluation point that meet the ball, radial nodes on the
-clipped chord. The radial variable is mapped through r = t*sin(phi), which
-keeps factors analytic in sqrt(t**2 - r**2) well behaved up to the rim r = t.
+balls, so rules are built per support ball. The clipped-ball rule serves the
+two-dimensional evaluator alone (odd dimensions use the per-bump radial rule
+in `solution`): angular nodes restricted to the cone of rays from the
+evaluation point that meet the ball, radial nodes on the clipped chord. The
+radial variable is mapped through r = t*sin(phi), which keeps factors
+analytic in sqrt(t**2 - r**2) well behaved up to the rim r = t.
 """
 
 from __future__ import annotations
@@ -93,33 +95,30 @@ def ball_nodes(center: Array, radius: float, dimension: int,
 
 def _cone_directions(x: Array, center: Array, radius: float,
                      order: int) -> Tuple[Array, Array]:
-    """Directions from x whose rays can meet the ball, with surface weights.
+    """Directions in the plane from x whose rays can meet the ball, with
+    arc weights; two dimensions only.
 
-    In one dimension the "sphere" is the two-point set, weight one each.
-    When x lies inside the ball the full direction space is returned.
+    When x lies inside the ball the full circle is returned.
     """
-    dimension = x.size
-    if dimension == 1:
-        return np.array([[1.0], [-1.0]]), np.ones(2)
+    if x.size != 2:
+        raise ValueError(f"unsupported dimension {x.size}")
     offset = center - x
     dist = float(np.linalg.norm(offset))
-    if dimension == 2:
-        if dist <= radius:
-            ang, wang = periodic_nodes(2 * order)
-        else:
-            span = float(np.arcsin(min(radius / dist, 1.0)))
-            base = float(np.arctan2(offset[1], offset[0]))
-            ang, wang = interval_nodes(base - span, base + span, 2 * order)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1), wang
-    raise ValueError(f"unsupported dimension {dimension}")
+    if dist <= radius:
+        ang, wang = periodic_nodes(2 * order)
+    else:
+        span = float(np.arcsin(min(radius / dist, 1.0)))
+        base = float(np.arctan2(offset[1], offset[0]))
+        ang, wang = interval_nodes(base - span, base + span, 2 * order)
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1), wang
 
 
 def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
                        order: int) -> Tuple[Array, Array, Array, Array]:
     """Nodes for the region B_t(x) intersected with the ball (center, radius).
 
-    One and two dimensions; the three-dimensional evaluator reduces each
-    bump to a radial and an angular rule of its own.
+    Two dimensions only; the odd-dimensional evaluator reduces each bump to
+    a radial and an angular rule of its own.
 
     Returns (points, radii, weights, rim_cosines) where radii = |point - x|
     and rim_cosines = sqrt(1 - (radii / t)**2) evaluated without cancellation.

@@ -12,10 +12,13 @@ formulas: one kernel order higher inside the ball integral, plus boundary
 sphere terms (odd dimensions) or wave-weighted moment terms (even dimensions,
 where the radial kernel derivative carries a 1/sqrt(t^2 - r^2) factor).
 
-In three dimensions every term is a sum over bumps of integrals over spheres
+In odd dimensions every term is a sum over bumps of integrals over spheres
 around x of a radial profile times powers of the direction, so each reduces
 to a radial rule in r and an angular rule in the angle to the bump centre
-(spherical means; F. John, Plane Waves and Spherical Means, 1955).
+(spherical means; F. John, Plane Waves and Spherical Means, 1955). In one
+dimension the sphere is the two points x +- r, and the sphere terms at r = t
+are the d'Alembert values at x +- t. Two dimensions keep the clipped-ball
+rule of `quadrature.clipped_ball_nodes`.
 """
 
 from __future__ import annotations
@@ -84,15 +87,22 @@ class FieldSample:
     dir2: Optional[Dict[Tuple[float, ...], float]] = None
 
 
-def _as_point(x: Union[Array, float], dimension: int) -> Array:
+def _as_point(datum: InitialDatum, x: Union[Array, float], t: float) -> Array:
+    """x as an array, once (x, t) is checked: x finite with the datum's
+    dimension, t finite and positive. Every public evaluator starts here."""
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t must be finite and positive, got {t}")
     pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.size != dimension:
-        raise ValueError(f"point has {pt.size} coordinates, expected {dimension}")
+    if pt.size != datum.dimension:
+        raise ValueError(f"point has {pt.size} coordinates, expected {datum.dimension}")
+    if not np.all(np.isfinite(pt)):
+        raise ValueError(f"point has a non-finite coordinate: {pt}")
     return pt
 
 
 def _bump_nodes(datum: InitialDatum, x: Array, t: float,
                 order: int) -> Iterable[Tuple[SmoothBump, Array, Array, Array, Array]]:
+    """Per bump: the 2D clipped-ball nodes of its part of B_t(x)."""
     for bump in datum.bumps:
         pts, rad, w, rim = clipped_ball_nodes(x, t, bump.center_array,
                                               bump.radius, order)
@@ -104,6 +114,17 @@ def _rim_coef(ell: int, t: float) -> float:
     """t k_(ell+1)(0) - 2 k_ell(0) of the odd family: e^(t/2) times the
     kernel ktilde_ell on the sphere r = t, which weighs the boundary terms."""
     return t * kernel_at_zero("odd", ell + 1) - 2.0 * kernel_at_zero("odd", ell)
+
+
+def _wave_pair(n: int, t: float) -> Tuple[float, float]:
+    """(a, b): in odd n the raw wave remainder, and each of its x-derivatives,
+    is gamma * (a * M + b * dM/dt), with M the integral of f, or of that
+    derivative of f, over the sphere of radius t around x."""
+    if n == 1:
+        return 1.0, 0.0
+    if n == 3:
+        return 0.5 * t * t - 2.0 * t + 4.0, 4.0 * t
+    raise ValueError(f"full field evaluation supports dimensions 1-3, got {n}")
 
 
 def _sphere_area(n: int) -> float:
@@ -156,11 +177,12 @@ def _shells(bump: SmoothBump, x: Array, t: float, order: int,
         phi = np.concatenate([p for p, _ in rules])
         r = t * np.sin(phi)
         wr = np.concatenate([w for _, w in rules]) * t * np.cos(phi)
-    if dist < 1e-14:
+    if dist < 1e-14 or n == 1:
         # Every integrand is then a function of r times a polynomial of
         # degree three at most in mu, and the two-point rule mu = +-1/sqrt(n)
-        # has the sphere's moments 1, 0, 1/n, 0 through that degree.
-        axis = np.eye(n)[0]
+        # has the sphere's moments 1, 0, 1/n, 0 through that degree. In one
+        # dimension it is the 0-sphere {-1, 1} itself, exact for any integrand.
+        axis = offset / dist if dist >= 1e-14 else np.eye(n)[0]
         mu = np.tile([-1.0 / math.sqrt(n), 1.0 / math.sqrt(n)], (r.size, 1))
         wmu = np.full((r.size, 2), 0.5 * _sphere_area(n))
     else:
@@ -185,8 +207,12 @@ def _shells(bump: SmoothBump, x: Array, t: float, order: int,
             mu = np.cos(theta)
             wmu = (_sphere_area(n - 1) * half[:, None] * wbase[None, :]
                    * np.sin(theta) ** (n - 2))
-    rho2 = np.maximum(dist * dist + r[:, None] ** 2
-                      + 2.0 * dist * r[:, None] * mu, 0.0)
+    if n == 1:
+        # mu = +-1, so the square needs no expanding, which would cancel.
+        rho2 = (dist + r[:, None] * mu) ** 2
+    else:
+        rho2 = np.maximum(dist * dist + r[:, None] ** 2
+                          + 2.0 * dist * r[:, None] * mu, 0.0)
     return _Shells(axis, dist, r, wr, mu, wmu, rho2)
 
 
@@ -200,11 +226,13 @@ def _profile(bump: SmoothBump, sh: _Shells, top: int) -> Array:
 
 def _projections(sh: _Shells, omega: Array) -> Tuple[float, Array, Array]:
     """(cw, p1, p2) with cw = e . omega, and p1, p2 the means of theta . omega
-    and (theta . omega)**2 over each circle of directions with fixed mu."""
+    and (theta . omega)**2 over each circle of directions with fixed mu.
+    In one dimension the circle is a point and has no perpendicular part."""
     n = sh.axis.size
     cw = float(sh.axis @ omega)
     mu2 = sh.mu * sh.mu
-    return cw, cw * sh.mu, cw * cw * mu2 + (1.0 - cw * cw) * (1.0 - mu2) / (n - 1)
+    perp = (1.0 - cw * cw) * (1.0 - mu2) / (n - 1) if n > 1 else 0.0
+    return cw, cw * sh.mu, cw * cw * mu2 + perp
 
 
 def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[float, float]:
@@ -230,9 +258,11 @@ def _radial_bumps(datum: InitialDatum, x: Array, t: float, order: int
                _shells(bump, x, t, 2 * order, on_sphere=True))
 
 
-def _field_parts_3d(datum: InitialDatum, x: Array, t: float,
-                    order: int) -> Tuple[float, float, float]:
-    dc = dimension_constants(3)
+def _field_parts_odd(datum: InitialDatum, x: Array, t: float,
+                     order: int) -> Tuple[float, float, float]:
+    n = datum.dimension
+    dc = dimension_constants(n)
+    a, b = _wave_pair(n, t)
     principal = 0.0
     absacc = 0.0
     mean_f = 0.0
@@ -246,7 +276,7 @@ def _field_parts_3d(datum: InitialDatum, x: Array, t: float,
             g0, g1 = _profile(bump, sphere, 1)
             mean_f += float(g0.sum())
             mean_df += float((2.0 * g1 * (sphere.dist * sphere.mu + t)).sum())
-    wave_raw = dc.gamma * ((0.5 * t * t - 2.0 * t + 4.0) * mean_f + 4.0 * t * mean_df)
+    wave_raw = dc.gamma * (a * mean_f + b * mean_df)
     scale = max(abs(principal), abs(wave_raw) * wave_factor(t), 1e-9 * absacc, 1e-300)
     return principal, wave_raw, scale
 
@@ -258,11 +288,10 @@ def _field_parts(datum: InitialDatum, x: Array, t: float, order: int,
     Where that factor is zero, the 2D wave integrals are not computed and
     wave_raw is 0, unless raw.
     """
-    if datum.dimension == 3:
-        return _field_parts_3d(datum, x, t, order)
+    if datum.dimension % 2:
+        return _field_parts_odd(datum, x, t, order)
     dc = dimension_constants(datum.dimension)
-    n = datum.dimension
-    wave_2d = n == 2 and (raw or wave_factor(t) > 0.0)
+    wave = raw or wave_factor(t) > 0.0
     quarter_gamma = 0.25 * dc.gamma
     principal = 0.0
     absacc = 0.0
@@ -270,24 +299,18 @@ def _field_parts(datum: InitialDatum, x: Array, t: float, order: int,
     v_rate = 0.0
     for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
         kern = kernel_ktilde_scaled(dc.parity, dc.ell, rad, t)
-        jet = bump.jet(pts, 1 if wave_2d else 0)
+        jet = bump.jet(pts, 1 if wave else 0)
         fv = jet.g[0]
         contrib = w * kern * fv
         principal += quarter_gamma * float(contrib.sum())
         absacc += quarter_gamma * float(np.abs(contrib).sum())
-        if wave_2d:
+        if wave:
             wave_w = w * fv / rim
             v_plain += float(wave_w.sum())
             v_rate += float((w / rim) @ (((pts - x) * jet.gradient()).sum(axis=1)))
-
-    if n == 1:
-        wave_raw = 0.5 * (datum.value(x + t) + datum.value(x - t))
-    elif n == 2:
-        v_plain /= t * t
-        v_rate /= t ** 3
-        wave_raw = dc.gamma * ((0.25 * t * t - t + 2.0) * v_plain + 2.0 * t * v_rate)
-    else:
-        raise ValueError(f"full field evaluation supports dimensions 1-3, got {n}")
+    v_plain /= t * t
+    v_rate /= t ** 3
+    wave_raw = dc.gamma * ((0.25 * t * t - t + 2.0) * v_plain + 2.0 * t * v_rate)
     scale = max(abs(principal), abs(wave_raw) * wave_factor(t), 1e-9 * absacc, 1e-300)
     return principal, wave_raw, scale
 
@@ -295,9 +318,7 @@ def _field_parts(datum: InitialDatum, x: Array, t: float, order: int,
 def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
            order: int = DEFAULT_ORDER, check: bool = False) -> FieldSample:
     """Field sample at (x, t); value = principal + wave_remainder exactly."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    pt = _as_point(x, datum.dimension)
+    pt = _as_point(datum, x, t)
     if check:
         def evaluate(o: int) -> Tuple[Array, float]:
             p, wraw, scale = _field_parts(datum, pt, t, o)
@@ -311,33 +332,34 @@ def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
                        wave_remainder=wave)
 
 
-def _grad_parts_3d(datum: InitialDatum, x: Array, t: float,
-                   order: int) -> Tuple[Array, Array, float]:
-    dc = dimension_constants(3)
+def _grad_parts_odd(datum: InitialDatum, x: Array, t: float,
+                    order: int) -> Tuple[Array, Array, float]:
+    n = datum.dimension
+    dc = dimension_constants(n)
+    a, b = _wave_pair(n, t)
     damp = wave_factor(t)
     coef = _rim_coef(dc.ell, t)
-    grad_p = np.zeros(3)
-    grad_w = np.zeros(3)
+    grad_p = np.zeros(n)
+    grad_w = np.zeros(n)
     absacc = 0.0
     # Every term is a multiple of the axis e: the integrals of theta and of
     # y - c = d*e + r*theta over a circle of fixed mu lie along it.
     for bump, ball, sphere in _radial_bumps(datum, x, t, order):
         if ball is not None:
             kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
-            weight = (dc.gamma / 16.0) * ball.wr * kern * ball.r ** 3
+            weight = (dc.gamma / 16.0) * ball.wr * kern * ball.r ** n
             f = _profile(bump, ball, 0)[0]
             grad_p += float(weight @ (f * ball.mu).sum(axis=1)) * ball.axis
             absacc += float(np.abs(weight) @ f.sum(axis=1))
         if sphere is not None:
             g0, g1, g2 = _profile(bump, sphere, 2)
             d, mu = sphere.dist, sphere.mu
-            boundary = t * t * float((g0 * mu).sum())
+            boundary = t ** (n - 1) * float((g0 * mu).sum())
             grad_p += 0.25 * dc.gamma * damp * coef * boundary * sphere.axis
             mean_grad = float((2.0 * g1 * (d + t * mu)).sum())
             mean_hvp = float((2.0 * g1 * mu
                               + 4.0 * g2 * (d * mu + t) * (d + t * mu)).sum())
-            grad_w += dc.gamma * ((0.5 * t * t - 2.0 * t + 4.0) * mean_grad
-                                  + 4.0 * t * mean_hvp) * sphere.axis
+            grad_w += dc.gamma * (a * mean_grad + b * mean_hvp) * sphere.axis
     scale = max(float(np.max(np.abs(grad_p))), damp * float(np.max(np.abs(grad_w))),
                 1e-9 * absacc, 1e-300)
     return grad_p, grad_w, scale
@@ -346,42 +368,34 @@ def _grad_parts_3d(datum: InitialDatum, x: Array, t: float,
 def _grad_parts(datum: InitialDatum, x: Array, t: float,
                 order: int) -> Tuple[Array, Array, float]:
     """(principal gradient, raw wave gradient, scale)."""
-    if datum.dimension == 3:
-        return _grad_parts_3d(datum, x, t, order)
+    if datum.dimension % 2:
+        return _grad_parts_odd(datum, x, t, order)
     dc = dimension_constants(datum.dimension)
     n = datum.dimension
     damp = wave_factor(t)
     grad_p = np.zeros(n)
     absacc = 0.0
-    # Only the even family (n = 2 here) has damped terms inside the ball.
-    if n == 2:
-        beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
-                 - 2.0 * kernel_deriv_at_zero("even", dc.ell))
+    # The even kernel vanishes on the rim, so there is no boundary term, but
+    # its radial derivative leaves damped terms inside the ball.
+    beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
+             - 2.0 * kernel_deriv_at_zero("even", dc.ell))
     a_w = np.zeros(n)
     b_w = np.zeros(n)
     for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
         kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, rad, t)
-        jet = bump.jet(pts, 2 if n == 2 else 0)
+        jet = bump.jet(pts, 2)
         fv = jet.g[0]
         moment = (x[None, :] - pts)
         core = (w * kern * fv) @ moment
         grad_p += -(dc.gamma / 16.0) * core
         absacc += (dc.gamma / 16.0) * float(np.abs(w * kern * fv) @ np.abs(moment).max(axis=1))
-        if n == 2:
-            s = 0.5 * t * rim
-            grad_p += -(dc.gamma / 16.0) * damp * beta1 * ((w * fv / s) @ moment)
-            a_w += (w / rim) @ jet.gradient()
-            b_w += (w / rim) @ jet.hvp(pts - x)
-    if n == 1:
-        # Boundary sphere term; the even-family kernel vanishes at s = 0.
-        coef = _rim_coef(dc.ell, t)
-        boundary = (datum.value(x + t) - datum.value(x - t)) * np.ones(1)
-        grad_p += 0.25 * dc.gamma * damp * coef * boundary
-        grad_w = 0.5 * (datum.gradient(x + t) + datum.gradient(x - t))
-    else:
-        a_w /= t * t
-        b_w /= t ** 3
-        grad_w = dc.gamma * ((0.25 * t * t - t + 2.0) * a_w + 2.0 * t * b_w)
+        s = 0.5 * t * rim
+        grad_p += -(dc.gamma / 16.0) * damp * beta1 * ((w * fv / s) @ moment)
+        a_w += (w / rim) @ jet.gradient()
+        b_w += (w / rim) @ jet.hvp(pts - x)
+    a_w /= t * t
+    b_w /= t ** 3
+    grad_w = dc.gamma * ((0.25 * t * t - t + 2.0) * a_w + 2.0 * t * b_w)
     scale = max(float(np.max(np.abs(grad_p))), damp * float(np.max(np.abs(grad_w))),
                 1e-9 * absacc, 1e-300)
     return grad_p, grad_w, scale
@@ -389,9 +403,7 @@ def _grad_parts(datum: InitialDatum, x: Array, t: float,
 
 def eval_grad_u(datum: InitialDatum, x: Union[Array, float], t: float,
                 order: int = DEFAULT_ORDER, check: bool = False) -> Array:
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    pt = _as_point(x, datum.dimension)
+    pt = _as_point(datum, x, t)
     if check:
         def evaluate(o: int) -> Tuple[Array, float]:
             gp, gw, scale = _grad_parts(datum, pt, t, o)
@@ -402,9 +414,11 @@ def eval_grad_u(datum: InitialDatum, x: Union[Array, float], t: float,
     return gp + wave_factor(t) * gw
 
 
-def _dir2_parts_3d(datum: InitialDatum, x: Array, t: float, omega: Array,
-                   order: int) -> Tuple[float, float, float]:
-    dc = dimension_constants(3)
+def _dir2_parts_odd(datum: InitialDatum, x: Array, t: float, omega: Array,
+                    order: int) -> Tuple[float, float, float]:
+    n = datum.dimension
+    dc = dimension_constants(n)
+    a, b = _wave_pair(n, t)
     damp = wave_factor(t)
     coef1 = _rim_coef(dc.ell, t)
     coef2 = _rim_coef(dc.ell + 1, t)
@@ -416,8 +430,8 @@ def _dir2_parts_3d(datum: InitialDatum, x: Array, t: float, omega: Array,
         if ball is not None:
             k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, ball.r, t)
             k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
-            w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** 4
-            w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** 2
+            w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** (n + 1)
+            w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** (n - 1)
             f = _profile(bump, ball, 0)[0]
             sq = (f * _projections(ball, omega)[2]).sum(axis=1)
             mass = f.sum(axis=1)
@@ -432,35 +446,34 @@ def _dir2_parts_3d(datum: InitialDatum, x: Array, t: float, omega: Array,
             along2 = d * d * cw * cw + 2.0 * d * cw * t * p1 + t * t * p2
             mixed = d * cw * p1 + t * p2
             rate = d * sphere.mu + t
-            val_p += (dc.gamma / 16.0) * damp * coef2 * t ** 3 * float((g0 * p2).sum())
-            val_p += 0.25 * dc.gamma * damp * coef1 * t * t * float((2.0 * g1 * mixed).sum())
+            val_p += (dc.gamma / 16.0) * damp * coef2 * t ** n * float((g0 * p2).sum())
+            val_p += (0.25 * dc.gamma * damp * coef1 * t ** (n - 1)
+                      * float((2.0 * g1 * mixed).sum()))
             mean_d2 += float((2.0 * g1 + 4.0 * g2 * along2).sum())
             mean_d3 += float((4.0 * g2 * rate + 8.0 * g3 * rate * along2
                               + 8.0 * g2 * mixed).sum())
-    wave_raw = dc.gamma * ((0.5 * t * t - 2.0 * t + 4.0) * mean_d2 + 4.0 * t * mean_d3)
+    wave_raw = dc.gamma * (a * mean_d2 + b * mean_d3)
     scale = max(abs(val_p), damp * abs(wave_raw), 1e-9 * absacc, 1e-300)
     return val_p, wave_raw, scale
 
 
 def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
                 order: int) -> Tuple[float, float, float]:
-    if datum.dimension == 3:
-        return _dir2_parts_3d(datum, x, t, omega, order)
+    if datum.dimension % 2:
+        return _dir2_parts_odd(datum, x, t, omega, order)
     dc = dimension_constants(datum.dimension)
-    n = datum.dimension
     damp = wave_factor(t)
     val_p = 0.0
     absacc = 0.0
-    # Only the even family (n = 2 here) has damped terms inside the ball.
-    if n == 2:
-        beta2 = (t * kernel_deriv_at_zero("even", dc.ell + 2)
-                 - 2.0 * kernel_deriv_at_zero("even", dc.ell + 1))
-        beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
-                 - 2.0 * kernel_deriv_at_zero("even", dc.ell))
+    # Damped terms inside the ball, as in _grad_parts.
+    beta2 = (t * kernel_deriv_at_zero("even", dc.ell + 2)
+             - 2.0 * kernel_deriv_at_zero("even", dc.ell + 1))
+    beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
+             - 2.0 * kernel_deriv_at_zero("even", dc.ell))
     a_w = 0.0
     b_w = 0.0
     for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
-        jet = bump.jet(pts, 3 if n == 2 else 0)
+        jet = bump.jet(pts, 3)
         fv = jet.g[0]
         along = (x[None, :] - pts) @ omega
         k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, rad, t)
@@ -469,28 +482,18 @@ def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
         term -= (dc.gamma / 16.0) * float((w * fv * k1).sum())
         absacc += (dc.gamma / 64.0) * float(np.abs(w * fv * k2) @ (along * along))
         absacc += (dc.gamma / 16.0) * float(np.abs(w * fv * k1).sum())
-        if n == 2:
-            s = 0.5 * t * rim
-            term += (dc.gamma / 64.0) * damp * beta2 * float(
-                (w * fv / s) @ (along * along))
-            term += -(dc.gamma / 16.0) * damp * beta1 * float(
-                (w / s) @ (along * (jet.gradient() @ omega)))
-            zeta = (pts - x) / t
-            a_w += float((w / rim) @ jet.dir2(omega))
-            b_w += float((w / rim) @ jet.dir3(omega, zeta))
+        s = 0.5 * t * rim
+        term += (dc.gamma / 64.0) * damp * beta2 * float(
+            (w * fv / s) @ (along * along))
+        term += -(dc.gamma / 16.0) * damp * beta1 * float(
+            (w / s) @ (along * (jet.gradient() @ omega)))
+        zeta = (pts - x) / t
+        a_w += float((w / rim) @ jet.dir2(omega))
+        b_w += float((w / rim) @ jet.dir3(omega, zeta))
         val_p += term
-    if n == 1:
-        coef1 = _rim_coef(dc.ell, t)
-        coef2 = _rim_coef(dc.ell + 1, t)
-        sq = datum.value(x + t) + datum.value(x - t)
-        mixed = float(datum.gradient(x + t)[0] - datum.gradient(x - t)[0])
-        val_p += (dc.gamma / 16.0) * damp * coef2 * t * sq
-        val_p += 0.25 * dc.gamma * damp * coef1 * mixed
-        wave_raw = 0.5 * (datum.dir2(x + t, omega) + datum.dir2(x - t, omega))
-    else:
-        a_w /= t * t
-        b_w /= t * t
-        wave_raw = dc.gamma * ((0.25 * t * t - t + 2.0) * a_w + 2.0 * t * b_w)
+    a_w /= t * t
+    b_w /= t * t
+    wave_raw = dc.gamma * ((0.25 * t * t - t + 2.0) * a_w + 2.0 * t * b_w)
     scale = max(abs(val_p), damp * abs(wave_raw), 1e-9 * absacc, 1e-300)
     return val_p, wave_raw, scale
 
@@ -498,12 +501,12 @@ def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
 def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float,
                 omega: Array, order: int = DEFAULT_ORDER,
                 check: bool = False) -> float:
-    """(omega . grad)^2 u at (x, t) for a unit direction omega."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    pt = _as_point(x, datum.dimension)
+    """(omega . grad)^2 u at (x, t) for a direction omega, normalised here."""
+    pt = _as_point(datum, x, t)
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     norm = float(np.linalg.norm(om))
+    if not (np.all(np.isfinite(om)) and norm > 0.0):
+        raise ValueError(f"omega must be finite and nonzero, got {om}")
     if abs(norm - 1.0) > 1e-12:
         om = om / norm
     if check:
@@ -520,29 +523,20 @@ def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: flo
                              check: bool = False) -> float:
     """Principal part alone, valid in any spatial dimension.
 
-    For a single radial bump in dimension two and up the ball integral
-    collapses to a radial/angular double quadrature around the bump center.
-    Multi-bump data and dimension one delegate to the full evaluator, which
-    only reaches dimension three.
+    Each bump's share of the ball integral collapses to a radial/angular
+    double quadrature around the bump centre; the bumps' shares add.
     """
-    pt = _as_point(x, datum.dimension)
-    n = datum.dimension
-    if len(datum.bumps) != 1 or n == 1:
-        if n > 3:
-            raise ValueError("dimensions above three support a single radial bump only")
-        if check:
-            def evaluate_low(o: int) -> Tuple[float, float]:
-                p, _, scale = _field_parts(datum, pt, t, o)
-                return p, scale
-            return float(with_refinement(evaluate_low, order, label="principal value"))
-        return _field_parts(datum, pt, t, order)[0]
-    bump = datum.bumps[0]
+    pt = _as_point(datum, x, t)
 
     def evaluate(o: int) -> Tuple[float, float]:
-        ball = _shells(bump, pt, t, o)
-        if ball is None:
-            return 0.0, 1e-300
-        val, ref = _ball_principal(bump, ball, t)
+        val = 0.0
+        ref = 0.0
+        for bump in datum.bumps:
+            ball = _shells(bump, pt, t, o)
+            if ball is not None:
+                share, mass = _ball_principal(bump, ball, t)
+                val += share
+                ref += mass
         return val, max(abs(val), 1e-9 * ref, 1e-300)
 
     if check:
@@ -553,9 +547,7 @@ def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: flo
 def heat_eval(datum: InitialDatum, x: Union[Array, float], t: float,
               order: int = DEFAULT_ORDER, check: bool = False) -> float:
     """Gaussian-kernel smoothing of the datum at time t."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    pt = _as_point(x, datum.dimension)
+    pt = _as_point(datum, x, t)
     n = datum.dimension
     norm = (4.0 * math.pi * t) ** (-n / 2.0)
 

@@ -69,6 +69,23 @@ def test_config_bad_times(tmp_path):
     assert main(["--config", str(cfg), "--t", "1,abc"]) == 1
 
 
+def test_config_non_finite_times(tmp_path):
+    # JSON as Python reads it accepts NaN and Infinity.
+    for times in (math.nan, [1.0, math.inf]):
+        cfg = _write_config(tmp_path, t=times)
+        assert main(["--config", str(cfg)]) == 1
+    cfg = _write_config(tmp_path)
+    assert main(["--config", str(cfg), "--t", "nan"]) == 1
+    assert not (tmp_path / "out").exists()
+    for t_min, t_max in ((1.0, math.inf), (-1.0, 8.0), (math.nan, 8.0)):
+        cfg = _write_config(tmp_path, mode="sweep")
+        config = json.loads(cfg.read_text(encoding="utf-8"))
+        del config["t"]
+        config.update({"t_min": t_min, "t_max": t_max, "factor": 2.0})
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 1
+
+
 def test_config_bad_sweep_factor(tmp_path):
     cfg = _write_config(tmp_path, mode="sweep")
     config = json.loads(cfg.read_text(encoding="utf-8"))

@@ -43,22 +43,27 @@ def test_unit_sphere_nodes_surface():
 
 def test_clipped_ball_full_overlap():
     # With t much larger than the offset the clipped region is the whole ball.
-    for dim in (1, 2):
-        x = np.full(dim, 0.3)
-        pts, rad, w, rim = clipped_ball_nodes(x, 50.0, np.zeros(dim), 1.0, 24)
-        vol = {1: 2.0, 2: math.pi}[dim]
-        assert float(w.sum()) == pytest.approx(vol, rel=1e-8)
-        assert np.all(rad <= 50.0 + 1e-12)
-        assert np.all(rim > 0.0)
+    x = np.full(2, 0.3)
+    pts, rad, w, rim = clipped_ball_nodes(x, 50.0, np.zeros(2), 1.0, 24)
+    assert float(w.sum()) == pytest.approx(math.pi, rel=1e-8)
+    assert np.all(rad <= 50.0 + 1e-12)
+    assert np.all(rim > 0.0)
 
 
 def test_clipped_ball_partial_overlap_mass():
-    # 1-D: B_t(x) = [x - t, x + t] clips the ball to a known interval.
-    pts, rad, w, rim = clipped_ball_nodes(np.array([2.0]), 1.5,
-                                          np.array([0.0]), 1.0, 32)
-    assert float(w.sum()) == pytest.approx(0.5, rel=1e-10)
-    assert float(pts.min()) >= 0.5 - 1e-12
-    assert float(pts.max()) <= 1.0 + 1e-12
+    # B_t(x) cuts the unit disc at the origin to a lens of known area. The
+    # chord of each ray has a kink where it meets the rim r = t, so the rule
+    # converges slowly on this indicator integrand.
+    x, t = np.array([2.0, 0.0]), 1.5
+    dist = float(np.linalg.norm(x))
+    lens = (math.acos((dist ** 2 + 1.0 - t * t) / (2.0 * dist))
+            + t * t * math.acos((dist ** 2 + t * t - 1.0) / (2.0 * dist * t))
+            - 0.5 * math.sqrt((t + 1.0 - dist) * (dist + 1.0 - t)
+                              * (dist - 1.0 + t) * (dist + 1.0 + t)))
+    pts, rad, w, rim = clipped_ball_nodes(x, t, np.zeros(2), 1.0, 32)
+    assert float(w.sum()) == pytest.approx(lens, rel=1e-4)
+    assert float(np.linalg.norm(pts, axis=1).max()) <= 1.0 + 1e-12
+    assert float(rad.max()) <= t + 1e-12
 
 
 def test_with_refinement_accepts_smooth():

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dampedwave.initial_data import SmoothBump, make_datum
+from dampedwave import quadrature, solution
+from dampedwave.initial_data import InitialDatum, SmoothBump, make_datum
 from dampedwave.oracles import spectral_solve
 from dampedwave.quadrature import QuadratureConvergenceError
-from dampedwave.solution import (FieldSample, dimension_constants,
+from dampedwave.solution import (FieldSample, _dir2_parts, _field_parts,
+                                 _grad_parts, dimension_constants,
                                  error_decay_diagnostic, eval_dir2_u,
                                  eval_grad_u, eval_principal_general_n,
                                  eval_u, heat_eval, wave_factor)
@@ -145,13 +147,39 @@ def test_radial_path_matches_direct(single_3d):
 
 
 def test_radial_path_rejects_unsupported():
-    d4 = make_datum([SmoothBump((0.0,) * 4, 1.0, 1.0)], 4)
-    two = make_datum([SmoothBump((0.0,) * 4, 1.0, 1.0),
-                      SmoothBump((3.0, 0.0, 0.0, 0.0), 0.5, 1.0)], 4)
-    val = eval_principal_general_n(d4, np.zeros(4), 5.0)
-    assert math.isfinite(val) and val != 0.0
-    with pytest.raises(ValueError):
-        eval_principal_general_n(two, np.zeros(4), 5.0)
+    # The principal part alone reaches any dimension; the full field, its
+    # gradient and dir2 stop at three.
+    for n in (4, 5):
+        datum = make_datum([SmoothBump((0.0,) * n, 1.0, 1.0)], n)
+        x = np.full(n, 0.2)
+        assert eval_principal_general_n(datum, x, 5.0) != 0.0
+        with pytest.raises(ValueError):
+            eval_u(datum, x, 5.0)
+        with pytest.raises(ValueError):
+            eval_grad_u(datum, x, 5.0)
+        with pytest.raises(ValueError):
+            eval_dir2_u(datum, x, 5.0, np.eye(n)[0])
+
+
+def test_general_n_principal_adds_bumps():
+    first = SmoothBump((0.0,) * 4, 1.0, 1.0)
+    second = SmoothBump((3.0, 0.0, 0.0, 0.0), 0.5, 1.0)
+    x = np.array([1.5, 0.3, 0.0, 0.0])
+    for t in (2.0, 5.0):
+        parts = [eval_principal_general_n(make_datum([b], 4), x, t)
+                 for b in (first, second)]
+        assert all(p != 0.0 for p in parts)
+        both = eval_principal_general_n(make_datum([first, second], 4), x, t)
+        assert both == pytest.approx(sum(parts), rel=1e-14)
+
+
+def test_general_n_principal_is_eval_u_principal(two_1d, two_3d):
+    # In odd dimensions both run the same per-bump rule in the same order.
+    cases = ((two_1d, (0.6,), 1.5), (two_1d, (2.5,), 10.0),
+             (two_3d, (0.6, -0.3, 0.2), 2.5), (two_3d, (3.8, -3.2, 2.0), 6.0))
+    for datum, x, t in cases:
+        x = np.array(x)
+        assert eval_principal_general_n(datum, x, t) == eval_u(datum, x, t).principal
 
 
 def test_matches_spectral_oracle_3d(single_3d):
@@ -242,6 +270,126 @@ def test_frozen_3d_values(two_3d):
         scale = np.linalg.norm(grad) or abs(u)
         assert gap <= 1e-10 * scale, (x, t, gap)
         assert eval_dir2_u(two_3d, x, t, FROZEN_OMEGA) == pytest.approx(d2, rel=1e-10)
+
+
+# Two-bump 1D datum (the two_1d fixture): u, its wave remainder, grad u and
+# the second derivative, recorded at quadrature order 256 with the earlier 1D
+# rule (the clipped-ball rule on the chord of each of the two rays, and
+# d'Alembert values from the datum). Rows: the centre of a bump, a point
+# inside the other, a point outside both; x - t or x + t lies in a bump at
+# t = 1.5 and, in the last row, at t = 10.
+FROZEN_1D = (
+    ((-0.5,), 1.5, 0.043161962530376005, 0.13257066287535757,
+     -0.2332452716347106, -2.0582334160175733),
+    ((-0.5,), 10.0, -0.005370344829743794, 0.0,
+     -0.00022104409193999757, 0.0006244106333355431),
+    ((-0.5,), 400.0, -2.001863624050241e-05, 0.0,
+     -2.667121527538329e-08, 7.464231650868571e-08),
+    ((0.6,), 1.5, 0.057978555082425276, 0.14543941578971492,
+     0.5779934714990216, -1.7975287730694802),
+    ((0.6,), 10.0, -0.0052340648651186435, 0.0,
+     0.0004648833732612389, 0.0006029852124476225),
+    ((0.6,), 400.0, -2.0002807561867224e-05, 0.0,
+     5.54326759026407e-08, 7.454439676692572e-08),
+    ((2.5,), 1.5, 0.12607967761036845, 0.13257066287535757,
+     -0.14564936779251392, -2.1881987017756814),
+    ((2.5,), 10.0, -0.003392762267357822, 0.0,
+     0.0013823854463203664, 0.00031891335868801515),
+    ((2.5,), 400.0, -1.9763573982161863e-05, 0.0,
+     1.9592408848277705e-07, 7.306708937884358e-08),
+    ((9.6,), 10.0, 0.004994435806144779, 0.003299512614829304,
+     -0.004050086946118565, -0.013255641519030277),
+)
+
+
+def test_frozen_1d_values(two_1d):
+    omega = np.array([1.0])
+    for x, t, u, wave, grad, d2 in FROZEN_1D:
+        x = np.array(x)
+        sample = eval_u(two_1d, x, t, order=64)
+        assert sample.value == pytest.approx(u, rel=1e-10)
+        assert sample.wave_remainder == pytest.approx(wave, rel=1e-10, abs=0.0)
+        assert eval_grad_u(two_1d, x, t, order=64)[0] == pytest.approx(grad, rel=1e-10)
+        assert eval_dir2_u(two_1d, x, t, omega, order=64) == pytest.approx(d2, rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [1.5, 10.0])
+def test_1d_remainder_is_dalembert(two_1d, t):
+    # The raw remainder, its gradient and dir2 are the d'Alembert means of f,
+    # f' and f'' at x +- t. Points are placed so that x + t or x - t lies in
+    # a bump. Gaps are measured against the largest value over the points:
+    # near a support edge a pointwise ratio means nothing.
+    omega = np.array([1.0])
+    inside = np.concatenate([np.linspace(-1.15, 0.15, 9), np.linspace(0.55, 1.25, 7)])
+    xs = np.concatenate([inside - t, inside + t])
+    got = []
+    want = []
+    for x in xs:
+        pt = np.array([x])
+        got.append((_field_parts(two_1d, pt, t, 64)[1],
+                    _grad_parts(two_1d, pt, t, 64)[1][0],
+                    _dir2_parts(two_1d, pt, t, omega, 64)[1]))
+        want.append((0.5 * (two_1d.value(pt + t) + two_1d.value(pt - t)),
+                     0.5 * (two_1d.gradient(pt + t)[0] + two_1d.gradient(pt - t)[0]),
+                     0.5 * (two_1d.dir2(pt + t, omega) + two_1d.dir2(pt - t, omega))))
+    got, want = np.array(got), np.array(want)
+    scale = np.abs(want).max(axis=0)
+    assert np.all(scale > 0.0)
+    gap = np.abs(got - want).max(axis=0)
+    assert np.all(gap <= 1e-12 * scale), gap / scale
+
+
+def test_1d_runs_on_radial_rule(two_1d, two_2d, monkeypatch):
+    # 1D reaches neither the clipped-ball rule nor point values of the datum.
+    def refuse(*args, **kwargs):
+        raise AssertionError("left the radial rule")
+
+    monkeypatch.setattr(solution, "clipped_ball_nodes", refuse)
+    monkeypatch.setattr(quadrature, "clipped_ball_nodes", refuse)
+    for name in ("value", "gradient", "dir2"):
+        monkeypatch.setattr(InitialDatum, name, refuse)
+    x = np.array([0.6])
+    for t in (1.5, 10.0):
+        assert math.isfinite(eval_u(two_1d, x, t).value)
+        assert np.all(np.isfinite(eval_grad_u(two_1d, x, t)))
+        assert math.isfinite(eval_dir2_u(two_1d, x, t, np.array([1.0])))
+    # The patch is live: 2D still runs on the clipped-ball rule.
+    with pytest.raises(AssertionError):
+        eval_u(two_2d, np.array([0.2, 0.1]), 1.5)
+
+
+# Each public evaluator, called with a point and a time; dir2 along the
+# first axis.
+EVALUATORS = {
+    "eval_u": eval_u,
+    "eval_grad_u": eval_grad_u,
+    "eval_dir2_u": lambda d, x, t: eval_dir2_u(d, x, t, np.eye(d.dimension)[0]),
+    "eval_principal_general_n": eval_principal_general_n,
+    "heat_eval": heat_eval,
+}
+BAD_INPUTS = {
+    "t_negative": ("two_1d", [0.3], -1.0),
+    "t_zero": ("two_2d", [0.2, 0.1], 0.0),
+    "t_nan": ("two_1d", [0.3], math.nan),
+    "t_inf": ("two_2d", [0.2, 0.1], math.inf),
+    "x_nan": ("two_2d", [0.2, math.nan], 2.0),
+    "x_inf": ("two_1d", [-math.inf], 2.0),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+def test_evaluators_reject_bad_inputs(evaluator, bad, request):
+    name, x, t = BAD_INPUTS[bad]
+    datum = request.getfixturevalue(name)
+    with pytest.raises(ValueError):
+        EVALUATORS[evaluator](datum, np.array(x), t)
+
+
+@pytest.mark.parametrize("omega", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]])
+def test_dir2_rejects_bad_direction(two_2d, omega):
+    with pytest.raises(ValueError):
+        eval_dir2_u(two_2d, np.array([0.2, 0.1]), 2.0, np.array(omega))
 
 
 # Two-bump 2D datum (the two_2d fixture): u, its wave remainder, grad u and
