@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -114,43 +114,42 @@ class SmoothBump:
     def center_array(self) -> Array:
         return np.asarray(self.center, dtype=float)
 
-    def _shape(self, pts: Array) -> Tuple[Array, Array, Array]:
+    def _shape(self, pts: Array) -> Tuple[Array, Array]:
+        """Offsets y - c at the points, and the gap R^2 - |y - c|^2."""
         offset = pts - self.center_array[None, :]
         w = (offset * offset).sum(axis=1)
-        r2 = self.radius * self.radius
-        gap = r2 - w
-        inside = gap > 1e-12 * r2
-        return offset, gap, inside
+        return offset, self.radius * self.radius - w
 
-    def _g_derivatives(self, gap: Array, inside: Array,
-                       top: int) -> List[Array]:
-        """g, g', g'', g''' of g(w) = a*e*exp(-R^2/(R^2 - w)) on the inside mask."""
+    def _g_table(self, gap: Array, top: int) -> Array:
+        """g, g', ... up to the `top`-th derivative in w of
+        g(w) = a*e*exp(-R^2/(R^2 - w)), stacked to (top + 1,) + gap.shape,
+        from the gap R^2 - w.
+
+        The gap is clamped below at 1e-12 R^2, where the support ends.
+        There exp(-R^2/gap) = exp(-1e12) is exactly 0, so every entry off
+        the support is 0 (of either sign) with no mask, and 1/gap stays
+        within the range it spans on the support.
+        """
         r2 = self.radius * self.radius
-        g = self.amplitude * np.e * np.exp(-r2 / gap[inside])
-        inv = 1.0 / gap[inside]
-        out = [g]
+        gap = np.maximum(gap, 1e-12 * r2)
+        out = np.empty((top + 1,) + gap.shape)
+        g = out[0]
+        np.multiply(self.amplitude * np.e, np.exp(-r2 / gap), out=g)
         if top >= 1:
-            out.append(-g * r2 * inv * inv)
+            inv = 1.0 / gap
+            out[1] = -g * r2 * inv * inv
         if top >= 2:
-            out.append(g * (r2 * r2 * inv**4 - 2.0 * r2 * inv**3))
+            out[2] = g * (r2 * r2 * inv**4 - 2.0 * r2 * inv**3)
         if top >= 3:
-            out.append(g * (-(r2**3) * inv**6 + 6.0 * r2 * r2 * inv**5
-                            - 6.0 * r2 * inv**4))
-        return out
-
-    def _g_table(self, gap: Array, inside: Array, top: int) -> Array:
-        """g and its first `top` derivatives in w, stacked to
-        (top + 1,) + gap.shape, from the gap R^2 - w; zero off `inside`."""
-        out = np.zeros((top + 1,) + gap.shape)
-        if np.any(inside):
-            out[:, inside] = self._g_derivatives(gap, inside, top)
+            out[3] = g * (-(r2**3) * inv**6 + 6.0 * r2 * r2 * inv**5
+                          - 6.0 * r2 * inv**4)
         return out
 
     def jet(self, pts: Array, top: int) -> BumpJet:
         """Offsets and g up to its `top`-th derivative at the points, in one
         pass; `top` is 1 for the gradient, 2 for dir2 and hvp, 3 for dir3."""
-        offset, gap, inside = self._shape(pts)
-        return BumpJet(offset, self._g_table(gap, inside, top))
+        offset, gap = self._shape(pts)
+        return BumpJet(offset, self._g_table(gap, top))
 
     def value(self, pts: Array) -> Array:
         return self.jet(pts, 0).g[0]

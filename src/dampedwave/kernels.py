@@ -83,30 +83,54 @@ def bessel_i_scaled(ell: int, s):
 # kernel families
 
 
-def _odd_k_series(ell: int, s: np.ndarray) -> np.ndarray:
-    # k_l(s) = (1/2^l) sum_j (s/2)^(2j) / (j! (j+l)!); used near s = 0 where
-    # I_l(s)/s^l is 0/0.  Three terms suffice below 1e-3.
+def _odd_k_series_scaled(ell: int, s: np.ndarray) -> np.ndarray:
+    # e^(-s) k_l(s) with k_l(s) = (1/2^l) sum_j (s/2)^(2j) / (j! (j+l)!);
+    # used near s = 0 where I_l(s)/s^l is 0/0.  Three terms suffice below 1e-3.
     q = (0.5 * s) ** 2
     c0 = 1.0 / (2.0**ell * math.factorial(ell))
     t1 = q / (ell + 1.0)
     t2 = q * q / (2.0 * (ell + 1.0) * (ell + 2.0))
     t3 = q * q * q / (6.0 * (ell + 1.0) * (ell + 2.0) * (ell + 3.0))
-    return c0 * (1.0 + t1 + t2 + t3)
+    return c0 * (1.0 + t1 + t2 + t3) * np.exp(-s)
+
+
+def _odd_k_large_scaled(ell: int, s: np.ndarray) -> np.ndarray:
+    """ive(ell, s) / s^ell, for s >= 1e-3."""
+    # As in _even_k_asymptotic_scaled, an overflowing s**ell means the true
+    # value is below the smallest normal double; 0 is right.
+    with np.errstate(over="ignore"):
+        return ive(ell, s) / s**ell
 
 
 def _even_k_series_scaled(ell: int, s: np.ndarray) -> np.ndarray:
-    """Double-factorial series for the even family, times e^(-s)."""
+    """Double-factorial series for the even family, times e^(-s).
+
+    The series stops after the first term j at which term <= 1e-18 * total.
+    That ratio grows with s, so the largest s is the last to get there: the
+    same recurrence run once on max(s), as a scalar, gives the term count
+    for the whole array, and no per-term test over it is needed. A smaller
+    s that would have stopped earlier takes terms that each add under half
+    an ulp, so its sum does not change.
+    """
     dfac = 1.0
     for m in range(1, ell + 1):
         dfac *= 2.0 * m
+    peak = float(np.max(s, initial=0.0))
+    term = peak / dfac
+    total = term
+    ss = peak * peak
+    for count in range(1, 1200):
+        term = term * ss / ((2.0 * count + 2.0 * ell) * (2.0 * count + 1.0))
+        total += term
+        if term <= 1e-18 * total:
+            break
     term = s / dfac
     total = term.copy()
     ss = s * s
-    for j in range(1, 1200):
-        term = term * ss / ((2.0 * j + 2.0 * ell) * (2.0 * j + 1.0))
+    for j in range(1, count + 1):
+        term *= ss
+        term /= (2.0 * j + 2.0 * ell) * (2.0 * j + 1.0)
         total += term
-        if np.all(term <= 1e-18 * total):
-            break
     return total * np.exp(-s)
 
 
@@ -133,26 +157,28 @@ def kernel_scaled(parity: str, ell: int, s):
     _check_parity(parity)
     ell = _check_order(ell)
     arr = _as_array(s)
-    out = np.empty_like(arr)
     if parity == "odd":
-        tiny = arr < 1e-3
-        if tiny.any():
-            out[tiny] = _odd_k_series(ell, arr[tiny]) * np.exp(-arr[tiny])
-        rest = ~tiny
-        if rest.any():
-            # As in _even_k_asymptotic_scaled, an overflowing s**ell means
-            # the true value is below the smallest normal double; 0 is right.
-            with np.errstate(over="ignore"):
-                out[rest] = ive(ell, arr[rest]) / arr[rest] ** ell
+        # Each branch is elementwise, so where one covers the whole array its
+        # result is returned as it stands.
+        low = arr < 1e-3
+        series, large = _odd_k_series_scaled, _odd_k_large_scaled
     else:
         # The terminating form cancels badly until ell^2 / s is small, so
-        # the series runs up to ~ell^2.
+        # the series runs up to ~ell^2. The series' term count follows the
+        # largest s it is given (see _even_k_series_scaled), and any count at
+        # or above an element's own gives that element the same sum, so the
+        # whole array may go through the series as one.
         cut = max(SERIES_ASYMPTOTIC_SWITCH, float(ell * ell))
         low = arr <= min(cut, _PLAIN_SERIES_MAX)
-        if low.any():
-            out[low] = _even_k_series_scaled(ell, arr[low])
-        if (~low).any():
-            out[~low] = _even_k_asymptotic_scaled(ell, arr[~low])
+        series, large = _even_k_series_scaled, _even_k_asymptotic_scaled
+    if not low.any():
+        return _give_back(large(ell, arr), s)
+    if low.all():
+        return _give_back(series(ell, arr), s)
+    out = np.empty_like(arr)
+    out[low] = series(ell, arr[low])
+    high = ~low
+    out[high] = large(ell, arr[high])
     return _give_back(out, s)
 
 

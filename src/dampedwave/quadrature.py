@@ -123,6 +123,12 @@ def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
     Returns (points, radii, weights, rim_cosines) where radii = |point - x|
     and rim_cosines = sqrt(1 - (radii / t)**2) evaluated without cancellation.
     Weights carry the full volume element. Arrays are empty when the region is.
+
+    The (m, n) points are the transpose of one contiguous (n, m) block of
+    coordinate rows. Every pass over them (building them, the offsets from
+    a bump centre, their squared norms, the offsets from x) then runs along
+    m contiguous values per coordinate instead of m rows of length n; the
+    values are the same either way.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -155,8 +161,8 @@ def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
     cos_phi = np.cos(phi)
     rad = t * sin_phi
     weights = sigma_w[:, None] * wphi * t * cos_phi * rad ** (dimension - 1)
-    points = x[None, None, :] + rad[:, :, None] * omegas[:, None, :]
-    return (points.reshape(-1, dimension), rad.ravel(), weights.ravel(),
+    coords = x[:, None, None] + omegas.T[:, :, None] * rad[None, :, :]
+    return (coords.reshape(dimension, -1).T, rad.ravel(), weights.ravel(),
             cos_phi.ravel())
 
 

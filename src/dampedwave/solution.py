@@ -219,9 +219,7 @@ def _shells(bump: SmoothBump, x: Array, t: float, order: int,
 def _profile(bump: SmoothBump, sh: _Shells, top: int) -> Array:
     """g and its first `top` derivatives in w = |y - c|**2 at the nodes,
     times the angular weights; zero off the support."""
-    r2 = bump.radius * bump.radius
-    gap = r2 - sh.rho2
-    return bump._g_table(gap, gap > 1e-12 * r2, top) * sh.wmu
+    return bump._g_table(bump.radius * bump.radius - sh.rho2, top) * sh.wmu
 
 
 def _projections(sh: _Shells, omega: Array) -> Tuple[float, Array, Array]:
@@ -385,14 +383,21 @@ def _grad_parts(datum: InitialDatum, x: Array, t: float,
         kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, rad, t)
         jet = bump.jet(pts, 2)
         fv = jet.g[0]
-        moment = (x[None, :] - pts)
-        core = (w * kern * fv) @ moment
+        # The node points are coordinate-major (see clipped_ball_nodes), and
+        # so is every (m, n) array made from them, which suits the passes
+        # along the nodes. The products below sum over the nodes, and BLAS
+        # sums a column-major matrix in another order than a row-major one,
+        # which moves some gradients by an ulp; the hot-spot ascent
+        # amplifies that. So they get row-major copies.
+        moment = x[None, :] - pts
+        rows = np.ascontiguousarray(moment)
+        core = (w * kern * fv) @ rows
         grad_p += -(dc.gamma / 16.0) * core
         absacc += (dc.gamma / 16.0) * float(np.abs(w * kern * fv) @ np.abs(moment).max(axis=1))
         s = 0.5 * t * rim
-        grad_p += -(dc.gamma / 16.0) * damp * beta1 * ((w * fv / s) @ moment)
-        a_w += (w / rim) @ jet.gradient()
-        b_w += (w / rim) @ jet.hvp(pts - x)
+        grad_p += -(dc.gamma / 16.0) * damp * beta1 * ((w * fv / s) @ rows)
+        a_w += (w / rim) @ np.ascontiguousarray(jet.gradient())
+        b_w += (w / rim) @ np.ascontiguousarray(jet.hvp(pts - x))
     a_w /= t * t
     b_w /= t ** 3
     grad_w = dc.gamma * ((0.25 * t * t - t + 2.0) * a_w + 2.0 * t * b_w)

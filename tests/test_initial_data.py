@@ -48,6 +48,26 @@ def test_support_and_positivity(two_1d):
     assert two_1d.value(np.array([0.35])) == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radius", [1e-3, 1e-2, 1.0, 1e2, 1e3])
+def test_g_table_zero_off_support_and_finite(radius):
+    # The gap R^2 - |y - c|^2 is clamped rather than masked: off the support
+    # (gap <= 1e-12 R^2, down to far outside the ball) g and its first three
+    # derivatives are exactly 0, and nothing overflows anywhere.
+    bump = SmoothBump((0.0, 0.0), radius, 0.8)
+    r2 = radius * radius
+    gap = r2 * np.concatenate([-np.geomspace(1e-14, 1e6, 40),
+                               [0.0, 5e-13, 1e-12],
+                               np.geomspace(1.01e-12, 1.0, 85)])
+    table = bump._g_table(gap.reshape(8, 16), 3).reshape(4, -1)
+    off = gap <= 1e-12 * r2
+    assert np.all(np.isfinite(table))
+    assert np.all(table[:, off] == 0.0)
+    # Peak at the centre, gap = R^2.
+    assert table[0, -1] == pytest.approx(0.8, rel=1e-15)
+    assert np.all(table[0, ~off] >= 0.0)
+
+
 def test_geometry_metadata(two_1d):
     assert two_1d.diameter == pytest.approx(1.4 + 0.7 + 0.4, rel=1e-14)
     assert two_1d.inradius == 0.7

@@ -134,6 +134,37 @@ def test_kernel_scaled_matches_mpmath_whole_domain():
     assert not bad, bad
 
 
+# The even series/large-argument switch sits at 45 for orders 0-6, at ell^2
+# for 7, 8 and 13, and at the plain-series cap of 600 for 25, 36 and 64.
+WHOLE_ARRAY_ORDERS = tuple(range(9)) + (13, 25, 36, 64)
+
+
+def _branch_crossing_arrays(ell):
+    """Six arrays with s up to 2e3, each on both sides of the even switch."""
+    cut = min(max(45.0, float(ell * ell)), 600.0)
+    rng = np.random.default_rng(ell)
+    return [np.geomspace(1e-4, 2e3, 97),
+            np.linspace(0.0, 2e3, 64),
+            rng.permutation(np.concatenate([rng.uniform(0.0, cut, 10),
+                                            rng.uniform(cut, 2e3, 40)])),
+            rng.uniform(0.0, 2.0 * cut, 50),
+            cut * np.linspace(0.8, 1.2, 41),
+            10.0 ** rng.uniform(-3.0, math.log10(2e3), 80)], cut
+
+
+@pytest.mark.parametrize("ell", WHOLE_ARRAY_ORDERS)
+def test_even_kernel_whole_array_matches_elementwise(ell):
+    # The even series takes its term count from the largest argument it is
+    # given, and the whole array goes to one branch when it can. Neither may
+    # move a bit: each element comes out as it does from a call on it alone.
+    arrays, cut = _branch_crossing_arrays(ell)
+    for s in arrays:
+        assert (s <= cut).any() and (s > cut).any()
+        whole = kernel_scaled("even", ell, s)
+        alone = np.array([kernel_scaled("even", ell, float(v)) for v in s])
+        assert np.array_equal(whole.view(np.int64), alone.view(np.int64)), ell
+
+
 def test_kernel_at_zero_closed_forms():
     for ell in range(6):
         ref = 1.0 / (2.0 ** ell * math.factorial(ell))
