@@ -35,7 +35,6 @@ from .geometry import (
 from .initial_data import (
     InitialDatum,
     SmoothBump,
-    integrate_f,
     load_datum,
     make_datum,
     sobolev_sup_estimate,
@@ -107,7 +106,6 @@ __all__ = [
     # initial data
     "InitialDatum",
     "SmoothBump",
-    "integrate_f",
     "load_datum",
     "make_datum",
     "sobolev_sup_estimate",

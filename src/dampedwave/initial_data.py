@@ -14,26 +14,23 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .geometry import ConvexPolytope, hull_of_balls
-from .quadrature import ball_nodes, with_refinement
+from .quadrature import with_refinement
 
 __all__ = [
     "SmoothBump",
     "InitialDatum",
     "make_datum",
     "load_datum",
-    "integrate_f",
     "sobolev_sup_estimate",
     "unit_ball_mass",
 ]
 
 Array = np.ndarray
-
-DEFAULT_ORDER = 64
 
 
 def _as_batch(x: Union[Array, Sequence[float], float], dimension: int) -> Tuple[Array, bool]:
@@ -319,39 +316,6 @@ def load_datum(source: Union[str, Path, dict]) -> InitialDatum:
             raise ValueError(f"bump {i} center has {len(center)} coordinates, "
                              f"expected {dimension}")
     return make_datum(bumps, dimension)
-
-
-def integrate_f(datum: InitialDatum, weight: Optional[Callable[[Array], Array]] = None,
-                order: int = DEFAULT_ORDER, rtol: float = 1e-6) -> Union[float, Array]:
-    """Integral of f times a smooth weight over the support, per-bump rules.
-
-    The weight receives node points of shape (m, n) and may return scalars
-    (m,) or vectors (m, k). A doubling refinement check guards convergence;
-    symmetric cancellations are measured against the absolute node mass.
-    """
-
-    def evaluate(o: int) -> Tuple[Union[float, Array], float]:
-        total = None
-        absmass = 0.0
-        for bump in datum.bumps:
-            pts, w = ball_nodes(bump.center_array, bump.radius,
-                                datum.dimension, o)
-            fw = w * bump.value(pts)
-            if weight is None:
-                values = np.ones(pts.shape[0])
-            else:
-                values = np.asarray(weight(pts), dtype=float)
-            contrib = np.tensordot(fw, values, axes=(0, 0))
-            total = contrib if total is None else total + contrib
-            absmass = max(absmass, float(np.max(np.abs(fw) @ np.abs(
-                values if values.ndim > 1 else values[:, None]))))
-        scale = max(float(np.max(np.abs(total))), 1e-8 * absmass, 1e-300)
-        return total, scale
-
-    result = with_refinement(evaluate, order, rtol=rtol, label="datum integral")
-    if np.ndim(result) == 0:
-        return float(result)
-    return result
 
 
 _PROFILE_GRID = 4001

@@ -1,12 +1,13 @@
 """Product Gauss-Legendre rules over balls, spheres, and ray-clipped regions.
 
 Every integrand handled here is smooth and supported on finitely many closed
-balls, so rules are built per support ball. The clipped-ball rule serves the
-two-dimensional evaluator alone (odd dimensions use the per-bump radial rule
-in `solution`): angular nodes restricted to the cone of rays from the
-evaluation point that meet the ball, radial nodes on the clipped chord. The
-radial variable is mapped through r = t*sin(phi), which keeps factors
-analytic in sqrt(t**2 - r**2) well behaved up to the rim r = t.
+balls, so rules are built per support ball. The clipped-ball rule serves only
+the wave-weighted and damped interior terms of the two-dimensional evaluator
+(every principal ball integral, and every odd-dimensional term, uses the
+per-bump radial rule in `solution`): angular nodes restricted to the cone of
+rays from the evaluation point that meet the ball, radial nodes on the
+clipped chord. The radial variable is mapped through r = t*sin(phi), which
+keeps factors analytic in sqrt(t**2 - r**2) well behaved up to the rim r = t.
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
                        order: int) -> Tuple[Array, Array, Array, Array]:
     """Nodes for the region B_t(x) intersected with the ball (center, radius).
 
-    Two dimensions only; the odd-dimensional evaluator reduces each bump to
-    a radial and an angular rule of its own.
+    Two dimensions only, and there only for the wave-weighted and damped
+    interior terms; the principal ball integrals, and every term in odd
+    dimensions, reduce each bump to a radial and an angular rule of its own.
 
     Returns (points, radii, weights, rim_cosines) where radii = |point - x|
     and rim_cosines = sqrt(1 - (radii / t)**2) evaluated without cancellation.

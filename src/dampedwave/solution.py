@@ -12,13 +12,14 @@ formulas: one kernel order higher inside the ball integral, plus boundary
 sphere terms (odd dimensions) or wave-weighted moment terms (even dimensions,
 where the radial kernel derivative carries a 1/sqrt(t^2 - r^2) factor).
 
-In odd dimensions every term is a sum over bumps of integrals over spheres
-around x of a radial profile times powers of the direction, so each reduces
-to a radial rule in r and an angular rule in the angle to the bump centre
-(spherical means; F. John, Plane Waves and Spherical Means, 1955). In one
-dimension the sphere is the two points x +- r, and the sphere terms at r = t
-are the d'Alembert values at x +- t. Two dimensions keep the clipped-ball
-rule of `quadrature.clipped_ball_nodes`.
+Every principal ball integral, and in odd dimensions every term, is a sum
+over bumps of integrals over spheres around x of a radial profile times
+powers of the direction, so each reduces to a radial rule in r and an angular
+rule in the angle to the bump centre (spherical means; F. John, Plane Waves
+and Spherical Means, 1955). In one dimension the sphere is the two points
+x +- r, and the sphere terms at r = t are the d'Alembert values at x +- t.
+In two dimensions only the wave-weighted integrals and the damped interior
+terms keep the clipped-ball rule of `quadrature.clipped_ball_nodes`.
 """
 
 from __future__ import annotations
@@ -101,13 +102,14 @@ def _as_point(datum: InitialDatum, x: Union[Array, float], t: float) -> Array:
 
 
 def _bump_nodes(datum: InitialDatum, x: Array, t: float,
-                order: int) -> Iterable[Tuple[SmoothBump, Array, Array, Array, Array]]:
-    """Per bump: the 2D clipped-ball nodes of its part of B_t(x)."""
+                order: int) -> Iterable[Tuple[SmoothBump, Array, Array, Array]]:
+    """Per bump: the 2D clipped-ball nodes of its part of B_t(x), with their
+    weights and rim cosines."""
     for bump in datum.bumps:
-        pts, rad, w, rim = clipped_ball_nodes(x, t, bump.center_array,
-                                              bump.radius, order)
+        pts, _, w, rim = clipped_ball_nodes(x, t, bump.center_array,
+                                            bump.radius, order)
         if pts.shape[0]:
-            yield bump, pts, rad, w, rim
+            yield bump, pts, w, rim
 
 
 def _rim_coef(ell: int, t: float) -> float:
@@ -119,9 +121,12 @@ def _rim_coef(ell: int, t: float) -> float:
 def _wave_pair(n: int, t: float) -> Tuple[float, float]:
     """(a, b): in odd n the raw wave remainder, and each of its x-derivatives,
     is gamma * (a * M + b * dM/dt), with M the integral of f, or of that
-    derivative of f, over the sphere of radius t around x."""
+    derivative of f, over the sphere of radius t around x. In 2D, M and
+    dM/dt stand for the wave-weighted ball integrals of the 2D branches."""
     if n == 1:
         return 1.0, 0.0
+    if n == 2:
+        return 0.25 * t * t - t + 2.0, 2.0 * t
     if n == 3:
         return 0.5 * t * t - 2.0 * t + 4.0, 4.0 * t
     raise ValueError(f"full field evaluation supports dimensions 1-3, got {n}")
@@ -243,6 +248,52 @@ def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[float, f
     return float(weight @ mean), float(np.abs(weight) @ mean)
 
 
+def _principal_sum(datum: InitialDatum, x: Array, t: float,
+                   order: int) -> Tuple[float, float]:
+    """The bumps' principal ball integrals, summed, and the same with |kernel|."""
+    val = 0.0
+    ref = 0.0
+    for bump in datum.bumps:
+        ball = _shells(bump, x, t, order)
+        if ball is not None:
+            share, mass = _ball_principal(bump, ball, t)
+            val += share
+            ref += mass
+    return val, ref
+
+
+def _ball_grad(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, float]:
+    """One bump's principal ball term of the gradient, and its |kernel| mass.
+
+    The term is the ball integral of k_(ell+1) times f times y - x = r*theta;
+    the integral of theta over a circle of fixed mu lies along the axis e.
+    """
+    n = ball.axis.size
+    dc = dimension_constants(n)
+    kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
+    weight = (dc.gamma / 16.0) * ball.wr * kern * ball.r ** n
+    f = _profile(bump, ball, 0)[0]
+    return (float(weight @ (f * ball.mu).sum(axis=1)) * ball.axis,
+            float(np.abs(weight) @ f.sum(axis=1)))
+
+
+def _ball_dir2(bump: SmoothBump, ball: _Shells, t: float,
+               omega: Array) -> Tuple[float, float]:
+    """One bump's principal ball terms of dir2 (k_(ell+2) times
+    ((y - x) . omega)**2, less k_(ell+1)), and their |kernel| mass."""
+    n = ball.axis.size
+    dc = dimension_constants(n)
+    k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, ball.r, t)
+    k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
+    w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** (n + 1)
+    w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** (n - 1)
+    f = _profile(bump, ball, 0)[0]
+    sq = (f * _projections(ball, omega)[2]).sum(axis=1)
+    mass = f.sum(axis=1)
+    return (float(w2 @ sq) - float(w1 @ mass),
+            float(np.abs(w2) @ sq) + float(np.abs(w1) @ mass))
+
+
 def _radial_bumps(datum: InitialDatum, x: Array, t: float, order: int
                   ) -> Iterable[Tuple[SmoothBump, Optional[_Shells], Optional[_Shells]]]:
     """Per bump: (bump, ball nodes in B_t(x), nodes on the radius-t sphere).
@@ -289,26 +340,18 @@ def _field_parts(datum: InitialDatum, x: Array, t: float, order: int,
     if datum.dimension % 2:
         return _field_parts_odd(datum, x, t, order)
     dc = dimension_constants(datum.dimension)
-    wave = raw or wave_factor(t) > 0.0
-    quarter_gamma = 0.25 * dc.gamma
-    principal = 0.0
-    absacc = 0.0
+    a, b = _wave_pair(datum.dimension, t)
+    principal, absacc = _principal_sum(datum, x, t, order)
     v_plain = 0.0
     v_rate = 0.0
-    for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
-        kern = kernel_ktilde_scaled(dc.parity, dc.ell, rad, t)
-        jet = bump.jet(pts, 1 if wave else 0)
-        fv = jet.g[0]
-        contrib = w * kern * fv
-        principal += quarter_gamma * float(contrib.sum())
-        absacc += quarter_gamma * float(np.abs(contrib).sum())
-        if wave:
-            wave_w = w * fv / rim
-            v_plain += float(wave_w.sum())
+    if raw or wave_factor(t) > 0.0:
+        for bump, pts, w, rim in _bump_nodes(datum, x, t, order):
+            jet = bump.jet(pts, 1)
+            v_plain += float((w * jet.g[0] / rim).sum())
             v_rate += float((w / rim) @ (((pts - x) * jet.gradient()).sum(axis=1)))
     v_plain /= t * t
     v_rate /= t ** 3
-    wave_raw = dc.gamma * ((0.25 * t * t - t + 2.0) * v_plain + 2.0 * t * v_rate)
+    wave_raw = dc.gamma * (a * v_plain + b * v_rate)
     scale = max(abs(principal), abs(wave_raw) * wave_factor(t), 1e-9 * absacc, 1e-300)
     return principal, wave_raw, scale
 
@@ -344,11 +387,9 @@ def _grad_parts_odd(datum: InitialDatum, x: Array, t: float,
     # y - c = d*e + r*theta over a circle of fixed mu lie along it.
     for bump, ball, sphere in _radial_bumps(datum, x, t, order):
         if ball is not None:
-            kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
-            weight = (dc.gamma / 16.0) * ball.wr * kern * ball.r ** n
-            f = _profile(bump, ball, 0)[0]
-            grad_p += float(weight @ (f * ball.mu).sum(axis=1)) * ball.axis
-            absacc += float(np.abs(weight) @ f.sum(axis=1))
+            term, ref = _ball_grad(bump, ball, t)
+            grad_p += term
+            absacc += ref
         if sphere is not None:
             g0, g1, g2 = _profile(bump, sphere, 2)
             d, mu = sphere.dist, sphere.mu
@@ -368,39 +409,40 @@ def _grad_parts(datum: InitialDatum, x: Array, t: float,
     """(principal gradient, raw wave gradient, scale)."""
     if datum.dimension % 2:
         return _grad_parts_odd(datum, x, t, order)
-    dc = dimension_constants(datum.dimension)
     n = datum.dimension
+    dc = dimension_constants(n)
+    a, b = _wave_pair(n, t)
     damp = wave_factor(t)
     grad_p = np.zeros(n)
     absacc = 0.0
+    for bump in datum.bumps:
+        ball = _shells(bump, x, t, order)
+        if ball is not None:
+            term, ref = _ball_grad(bump, ball, t)
+            grad_p += term
+            absacc += ref
     # The even kernel vanishes on the rim, so there is no boundary term, but
     # its radial derivative leaves damped terms inside the ball.
     beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
              - 2.0 * kernel_deriv_at_zero("even", dc.ell))
     a_w = np.zeros(n)
     b_w = np.zeros(n)
-    for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
-        kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, rad, t)
+    for bump, pts, w, rim in _bump_nodes(datum, x, t, order):
         jet = bump.jet(pts, 2)
-        fv = jet.g[0]
         # The node points are coordinate-major (see clipped_ball_nodes), and
         # so is every (m, n) array made from them, which suits the passes
         # along the nodes. The products below sum over the nodes, and BLAS
         # sums a column-major matrix in another order than a row-major one,
         # which moves some gradients by an ulp; the hot-spot ascent
         # amplifies that. So they get row-major copies.
-        moment = x[None, :] - pts
-        rows = np.ascontiguousarray(moment)
-        core = (w * kern * fv) @ rows
-        grad_p += -(dc.gamma / 16.0) * core
-        absacc += (dc.gamma / 16.0) * float(np.abs(w * kern * fv) @ np.abs(moment).max(axis=1))
+        rows = np.ascontiguousarray(x[None, :] - pts)
         s = 0.5 * t * rim
-        grad_p += -(dc.gamma / 16.0) * damp * beta1 * ((w * fv / s) @ rows)
+        grad_p += -(dc.gamma / 16.0) * damp * beta1 * ((w * jet.g[0] / s) @ rows)
         a_w += (w / rim) @ np.ascontiguousarray(jet.gradient())
         b_w += (w / rim) @ np.ascontiguousarray(jet.hvp(pts - x))
     a_w /= t * t
     b_w /= t ** 3
-    grad_w = dc.gamma * ((0.25 * t * t - t + 2.0) * a_w + 2.0 * t * b_w)
+    grad_w = dc.gamma * (a * a_w + b * b_w)
     scale = max(float(np.max(np.abs(grad_p))), damp * float(np.max(np.abs(grad_w))),
                 1e-9 * absacc, 1e-300)
     return grad_p, grad_w, scale
@@ -433,15 +475,9 @@ def _dir2_parts_odd(datum: InitialDatum, x: Array, t: float, omega: Array,
     mean_d3 = 0.0
     for bump, ball, sphere in _radial_bumps(datum, x, t, order):
         if ball is not None:
-            k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, ball.r, t)
-            k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
-            w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** (n + 1)
-            w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** (n - 1)
-            f = _profile(bump, ball, 0)[0]
-            sq = (f * _projections(ball, omega)[2]).sum(axis=1)
-            mass = f.sum(axis=1)
-            val_p += float(w2 @ sq) - float(w1 @ mass)
-            absacc += float(np.abs(w2) @ sq) + float(np.abs(w1) @ mass)
+            term, ref = _ball_dir2(bump, ball, t, omega)
+            val_p += term
+            absacc += ref
         if sphere is not None:
             g0, g1, g2, g3 = _profile(bump, sphere, 3)
             d = sphere.dist
@@ -467,9 +503,16 @@ def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
     if datum.dimension % 2:
         return _dir2_parts_odd(datum, x, t, omega, order)
     dc = dimension_constants(datum.dimension)
+    a, b = _wave_pair(datum.dimension, t)
     damp = wave_factor(t)
     val_p = 0.0
     absacc = 0.0
+    for bump in datum.bumps:
+        ball = _shells(bump, x, t, order)
+        if ball is not None:
+            term, ref = _ball_dir2(bump, ball, t, omega)
+            val_p += term
+            absacc += ref
     # Damped terms inside the ball, as in _grad_parts.
     beta2 = (t * kernel_deriv_at_zero("even", dc.ell + 2)
              - 2.0 * kernel_deriv_at_zero("even", dc.ell + 1))
@@ -477,28 +520,20 @@ def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
              - 2.0 * kernel_deriv_at_zero("even", dc.ell))
     a_w = 0.0
     b_w = 0.0
-    for bump, pts, rad, w, rim in _bump_nodes(datum, x, t, order):
+    for bump, pts, w, rim in _bump_nodes(datum, x, t, order):
         jet = bump.jet(pts, 3)
-        fv = jet.g[0]
         along = (x[None, :] - pts) @ omega
-        k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, rad, t)
-        k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, rad, t)
-        term = (dc.gamma / 64.0) * float((w * fv * k2) @ (along * along))
-        term -= (dc.gamma / 16.0) * float((w * fv * k1).sum())
-        absacc += (dc.gamma / 64.0) * float(np.abs(w * fv * k2) @ (along * along))
-        absacc += (dc.gamma / 16.0) * float(np.abs(w * fv * k1).sum())
         s = 0.5 * t * rim
-        term += (dc.gamma / 64.0) * damp * beta2 * float(
-            (w * fv / s) @ (along * along))
-        term += -(dc.gamma / 16.0) * damp * beta1 * float(
+        val_p += (dc.gamma / 64.0) * damp * beta2 * float(
+            (w * jet.g[0] / s) @ (along * along))
+        val_p += -(dc.gamma / 16.0) * damp * beta1 * float(
             (w / s) @ (along * (jet.gradient() @ omega)))
         zeta = (pts - x) / t
         a_w += float((w / rim) @ jet.dir2(omega))
         b_w += float((w / rim) @ jet.dir3(omega, zeta))
-        val_p += term
     a_w /= t * t
     b_w /= t * t
-    wave_raw = dc.gamma * ((0.25 * t * t - t + 2.0) * a_w + 2.0 * t * b_w)
+    wave_raw = dc.gamma * (a * a_w + b * b_w)
     scale = max(abs(val_p), damp * abs(wave_raw), 1e-9 * absacc, 1e-300)
     return val_p, wave_raw, scale
 
@@ -534,14 +569,7 @@ def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: flo
     pt = _as_point(datum, x, t)
 
     def evaluate(o: int) -> Tuple[float, float]:
-        val = 0.0
-        ref = 0.0
-        for bump in datum.bumps:
-            ball = _shells(bump, pt, t, o)
-            if ball is not None:
-                share, mass = _ball_principal(bump, ball, t)
-                val += share
-                ref += mass
+        val, ref = _principal_sum(datum, pt, t, o)
         return val, max(abs(val), 1e-9 * ref, 1e-300)
 
     if check:

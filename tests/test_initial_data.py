@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dampedwave.initial_data import (InitialDatum, SmoothBump, integrate_f,
-                                     load_datum, make_datum,
-                                     sobolev_sup_estimate, unit_ball_mass)
+from dampedwave.initial_data import (InitialDatum, SmoothBump, load_datum,
+                                     make_datum, sobolev_sup_estimate,
+                                     unit_ball_mass)
 
 # Frozen against an mpmath dps=40 quadrature of e * exp(-1/(1-r^2)).
 UNIT_MASS_1D = 1.2069003224378762
@@ -117,11 +117,6 @@ def test_hvp_consistent_with_hessian(two_2d):
         v = rng.normal(size=2)
         assert two_2d.hvp(x, v) == pytest.approx(two_2d.hessian(x) @ v,
                                                  abs=1e-12)
-
-
-def test_integrate_f_recovers_mass(two_1d, two_2d):
-    assert integrate_f(two_1d) == pytest.approx(two_1d.mass, rel=1e-10)
-    assert integrate_f(two_2d) == pytest.approx(two_2d.mass, rel=1e-10)
 
 
 def test_load_datum_roundtrip(two_2d):
