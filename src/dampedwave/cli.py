@@ -149,11 +149,9 @@ def _mode_evaluate(datum: InitialDatum, config: Dict, out: Path, seed: int,
     header = [f"x{i + 1}" for i in range(n)] + ["u", "principal",
                                                 "wave_remainder"]
     for t in ts:
-        rows = []
-        for x in points:
-            sample = eval_u(datum, x, t, order=order)
-            rows.append(list(x) + [sample.value, sample.principal,
-                                   sample.wave_remainder])
+        sample = eval_u(datum, points, t, order=order)
+        rows = [list(x) + [value, principal, wave] for x, value, principal, wave
+                in zip(points, sample.value, sample.principal, sample.wave_remainder)]
         _write_csv(out / f"field_t{_t_tag(t)}.csv", header, rows)
 
 
@@ -266,7 +264,7 @@ def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
             for c in datum.centroid]
     mesh = np.meshgrid(*axes, indexing="ij")
     probes = np.stack([m.ravel() for m in mesh], axis=1)
-    exact = np.array([eval_u(datum, x, t, order=order).value for x in probes])
+    exact = eval_u(datum, probes, t, order=order).value
     approx = run.interpolate(probes)
     diff = np.abs(exact - approx)
     header = [f"x{i + 1}" for i in range(n)] + ["u_exact", "u_oracle", "diff"]

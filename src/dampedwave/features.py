@@ -410,116 +410,82 @@ def certify_signs(datum: InitialDatum, t: float,
     rays = sample_normal_bundle(hull, count)
     interior = _interior_points(hull, INTERIOR_SAMPLES, seed)
 
-    def value(x: Array) -> float:
-        return eval_u(datum, x, t, order=order).value
+    def values(pts: Array) -> Array:
+        return eval_u(datum, pts, t, order=order).value
 
-    def slope(point: NormalPoint, rho: float) -> float:
-        return _ray_slope(datum, point, rho, t, order)
+    def grid(lo: float, hi: float) -> Tuple[Array, Array]:
+        """Every ray's points at the rho grid on [lo, hi], ray after ray, and
+        the outer normal at each point."""
+        rhos = _rho_grid(lo, hi).tolist()
+        pts = [phi_map(point, rho) for point in rays for rho in rhos]
+        normals = [point.nu for point in rays for _ in rhos]
+        return np.reshape(pts, (-1, n)), np.reshape(normals, (-1, n))
 
-    def curvature(point: NormalPoint, rho: float) -> float:
-        return eval_dir2_u(datum, phi_map(point, rho), t, point.nu, order=order)
+    def slopes(lo: float, hi: float) -> Array:
+        pts, normals = grid(lo, hi)
+        grads = eval_grad_u(datum, pts, t, order=order)
+        return np.array([float(g @ nu) for g, nu in zip(grads, normals)])
 
-    def over_rays(lo: float, hi: float, fn) -> Tuple[float, int]:
-        worst = math.inf
-        total = 0
-        for point in rays:
-            for rho in _rho_grid(lo, hi):
-                worst = min(worst, fn(point, float(rho)))
-                total += 1
-        return worst, total
-
-    def result(worst: float, count_: int) -> CertificateResult:
-        if count_ == 0:
+    def result(margins: Array) -> CertificateResult:
+        if margins.size == 0:
             return CertificateResult(False, -math.inf, 0)
-        return CertificateResult(bool(worst > 0.0), float(worst), count_)
+        worst = float(np.min(margins))
+        return CertificateResult(bool(worst > 0.0), worst, int(margins.size))
 
     out: Dict[str, CertificateResult] = {}
 
     if "negativity_null" in wanted:
-        worst = math.inf
-        total = 0
-        for x in interior:
-            worst = min(worst, -value(x))
-            total += 1
-        shell_hi = r_null - d_f - delta
-        w2, t2 = over_rays(0.0, shell_hi, lambda p, r: -_ray_value(
-            datum, p, r, t, order))
-        if t2:
-            worst = min(worst, w2)
-            total += t2
-        out["negativity_null"] = result(worst, total)
+        shell, _ = grid(0.0, r_null - d_f - delta)
+        out["negativity_null"] = result(-values(np.concatenate([interior, shell])))
 
     if "positivity_null" in wanted:
-        worst, total = over_rays(r_null + delta, psi - delta,
-                                 lambda p, r: _ray_value(datum, p, r, t, order))
-        out["positivity_null"] = result(worst, total)
+        out["positivity_null"] = result(values(grid(r_null + delta, psi - delta)[0]))
 
     if "monotonicity_null" in wanted:
-        worst, total = over_rays(max(0.0, r_null - d_f) + delta, r_null - delta,
-                                 slope)
-        out["monotonicity_null"] = result(worst, total)
+        out["monotonicity_null"] = result(slopes(max(0.0, r_null - d_f) + delta,
+                                                 r_null - delta))
 
     if "positivity_crit" in wanted:
-        worst, total = over_rays(delta, r_crit - d_f - delta, slope)
-        out["positivity_crit"] = result(worst, total)
+        out["positivity_crit"] = result(slopes(delta, r_crit - d_f - delta))
 
     if "negativity_crit" in wanted:
-        worst, total = over_rays(r_crit + delta, psi - delta,
-                                 lambda p, r: -slope(p, r))
-        out["negativity_crit"] = result(worst, total)
+        out["negativity_crit"] = result(-slopes(r_crit + delta, psi - delta))
 
     if "concavity_crit" in wanted:
-        worst, total = over_rays(max(0.0, r_crit - d_f) + delta, r_crit - delta,
-                                 lambda p, r: -curvature(p, r))
-        out["concavity_crit"] = result(worst, total)
+        pts, normals = grid(max(0.0, r_crit - d_f) + delta, r_crit - delta)
+        out["concavity_crit"] = result(-eval_dir2_u(datum, pts, t, normals, order=order))
 
     if "lb_CS" in wanted:
         bound = n * dc.gamma * pf / (5.0 * t ** (n / 2.0 + 1.0)) * mass
-        worst = math.inf
-        total = 0
-        for x in interior:
-            worst = min(worst, -value(x) - bound)
-            total += 1
-        for point in rays:
-            worst = min(worst, -value(point.xi) - bound)
-            total += 1
-        out["lb_CS"] = result(worst, total)
+        hull_points = np.array([point.xi for point in rays])
+        out["lb_CS"] = result(-values(np.concatenate([interior, hull_points])) - bound)
 
     if "ub_A" in wanted or "lb_A" in wanted:
-        lo = max(0.0, r_crit - d_f) + delta
-        hi = r_crit - delta
         ub = (7.0 * dc.gamma * pf / (10.0 * t ** (n / 2.0 + 1.0))
               * math.exp(-(n + 2.0) / 2.0) * mass)
         lb = (3.0 * dc.gamma * pf / (32.0 * t ** (n / 2.0 + 1.0))
               * math.exp(-(2.0 * n + 5.0) / 2.0) * mass)
+        shell = values(grid(max(0.0, r_crit - d_f) + delta, r_crit - delta)[0])
         if "ub_A" in wanted:
-            worst, total = over_rays(lo, hi, lambda p, r: ub - _ray_value(
-                datum, p, r, t, order))
-            out["ub_A"] = result(worst, total)
+            out["ub_A"] = result(ub - shell)
         if "lb_A" in wanted:
-            worst, total = over_rays(lo, hi, lambda p, r: _ray_value(
-                datum, p, r, t, order) - lb)
-            out["lb_A"] = result(worst, total)
+            out["lb_A"] = result(shell - lb)
 
     if "ub_E" in wanted:
         bound = (3.0 * dc.gamma * pf / (8.0 * t ** (n / 2.0))
                  * math.exp(-psi * psi / (4.0 * t)) * mass)
-        worst, total = over_rays(psi + delta, psi + delta + d_f + 2.0,
-                                 lambda p, r: bound - abs(_ray_value(
-                                     datum, p, r, t, order)))
-        out["ub_E"] = result(worst, total)
+        far = values(grid(psi + delta, psi + delta + d_f + 2.0)[0])
+        out["ub_E"] = result(bound - np.abs(far))
 
     if "convex" in wanted:
         rng = np.random.default_rng(seed)
         pts = _interior_points(hull, CONVEX_PAIRS, seed + 1)
-        worst = math.inf
-        total = 0
-        for x in pts:
+        omegas = []
+        for _ in pts:
             omega = rng.normal(size=n)
             omega /= np.linalg.norm(omega)
-            worst = min(worst, eval_dir2_u(datum, x, t, omega, order=order))
-            total += 1
-        out["convex"] = result(worst, total)
+            omegas.append(omega)
+        out["convex"] = result(eval_dir2_u(datum, pts, t, np.array(omegas), order=order))
 
     return out
 

@@ -58,7 +58,7 @@ def _check_parity(parity: str) -> str:
 
 def _as_array(s):
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("argument must be >= 0")
     return arr
 
@@ -207,55 +207,68 @@ def kernel_deriv_at_zero(parity: str, ell: int) -> float:
 def _check_rt(r, t):
     r_arr = np.asarray(r, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if (t_arr <= 0).any():
         raise ValueError("t must be > 0")
-    if np.any(r_arr < 0):
+    if (r_arr < 0).any():
         raise ValueError("r must be >= 0")
-    if np.any(r_arr > t_arr * (1.0 + 1e-13)):
+    if (r_arr > t_arr * (1.0 + 1e-13)).any():
         raise ValueError("r must not exceed t")
     return r_arr, np.broadcast_to(t_arr, np.broadcast_shapes(r_arr.shape, t_arr.shape))
 
 
-def kernel_ktilde_scaled(parity: str, ell: int, r, t):
+def kernel_ktilde_scaled(parity: str, ell, r, t):
     """e^(-t/2) [t k_(ell+1)(s) - 2 k_ell(s)] at s = sqrt(t^2 - r^2)/2.
 
     Uses e^(-t/2) k(s) = e^(s - t/2) [e^(-s) k(s)] with
     s - t/2 = -r^2 / (2 (t + sqrt(t^2 - r^2))), which is exact and free of
     cancellation at r ~ t; nothing here overflows for t up to 1e6.
+
+    ell may also be a sequence of orders. The kernels then come back as a
+    tuple, in that order, and share s, the exponential factor and each
+    e^(-s) k_l(s), so consecutive orders cost one family evaluation each.
     """
     _check_parity(parity)
-    ell = _check_order(ell)
+    orders = [_check_order(e) for e in ([ell] if np.ndim(ell) == 0 else ell)]
     r_arr, t_arr = _check_rt(r, t)
-    gap = np.clip(t_arr - r_arr, 0.0, None)
+    gap = np.maximum(t_arr - r_arr, 0.0)
     s = 0.5 * np.sqrt(gap * (t_arr + r_arr))
-    if parity == "even" and ell == 0:
-        # t k_1 - 2 k_0 = t (cosh s - 1)/s - 2 sinh s nearly cancels: the true
-        # value is ~ -2 e^(-t/2) at r = 0, exponentially below both parts.
-        # Grouping by exponential scale gives an exact, stable form
-        #   (g/s) e^(-g) + ((t+2s)/(2s)) e^(-(t/2+s)) - (t/s) e^(-t/2),
-        # g = t/2 - s = r^2/(2(t+2s)).  Near s = 0 the generic path is fine
-        # (result and parts are the same order there).
-        g = r_arr * r_arr / (2.0 * (t_arr + 2.0 * s))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stable = (
-                (g / s) * np.exp(-g)
-                + ((t_arr + 2.0 * s) / (2.0 * s)) * np.exp(-(0.5 * t_arr + s))
-                - (t_arr / s) * np.exp(-0.5 * t_arr)
-            )
-            generic = np.exp(-g) * (
-                t_arr * kernel_scaled("even", 1, np.clip(s, None, 2.0))
-                - 2.0 * kernel_scaled("even", 0, np.clip(s, None, 2.0))
-            )
-        val = np.where(s >= 1.0, stable, generic)
-    else:
-        expfac = np.exp(-r_arr * r_arr / (2.0 * (t_arr + 2.0 * s)))
-        val = expfac * (
-            t_arr * kernel_scaled(parity, ell + 1, s)
-            - 2.0 * kernel_scaled(parity, ell, s)
-        )
+    expfac = np.exp(-r_arr * r_arr / (2.0 * (t_arr + 2.0 * s)))
+    family = {}
+
+    def k(order: int) -> np.ndarray:
+        if order not in family:
+            family[order] = kernel_scaled(parity, order, s)
+        return family[order]
+
+    vals = [_even_ktilde0_scaled(r_arr, t_arr, s) if parity == "even" and order == 0
+            else expfac * (t_arr * k(order + 1) - 2.0 * k(order)) for order in orders]
     if np.ndim(r) == 0 and np.ndim(t) == 0:
-        return float(val)
-    return val
+        vals = [float(v) for v in vals]
+    return vals[0] if np.ndim(ell) == 0 else tuple(vals)
+
+
+def _even_ktilde0_scaled(r_arr, t_arr, s):
+    """The even order-0 combined kernel, scaled.
+
+    t k_1 - 2 k_0 = t (cosh s - 1)/s - 2 sinh s nearly cancels: the true
+    value is ~ -2 e^(-t/2) at r = 0, exponentially below both parts.
+    Grouping by exponential scale gives an exact, stable form
+      (g/s) e^(-g) + ((t+2s)/(2s)) e^(-(t/2+s)) - (t/s) e^(-t/2),
+    g = t/2 - s = r^2/(2(t+2s)).  Near s = 0 the generic path is fine
+    (result and parts are the same order there).
+    """
+    g = r_arr * r_arr / (2.0 * (t_arr + 2.0 * s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stable = (
+            (g / s) * np.exp(-g)
+            + ((t_arr + 2.0 * s) / (2.0 * s)) * np.exp(-(0.5 * t_arr + s))
+            - (t_arr / s) * np.exp(-0.5 * t_arr)
+        )
+        generic = np.exp(-g) * (
+            t_arr * kernel_scaled("even", 1, np.clip(s, None, 2.0))
+            - 2.0 * kernel_scaled("even", 0, np.clip(s, None, 2.0))
+        )
+    return np.where(s >= 1.0, stable, generic)
 
 
 def ktilde_leading_order(parity: str, ell: int, t):

@@ -136,7 +136,9 @@ def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dimension = x.size
     empty = (np.zeros((0, dimension)), np.zeros(0), np.zeros(0), np.zeros(0))
-    if t <= 0.0:
+    # The region is empty when t is not positive or the ball lies beyond
+    # the radius-t circle; then no cone direction is worth building.
+    if t <= 0.0 or float(np.linalg.norm(center - x)) - radius >= t:
         return empty
     omegas, sigma_w = _cone_directions(x, center, radius, order)
     offset = center - x
@@ -171,22 +173,29 @@ def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
 Value = Union[float, Array]
 
 
-def with_refinement(evaluate: Callable[[int], Tuple[Value, float]], order: int,
+def with_refinement(evaluate: Callable[[int], Tuple[Value, Value]], order: int,
                     rtol: float = 1e-6, label: str = "integral") -> Value:
     """Evaluate at the given order and at twice it; insist they agree.
 
     evaluate(order) returns (value, scale) where scale is the magnitude the
     discrepancy is measured against (callers typically pass the larger of the
     result magnitude and a floor tied to the absolute node mass, so values
-    that vanish by symmetry do not trip the check).
+    that vanish by symmetry do not trip the check). A scale with one entry
+    per row of the value holds each row to its own test, and an error names
+    the first row that fails.
     """
     coarse, _ = evaluate(order)
     fine, scale = evaluate(2 * order)
     fine_arr = np.asarray(fine, dtype=float)
     coarse_arr = np.asarray(coarse, dtype=float)
-    gap = float(np.max(np.abs(fine_arr - coarse_arr))) if fine_arr.size else 0.0
-    if gap > rtol * max(float(scale), 1e-300):
+    scale_arr = np.asarray(scale, dtype=float)
+    gap = np.abs(fine_arr - coarse_arr)
+    gap = gap.max(axis=tuple(range(scale_arr.ndim, gap.ndim)), initial=0.0)
+    bad = np.flatnonzero(gap > rtol * np.maximum(scale_arr, 1e-300))
+    if bad.size:
+        i = bad[0]
+        where = f" (row {i})" if scale_arr.ndim else ""
         raise QuadratureConvergenceError(
-            f"{label}: orders {order} and {2 * order} differ by {gap:.3e} "
-            f"against scale {float(scale):.3e} (rtol {rtol:.1e})")
+            f"{label}{where}: orders {order} and {2 * order} differ by "
+            f"{gap.flat[i]:.3e} against scale {scale_arr.flat[i]:.3e} (rtol {rtol:.1e})")
     return fine

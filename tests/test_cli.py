@@ -107,6 +107,21 @@ def test_evaluate_decomposition_survives_serialization(tmp_path):
         assert u == principal + remainder
 
 
+def test_evaluate_makes_one_call_per_time(tmp_path, monkeypatch):
+    # The whole grid goes to eval_u as one block at each t.
+    calls = []
+    evaluate = cli.eval_u
+
+    def counted(datum, x, t, **kwargs):
+        calls.append((len(x), t))
+        return evaluate(datum, x, t, **kwargs)
+
+    monkeypatch.setattr(cli, "eval_u", counted)
+    cfg = _write_config(tmp_path, t=[2.0, 5.0], grid={"half_width": 3.0, "points": 7})
+    assert main(["--config", str(cfg)]) == 0
+    assert calls == [(7, 2.0), (7, 5.0)]
+
+
 def test_time_override_changes_artifacts(tmp_path):
     cfg = _write_config(tmp_path, grid={"half_width": 2.0, "points": 5})
     assert main(["--config", str(cfg), "--t", "3.0"]) == 0

@@ -12,6 +12,7 @@ from dampedwave.features import (INTERIOR_SAMPLES, PROPOSITIONS,
                                  default_psi, empirical_threshold,
                                  find_cold_spot, find_critical_radius,
                                  find_hot_spots, rate_fit, trace_null_radius)
+from dampedwave import features
 from dampedwave.geometry import sample_normal_bundle
 from dampedwave.initial_data import SmoothBump, make_datum
 from dampedwave.solution import eval_u
@@ -138,6 +139,34 @@ def test_certify_unknown_proposition(two_1d):
         certify_signs(two_1d, 10.0, propositions=("negativity_null", "bogus"))
     with pytest.raises(ValueError, match="unknown proposition"):
         empirical_threshold(two_1d, "bogus")
+
+
+def test_certify_evaluates_each_sample_set_once(two_2d, monkeypatch):
+    # Each certificate's samples go to the evaluators as one block; the two
+    # A bounds share theirs. The margins are those of per-point evaluation.
+    blocks = []
+
+    def counted(name):
+        evaluator = getattr(features, name)
+
+        def call(datum, pts, *args, **kwargs):
+            blocks.append((name, len(pts)))
+            return evaluator(datum, pts, *args, **kwargs)
+        monkeypatch.setattr(features, name, call)
+
+    for name in ("eval_u", "eval_grad_u", "eval_dir2_u"):
+        counted(name)
+    t = 400.0
+    results = certify_signs(two_2d, t, order=32, direction_count=3)
+    kinds = [name for name, _ in blocks]
+    assert kinds.count("eval_u") == 5
+    assert kinds.count("eval_grad_u") == 3
+    assert kinds.count("eval_dir2_u") == 2
+    monkeypatch.undo()
+    worst = min(-eval_u(two_2d, x, t, order=32).value
+                for x in features._interior_points(two_2d.hull, INTERIOR_SAMPLES, 0))
+    assert results["negativity_null"].margin <= worst
+    assert results["negativity_null"].samples == blocks[0][1]
 
 
 def test_certify_subset(two_1d):

@@ -235,6 +235,30 @@ def test_sqrt_expansion_accuracy():
             assert approx == pytest.approx(exact, rel=5e-7), (parity, ell)
 
 
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_ktilde_orders_share_one_call(parity):
+    # Several orders in one call share s and each kernel order, and match
+    # separate calls bit for bit, the stable even order 0 included.
+    t = 30.0
+    r = np.linspace(0.0, t, 41)
+    orders = (0, 2, 1, 3)
+    together = kernel_ktilde_scaled(parity, orders, r, t)
+    assert isinstance(together, tuple) and len(together) == len(orders)
+    for ell, val in zip(orders, together):
+        assert np.array_equal(val, kernel_ktilde_scaled(parity, ell, r, t))
+    pair = kernel_ktilde_scaled(parity, [2, 1], 3.0, t)
+    assert pair == (kernel_ktilde_scaled(parity, 2, 3.0, t),
+                    kernel_ktilde_scaled(parity, 1, 3.0, t))
+    assert all(isinstance(v, float) for v in pair)
+    # Every order and every radius is still checked.
+    with pytest.raises(ValueError):
+        kernel_ktilde_scaled(parity, (1, 64), r, t)
+    with pytest.raises(TypeError):
+        kernel_ktilde_scaled(parity, (1, 2.0), r, t)
+    with pytest.raises(ValueError):
+        kernel_ktilde_scaled(parity, (1, 2), 2.0 * t, t)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         kernel_scaled("both", 0, 1.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dampedwave import quadrature
 from dampedwave.quadrature import (QuadratureConvergenceError, ball_nodes,
                                    clipped_ball_nodes, gauss_legendre,
                                    interval_nodes, unit_sphere_nodes,
@@ -85,3 +86,33 @@ def test_with_refinement_rejects_rough():
 
     with pytest.raises(QuadratureConvergenceError):
         with_refinement(evaluate, 8, rtol=1e-10)
+
+
+def test_clipped_ball_beyond_reach_builds_nothing(monkeypatch):
+    # A ball that lies beyond the radius-t circle gives empty arrays before
+    # any cone direction is built; one that the circle reaches still gets
+    # its nodes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built cone directions")
+
+    x = np.array([3.0, 4.0])
+    empty = clipped_ball_nodes(x, 4.0, np.zeros(2), 1.0, 16)
+    assert all(arr.shape[0] == 0 for arr in empty) and empty[0].shape == (0, 2)
+    reached = clipped_ball_nodes(x, 4.5, np.zeros(2), 1.0, 16)
+    assert reached[0].shape[0] > 0
+    monkeypatch.setattr(quadrature, "_cone_directions", refuse)
+    assert clipped_ball_nodes(x, 4.0, np.zeros(2), 1.0, 16)[0].shape == (0, 2)
+
+
+def test_with_refinement_judges_each_row():
+    # A scale per row holds each row to its own test: the second row moves
+    # by 1e-3 of its own size, far below the first row's size.
+    def evaluate(order):
+        step = 1e-3 if order == 8 else 0.0
+        value = np.array([[1.0, 2.0], [1e-6 * (1.0 + step), 0.0]])
+        return value, np.array([2.0, 1e-6])
+
+    with pytest.raises(QuadratureConvergenceError, match=r"\(row 1\)"):
+        with_refinement(evaluate, 8)
+    value = with_refinement(lambda o: (np.ones((3, 2)), np.ones(3)), 8)
+    assert value.shape == (3, 2)

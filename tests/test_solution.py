@@ -343,9 +343,10 @@ def test_1d_remainder_is_dalembert(two_1d, t):
     want = []
     for x in xs:
         pt = np.array([x])
-        got.append((_field_parts(two_1d, pt, t, 64)[1],
-                    _grad_parts(two_1d, pt, t, 64)[1][0],
-                    _dir2_parts(two_1d, pt, t, omega, 64)[1]))
+        block = pt[None, :]
+        got.append((_field_parts(two_1d, block, t, 64)[1][0],
+                    _grad_parts(two_1d, block, t, 64)[1][0, 0],
+                    _dir2_parts(two_1d, block, t, omega[None, :], 64)[1][0]))
         want.append((0.5 * (two_1d.value(pt + t) + two_1d.value(pt - t)),
                      0.5 * (two_1d.gradient(pt + t)[0] + two_1d.gradient(pt - t)[0]),
                      0.5 * (two_1d.dir2(pt + t, omega) + two_1d.dir2(pt - t, omega))))
@@ -600,3 +601,124 @@ def test_outside_light_cone_zero(single_1d):
     assert eval_u(single_1d, np.array([12.0]), 10.0).value == 0.0
     sample = eval_u(single_1d, np.array([12.0]), 10.0)
     assert sample.principal == 0.0 and sample.wave_remainder == 0.0
+
+
+def _mixed_block(datum, t):
+    """Rows that exercise every branch of the radial rule at time t: a bump
+    centre (the two-point rule), points inside each bump (two radial
+    panels), points on and near the radius-t sphere around the first bump
+    (the odd sphere terms), a point out of reach of every bump, and a few
+    seeded points."""
+    n = datum.dimension
+    first, second = (b.center_array for b in datum.bumps[:2])
+    e = np.eye(n)[0]
+    away = -e if n == 1 else -np.ones(n) / math.sqrt(n)
+    rows = [first, first + 0.3 * e, second + 0.1 * e, first + t * e,
+            first + (t + 0.4) * e, first + (t + 30.0) * away]
+    rng = np.random.default_rng(11)
+    rows += list(first + rng.uniform(-2.5, 3.0, size=(4, n)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("t", [1.5, 1600.0])
+@pytest.mark.parametrize("name", ["two_1d", "two_2d", "two_3d"])
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+def test_block_rows_equal_single_points(name, t, chunk_rows, request, monkeypatch):
+    # Every row of a block is bit for bit the single-point value, whether the
+    # block runs in one pass or in chunks of three rows.
+    datum = request.getfixturevalue(name)
+    order = 24
+    if chunk_rows is not None:
+        monkeypatch.setattr(solution, "_CHUNK_NODES", 2 * order * order * chunk_rows)
+    pts = _mixed_block(datum, t)
+    rng = np.random.default_rng(3)
+    omegas = rng.normal(size=pts.shape)
+    shared = rng.normal(size=datum.dimension)
+    block = eval_u(datum, pts, t, order=order)
+    grads = eval_grad_u(datum, pts, t, order=order)
+    per_row = eval_dir2_u(datum, pts, t, omegas, order=order)
+    one_omega = eval_dir2_u(datum, pts, t, shared, order=order)
+    assert block.value.shape == (len(pts),) and grads.shape == pts.shape
+    assert np.array_equal(block.x, pts)
+    for i, x in enumerate(pts):
+        sample = eval_u(datum, x, t, order=order)
+        assert isinstance(sample.value, float)
+        assert (sample.value, sample.principal, sample.wave_remainder) == (
+            block.value[i], block.principal[i], block.wave_remainder[i])
+        assert np.array_equal(eval_grad_u(datum, x, t, order=order), grads[i])
+        assert eval_dir2_u(datum, x, t, omegas[i], order=order) == per_row[i]
+        assert eval_dir2_u(datum, x, t, shared, order=order) == one_omega[i]
+
+
+def test_block_of_principal_parts_equals_single_points(two_2d, two_3d):
+    for datum in (two_2d, two_3d):
+        pts = _mixed_block(datum, 2.5)
+        block = eval_principal_general_n(datum, pts, 2.5, order=24)
+        assert np.array_equal(block, [eval_principal_general_n(datum, x, 2.5, order=24)
+                                      for x in pts])
+
+
+def test_block_rejects_bad_rows(two_2d):
+    pts = np.array([[0.2, 0.1], [1.0, 0.5], [0.3, math.nan], [2.0, 1.0]])
+    for evaluate in (lambda p: eval_u(two_2d, p, 2.0),
+                     lambda p: eval_grad_u(two_2d, p, 2.0),
+                     lambda p: eval_dir2_u(two_2d, p, 2.0, np.array([1.0, 0.0]))):
+        with pytest.raises(ValueError, match="row 2"):
+            evaluate(pts)
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(np.zeros((3, 3)))
+    good = pts[[0, 1, 3]]
+    omegas = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="omega row 1"):
+        eval_dir2_u(two_2d, good, 2.0, omegas)
+    with pytest.raises(ValueError, match="omega"):
+        eval_dir2_u(two_2d, good, 2.0, omegas[:2])
+
+
+def test_block_check_holds_each_row_to_its_own_test(two_2d):
+    # At order 24 the gradient at (0.5, 0.1), t = 3, is not converged; a
+    # point out of reach is (it is zero at both orders). Each row is judged
+    # alone, and the error names the row that fails.
+    bad, fine = [0.5, 0.1], [20.0, 20.0]
+    with pytest.raises(QuadratureConvergenceError, match=r"\(row 1\)"):
+        eval_grad_u(two_2d, np.array([fine, bad]), 3.0, order=24, check=True)
+    with pytest.raises(QuadratureConvergenceError, match=r"\(row 0\)"):
+        eval_grad_u(two_2d, np.array([bad, fine]), 3.0, order=24, check=True)
+    assert np.array_equal(eval_grad_u(two_2d, np.array([fine]), 3.0, order=24, check=True),
+                          np.zeros((1, 2)))
+    # A converged block returns the finer order's values, row for row.
+    pts = np.array([[0.5, 0.1], [-1.5, 0.5]])
+    omega = np.array([0.6, -0.8])
+    block = eval_dir2_u(two_2d, pts, 3.0, omega, order=96, check=True)
+    rows = [eval_dir2_u(two_2d, x, 3.0, omega, order=96, check=True) for x in pts]
+    assert np.array_equal(block, rows)
+    assert np.array_equal(block, eval_dir2_u(two_2d, pts, 3.0, omega, order=192))
+
+
+def test_one_kernel_call_per_bump_order_and_chunk(two_3d, monkeypatch):
+    # Every row below reaches both bumps, and the block runs in two chunks:
+    # each bump then costs one kernel call per chunk, and dir2 asks for both
+    # of its kernel orders in that one call.
+    order = 16
+    monkeypatch.setattr(solution, "_CHUNK_NODES", 2 * order * order * 3)
+    calls = []
+    kernel = solution.kernel_ktilde_scaled
+
+    def counted(parity, ell, r, t):
+        calls.append((np.size(ell), r.size))
+        return kernel(parity, ell, r, t)
+
+    monkeypatch.setattr(solution, "kernel_ktilde_scaled", counted)
+    pts = np.array([[0.5, 0.2, 0.1], [1.0, 0.5, 0.0], [1.5, 0.8, -0.3],
+                    [0.2, 0.4, 0.6], [2.2, 1.1, -0.2], [-0.5, 0.0, 0.3]])
+    chunks, bumps = 2, len(two_3d.bumps)
+    for evaluate, orders in ((lambda: eval_u(two_3d, pts, 200.0, order=order), 1),
+                             (lambda: eval_grad_u(two_3d, pts, 200.0, order=order), 1),
+                             (lambda: eval_dir2_u(two_3d, pts, 200.0, np.ones(3),
+                                                  order=order), 2)):
+        calls.clear()
+        evaluate()
+        assert len(calls) == bumps * chunks
+        assert all(count == orders for count, _ in calls)
+        # Three rows a chunk, each with one or two radial panels.
+        assert all(3 * order <= nodes <= 6 * order for _, nodes in calls)
