@@ -53,12 +53,10 @@ from .kernels import (
 from .oracles import OracleRun, fd_solve_1d, spectral_solve
 from .quadrature import (
     QuadratureConvergenceError,
-    ball_nodes,
     clipped_ball_nodes,
     gauss_legendre,
     interval_nodes,
     periodic_nodes,
-    unit_sphere_nodes,
     with_refinement,
 )
 from .solution import (
@@ -86,12 +84,10 @@ __all__ = [
     "ktilde_leading_order",
     # quadrature
     "QuadratureConvergenceError",
-    "ball_nodes",
     "clipped_ball_nodes",
     "gauss_legendre",
     "interval_nodes",
     "periodic_nodes",
-    "unit_sphere_nodes",
     "with_refinement",
     # geometry
     "ConvexPolytope",

@@ -120,6 +120,17 @@ def _time_list(config: Dict, override: Optional[List[float]]) -> List[float]:
     return ts
 
 
+def _positive_int(config: Dict, key: str, default: Optional[int]) -> Optional[int]:
+    """config[key] as a positive integer, or the default when it is absent."""
+    value = config.get(key)
+    if value is None:
+        return default
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer()) or value < 1):
+        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _t_tag(t: float) -> str:
     return repr(float(t))
 
@@ -142,7 +153,7 @@ def _grid_axes(datum: InitialDatum, config: Dict) -> List[np.ndarray]:
 def _mode_evaluate(datum: InitialDatum, config: Dict, out: Path, seed: int,
                    ts: List[float]) -> None:
     axes = _grid_axes(datum, config)
-    order = int(config.get("order", 64))
+    order = _positive_int(config, "order", 64)
     n = datum.dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -157,11 +168,10 @@ def _mode_evaluate(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _ray_table(datum: InitialDatum, config: Dict, ts: List[float], out: Path,
                kind: str) -> None:
-    order = int(config.get("order", 64))
-    count = config.get("directions")
+    order = _positive_int(config, "order", 64)
     n = datum.dimension
     rays = sample_normal_bundle(
-        datum.hull, DIRECTION_COUNTS[n] if count is None else int(count))
+        datum.hull, _positive_int(config, "directions", DIRECTION_COUNTS[n]))
     finder = trace_null_radius if kind == "null" else find_critical_radius
     ref_coef = 2.0 * n if kind == "null" else 2.0 * n + 4.0
     radius_col = "rho_null" if kind == "null" else "rho_crit"
@@ -187,25 +197,25 @@ def _mode_critical(datum, config, out, seed, ts):
 
 def _mode_spots(datum: InitialDatum, config: Dict, out: Path, seed: int,
                 ts: List[float]) -> None:
-    order = int(config.get("order", 64))
-    count = config.get("directions")
+    order = _positive_int(config, "order", 64)
+    count = _positive_int(config, "directions", None)
     psi_coefficient = config.get("psi_coefficient")
     for t in ts:
         report = build_spot_report(
             datum, t, psi_coefficient=psi_coefficient, order=order, seed=seed,
-            direction_count=None if count is None else int(count))
+            direction_count=count)
         _write_json(out / f"spots_t{_t_tag(t)}.json", report.to_dict())
 
 
 def _mode_certify(datum: InitialDatum, config: Dict, out: Path, seed: int,
                   ts: List[float]) -> None:
-    order = int(config.get("order", 64))
-    count = config.get("directions")
+    order = _positive_int(config, "order", 64)
+    count = _positive_int(config, "directions", None)
     psi_coefficient = config.get("psi_coefficient")
     for t in ts:
         certs = certify_signs(
             datum, t, psi_coefficient=psi_coefficient, order=order, seed=seed,
-            direction_count=None if count is None else int(count))
+            direction_count=count)
         payload = {
             "t": t,
             "psi": default_psi(datum.dimension, t, psi_coefficient),
@@ -216,8 +226,8 @@ def _mode_certify(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _mode_sweep(datum: InitialDatum, config: Dict, out: Path, seed: int,
                 ts: List[float]) -> None:
-    order = int(config.get("order", 64))
-    count = config.get("directions")
+    order = _positive_int(config, "order", 64)
+    count = _positive_int(config, "directions", None)
     psi_coefficient = config.get("psi_coefficient")
     header = (["t", "rho_null", "rho_crit", "cold_centroid_gap", "hot_value",
                "cold_value"] + [f"cert_{name}" for name in PROPOSITIONS])
@@ -225,7 +235,7 @@ def _mode_sweep(datum: InitialDatum, config: Dict, out: Path, seed: int,
     for t in ts:
         report = build_spot_report(
             datum, t, psi_coefficient=psi_coefficient, order=order, seed=seed,
-            direction_count=None if count is None else int(count))
+            direction_count=count)
         nulls = [r["rho_null"] for r in report.rays if r["rho_null"] is not None]
         crits = [r["rho_crit"] for r in report.rays if r["rho_crit"] is not None]
         hot = max((v for _, v in report.hot_spots), default=float("nan"))
@@ -243,7 +253,7 @@ def _mode_sweep(datum: InitialDatum, config: Dict, out: Path, seed: int,
 def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
                          seed: int, ts: List[float]) -> None:
     oracle_cfg = config.get("oracle", {})
-    order = int(config.get("order", 64))
+    order = _positive_int(config, "order", 64)
     t = ts[0]
     n = datum.dimension
     if n == 1:

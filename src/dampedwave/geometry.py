@@ -258,8 +258,11 @@ def sample_normal_bundle(body: ConvexPolytope, count: int) -> List[NormalPoint]:
     """Normal points with quasi-uniform outward directions.
 
     The boundary point for each direction is the vertex attaining the support
-    maximum, first index on ties, so repeated calls are reproducible.
+    maximum, first index on ties, so repeated calls are reproducible. In 1D
+    the two normals are the whole bundle, whatever the count.
     """
+    if count < 1:
+        raise ValueError(f"direction count must be at least 1, got {count}")
     if body.dimension == 1:
         lo, hi = float(body.vertices.min()), float(body.vertices.max())
         return [NormalPoint(np.array([hi]), np.array([1.0])),

@@ -3,8 +3,10 @@
 A bump of amplitude a, radius R at center c takes the value
 a * exp(1 - R**2 / (R**2 - |y - c|**2)) inside its ball and 0 outside, so the
 peak value is exactly a and every derivative vanishes on the support boundary.
-First through third derivatives are closed-form; integrals are per-bump
-tensor Gauss-Legendre with a doubling refinement check.
+First through third derivatives are closed-form, from one table of the
+profile g(w), w = |y - c|**2, and its w-derivatives (`SmoothBump._g_table`),
+which also gives the bump mass (a Gauss-Legendre rule in the radius with a
+doubling refinement check) and the derivative sups of the Sobolev estimate.
 """
 
 from __future__ import annotations
@@ -170,6 +172,11 @@ class SmoothBump:
         return self.amplitude * self.radius**dimension * unit_ball_mass(dimension)
 
 
+# The unit-amplitude, unit-radius bump: its profile table serves the
+# unit-bump mass and derivative sups below.
+_UNIT_BUMP = SmoothBump((0.0,), 1.0, 1.0)
+
+
 @lru_cache(maxsize=None)
 def unit_ball_mass(dimension: int) -> float:
     """Integral of the unit-amplitude, unit-radius bump over its ball."""
@@ -178,10 +185,7 @@ def unit_ball_mass(dimension: int) -> float:
     def evaluate(order: int) -> Tuple[float, float]:
         from .quadrature import interval_nodes
         r, w = interval_nodes(0.0, 1.0, order)
-        prof = np.zeros_like(r)
-        gap = 1.0 - r * r
-        ok = gap > 1e-12
-        prof[ok] = np.e * np.exp(-1.0 / gap[ok])
+        prof = _UNIT_BUMP._g_table(1.0 - r * r, 0)[0]
         val = surface * float(w @ (prof * r ** (dimension - 1)))
         return val, abs(val)
 
@@ -323,32 +327,20 @@ _PROFILE_GRID = 4001
 
 @lru_cache(maxsize=None)
 def _unit_profile_derivative_sups() -> Tuple[float, ...]:
-    """Sup of |d^k/dr^k| of the unit bump profile for k = 0..4.
+    """Sup of |d^k/dr^k| of the unit bump profile p(r) = g(r^2) for k = 0..4,
+    on a dense grid of r in [0, 1].
 
-    Orders up to two come from the closed forms; three and four from central
-    differences on a dense grid, which is plenty for a diagnostic estimate.
+    Orders up to three are closed forms in g and its w-derivatives:
+    p' = 2r g', p'' = 2g' + 4r^2 g'' and p''' = 12r g'' + 8r^3 g'''. The
+    fourth is a central difference of the third, which is plenty for a
+    diagnostic estimate.
     """
     r = np.linspace(0.0, 1.0, _PROFILE_GRID)
-    gap = 1.0 - r * r
-    ok = gap > 1e-12
-    prof = np.zeros_like(r)
-    prof[ok] = np.e * np.exp(-1.0 / gap[ok])
-    g1 = np.zeros_like(r)
-    g2 = np.zeros_like(r)
-    g1[ok] = -prof[ok] / gap[ok] ** 2
-    g2[ok] = prof[ok] * (1.0 / gap[ok] ** 4 - 2.0 / gap[ok] ** 3)
-    first = 2.0 * r * g1
-    second = 2.0 * g1 + 4.0 * r * r * g2
-    h = r[1] - r[0]
-    third = np.gradient(second, h, edge_order=2)
-    fourth = np.gradient(third, h, edge_order=2)
-    return (
-        float(np.max(np.abs(prof))),
-        float(np.max(np.abs(first))),
-        float(np.max(np.abs(second))),
-        float(np.max(np.abs(third))),
-        float(np.max(np.abs(fourth))),
-    )
+    g0, g1, g2, g3 = _UNIT_BUMP._g_table(1.0 - r * r, 3)
+    third = 12.0 * r * g2 + 8.0 * r ** 3 * g3
+    fourth = np.gradient(third, r[1] - r[0], edge_order=2)
+    derivatives = (g0, 2.0 * r * g1, 2.0 * g1 + 4.0 * r * r * g2, third, fourth)
+    return tuple(float(np.max(np.abs(d))) for d in derivatives)
 
 
 def sobolev_sup_estimate(datum: InitialDatum, order: int) -> float:

@@ -1,13 +1,14 @@
-"""Product Gauss-Legendre rules over balls, spheres, and ray-clipped regions.
+"""Gauss-Legendre rules on intervals, the clipped-ball rule for the 2D wave
+terms, and the order-doubling check.
 
 Every integrand handled here is smooth and supported on finitely many closed
-balls, so rules are built per support ball. The clipped-ball rule serves only
-the wave-weighted and damped interior terms of the two-dimensional evaluator
-(every principal ball integral, and every odd-dimensional term, uses the
-per-bump radial rule in `solution`): angular nodes restricted to the cone of
-rays from the evaluation point that meet the ball, radial nodes on the
-clipped chord. The radial variable is mapped through r = t*sin(phi), which
-keeps factors analytic in sqrt(t**2 - r**2) well behaved up to the rim r = t.
+balls, and every bump is radial, so `solution` and `initial_data` reduce
+their integrals to rules in one distance built from `interval_nodes`. The
+clipped-ball rule serves only the wave-weighted and damped interior terms of
+the two-dimensional evaluator: angular nodes restricted to the cone of rays
+from the evaluation point that meet the ball, radial nodes on the clipped
+chord. The radial variable is mapped through r = t*sin(phi), which keeps
+factors analytic in sqrt(t**2 - r**2) well behaved up to the rim r = t.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ __all__ = [
     "gauss_legendre",
     "interval_nodes",
     "periodic_nodes",
-    "unit_sphere_nodes",
-    "ball_nodes",
     "clipped_ball_nodes",
     "with_refinement",
 ]
@@ -56,42 +55,6 @@ def periodic_nodes(count: int) -> Tuple[Array, Array]:
     """Trapezoidal rule on [0, 2*pi); spectrally accurate for periodic data."""
     step = 2.0 * np.pi / count
     return np.arange(count) * step, np.full(count, step)
-
-
-def unit_sphere_nodes(order: int) -> Tuple[Array, Array]:
-    """Product rule on the unit sphere; weights sum to 4*pi."""
-    mu, wmu = interval_nodes(-1.0, 1.0, order)
-    phi, wphi = periodic_nodes(2 * order)
-    sin_theta = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-    dirs = np.empty((order, 2 * order, 3))
-    dirs[:, :, 0] = sin_theta[:, None] * np.cos(phi)[None, :]
-    dirs[:, :, 1] = sin_theta[:, None] * np.sin(phi)[None, :]
-    dirs[:, :, 2] = mu[:, None]
-    weights = wmu[:, None] * wphi[None, :]
-    return dirs.reshape(-1, 3), weights.ravel()
-
-
-def ball_nodes(center: Array, radius: float, dimension: int,
-               order: int) -> Tuple[Array, Array]:
-    """Nodes and volume weights for the full ball of the given radius."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if dimension == 1:
-        pts, w = interval_nodes(center[0] - radius, center[0] + radius, order)
-        return pts[:, None], w
-    if dimension == 2:
-        rad, wrad = interval_nodes(0.0, radius, order)
-        ang, wang = periodic_nodes(2 * order)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        points = center[None, None, :] + rad[:, None, None] * dirs[None, :, :]
-        weights = (wrad * rad)[:, None] * wang[None, :]
-        return points.reshape(-1, 2), weights.ravel()
-    if dimension == 3:
-        rad, wrad = interval_nodes(0.0, radius, order)
-        dirs, wdir = unit_sphere_nodes(order)
-        points = center[None, None, :] + rad[:, None, None] * dirs[None, :, :]
-        weights = (wrad * rad * rad)[:, None] * wdir[None, :]
-        return points.reshape(-1, 3), weights.ravel()
-    raise ValueError(f"unsupported dimension {dimension}")
 
 
 def _cone_directions(x: Array, center: Array, radius: float,

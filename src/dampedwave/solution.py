@@ -29,21 +29,23 @@ clipped-ball terms still run row by row. Blocks go through in chunks of rows
 that hold a fixed number of nodes (`_CHUNK_NODES`), which bounds the memory
 of a pass. Every row equals its single-point value bit for bit: per-row
 distances and dot products are taken as the single-point path takes them.
+All of them, and `heat_eval`, share one front end (`_evaluate`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
+from functools import lru_cache, partial
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
+from scipy.special import i0e
 
 from .geometry import fibonacci_sphere
 from .initial_data import InitialDatum, SmoothBump
 from .kernels import kernel_at_zero, kernel_deriv_at_zero, kernel_ktilde_scaled
-from .quadrature import (ball_nodes, clipped_ball_nodes, gauss_legendre,
+from .quadrature import (clipped_ball_nodes, gauss_legendre, interval_nodes,
                          with_refinement)
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
 ]
 
 Array = np.ndarray
+Value = Union[float, Array]
 
 DEFAULT_ORDER = 64
 
@@ -158,13 +161,58 @@ _CHUNK_NODES = 1 << 17
 
 def _in_chunks(parts, order: int, x: Array, *per_row: Array) -> Tuple[Array, ...]:
     """parts(rows of x, the same rows of each per_row array), a chunk of rows
-    at a time, with each of its results joined back along the rows."""
+    at a time, with each of its results joined back along the rows. The
+    rule order sets the chunk size, and must be at least 1."""
+    if order < 1:
+        raise ValueError(f"quadrature order must be at least 1, got {order}")
     step = max(1, _CHUNK_NODES // (2 * order * order))
     if len(x) <= step:
         return parts(x, *per_row)
     pieces = [parts(x[i:i + step], *(a[i:i + step] for a in per_row))
               for i in range(0, len(x), step)]
     return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
+
+
+def _evaluate(datum: InitialDatum, x: Union[Array, float], t: float, order: int,
+              check: bool, label: str, parts: Callable[..., Tuple[Array, Array, Array]],
+              omega: Optional[Array] = None) -> Tuple[Array, Value, Value, Value]:
+    """The front end of every public evaluator: (x, principal, wave,
+    principal + wave), by row for a block and as one point's for a point.
+
+    It checks x and t (`_as_points`) and omega, runs
+    parts(order, rows of x[, rows of omega]) -> (principal, raw wave,
+    |kernel| mass) a chunk of rows at a time (`_in_chunks`, which checks
+    the order), and damps the wave by exp(-t/2). With check, the principal
+    part, the wave and their sum must each pass the row's order-doubling
+    test, against the larger of |principal| and |wave| (over every
+    component of a gradient) floored at 1e-9 times the mass, so that values
+    which vanish by symmetry pass.
+    """
+    pts, single = _as_points(datum, x, t)
+    per_row = (() if omega is None
+               else (_as_directions(omega, len(pts), datum.dimension, single),))
+    damp = wave_factor(t)
+
+    def terms(o: int) -> Tuple[Array, Array, Array]:
+        p, wave, mass = _in_chunks(partial(parts, o), o, pts, *per_row)
+        return p, wave * damp, mass
+
+    def checked(o: int) -> Tuple[Array, Array]:
+        p, wave, mass = terms(o)
+        stacked = np.stack([p, wave, p + wave], axis=1)
+        top = np.abs(stacked[:, :2]).reshape(len(pts), -1).max(axis=1)
+        return stacked, np.maximum(top, 1e-9 * mass)
+
+    if check:
+        fine = with_refinement(checked, order, label=label)
+        p, wave, total = np.moveaxis(fine, 1, 0).copy()
+    else:
+        p, wave, _ = terms(order)
+        total = p + wave
+    if single:
+        return (pts[0],) + tuple(float(v[0]) if v.ndim == 1 else v[0]
+                                 for v in (p, wave, total))
+    return pts, p, wave, total
 
 
 def _bump_nodes(datum: InitialDatum, x: Array, t: float,
@@ -403,9 +451,9 @@ def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, A
 
 
 def _principal_sum(datum: InitialDatum, x: Array, t: float,
-                   order: int) -> Tuple[Array, Array]:
-    """The bumps' principal ball integrals at each row of x, summed, and the
-    same with |kernel|."""
+                   order: int) -> Tuple[Array, Array, Array]:
+    """(the bumps' principal ball integrals summed, zero, the same with
+    |kernel|) at each row of x."""
     val = np.zeros(len(x))
     ref = np.zeros(len(x))
     for bump, ball, _ in _radial_bumps(datum, x, t, order, spheres=False):
@@ -413,7 +461,7 @@ def _principal_sum(datum: InitialDatum, x: Array, t: float,
             share, mass = _ball_principal(bump, ball, t)
             val[ball.rows] += share
             ref[ball.rows] += mass
-    return val, ref
+    return val, np.zeros(len(x)), ref
 
 
 def _ball_grad(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]:
@@ -493,21 +541,9 @@ def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
     holds x and one value per row in arrays. With check, each row must pass
     its own order-doubling test.
     """
-    pts, single = _as_points(datum, x, t)
-
-    def evaluate(o: int) -> Tuple[Array, Array]:
-        p, wraw, mass = _in_chunks(lambda xs: _field_parts(datum, xs, t, o), o, pts)
-        wave = wraw * wave_factor(t)
-        scale = np.maximum(np.maximum(np.abs(p), np.abs(wave)), 1e-9 * mass)
-        return np.array([p, wave]).T, scale
-
-    principal, wave = (with_refinement(evaluate, order, label="field value") if check
-                       else evaluate(order)[0]).T
-    value = principal + wave
-    if single:
-        return FieldSample(x=pts[0], t=t, value=float(value[0]),
-                           principal=float(principal[0]),
-                           wave_remainder=float(wave[0]))
+    pts, principal, wave, value = _evaluate(
+        datum, x, t, order, check, "field value",
+        lambda o, xs: _field_parts(datum, xs, t, o))
     return FieldSample(x=pts, t=t, value=value, principal=principal,
                        wave_remainder=wave)
 
@@ -569,17 +605,8 @@ def _grad_parts(datum: InitialDatum, x: Array, t: float,
 def eval_grad_u(datum: InitialDatum, x: Union[Array, float], t: float,
                 order: int = DEFAULT_ORDER, check: bool = False) -> Array:
     """grad u at (x, t): an (n,) array for one point, (m, n) for a block."""
-    pts, single = _as_points(datum, x, t)
-
-    def evaluate(o: int) -> Tuple[Array, Array]:
-        gp, gw, mass = _in_chunks(lambda xs: _grad_parts(datum, xs, t, o), o, pts)
-        damp = wave_factor(t)
-        scale = np.maximum(np.abs(gp).max(axis=1), damp * np.abs(gw).max(axis=1))
-        return gp + damp * gw, np.maximum(scale, 1e-9 * mass)
-
-    grad = (with_refinement(evaluate, order, label="field gradient") if check
-            else evaluate(order)[0])
-    return grad[0] if single else grad
+    return _evaluate(datum, x, t, order, check, "field gradient",
+                     lambda o, xs: _grad_parts(datum, xs, t, o))[3]
 
 
 def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
@@ -649,19 +676,8 @@ def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float,
     For an (m, n) block of points the result has one value per row, and
     omega is one direction (n,) for every row or one per row (m, n).
     """
-    pts, single = _as_points(datum, x, t)
-    om = _as_directions(omega, len(pts), datum.dimension, single)
-
-    def evaluate(o: int) -> Tuple[Array, Array]:
-        vp, wraw, mass = _in_chunks(
-            lambda xs, oms: _dir2_parts(datum, xs, t, oms, o), o, pts, om)
-        damp = wave_factor(t)
-        scale = np.maximum(np.abs(vp), damp * np.abs(wraw))
-        return vp + damp * wraw, np.maximum(scale, 1e-9 * mass)
-
-    val = (with_refinement(evaluate, order, label="directional second derivative")
-           if check else evaluate(order)[0])
-    return float(val[0]) if single else val
+    return _evaluate(datum, x, t, order, check, "directional second derivative",
+                     lambda o, xs, oms: _dir2_parts(datum, xs, t, oms, o), omega)[3]
 
 
 def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: float,
@@ -673,39 +689,53 @@ def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: flo
     Each bump's share of the ball integral collapses to a radial/angular
     double quadrature around the bump centre; the bumps' shares add.
     """
-    pts, single = _as_points(datum, x, t)
+    return _evaluate(datum, x, t, order, check, "general-n principal",
+                     lambda o, xs: _principal_sum(datum, xs, t, o))[1]
 
-    def evaluate(o: int) -> Tuple[Array, Array]:
-        val, ref = _in_chunks(lambda xs: _principal_sum(datum, xs, t, o), o, pts)
-        return val, np.maximum(np.abs(val), 1e-9 * ref)
 
-    val = (with_refinement(evaluate, order, label="general-n principal") if check
-           else evaluate(order)[0])
-    return float(val[0]) if single else val
+def _heat_parts(datum: InitialDatum, x: Array, t: float,
+                order: int) -> Tuple[Array, Array, Array]:
+    """(heat smoothing, zero, mass) at each row of x.
+
+    Per bump, a Gauss rule in the distance rho from its centre c on [0, R]
+    integrates the profile times rho**(n - 1) times the integral of the
+    Gaussian over the sphere of radius rho around c. With d = |x - c| and
+    z = d*rho/(2t) that sphere integral is closed form: the two points
+    c +- rho in 1D, 2*pi*exp(-(d - rho)**2/(4t))*i0e(z) in 2D, and
+    4*pi*exp(-(d - rho)**2/(4t))*(1 - exp(-2z))/(2z) in 3D. Every term is
+    nonnegative, so the value is its own mass.
+    """
+    n = datum.dimension
+    norm = (4.0 * math.pi * t) ** (-n / 2.0)
+    total = np.zeros(len(x))
+    for bump in datum.bumps:
+        rho, w = interval_nodes(0.0, bump.radius, order)
+        profile = bump._g_table(bump.radius * bump.radius - rho * rho, 0)[0]
+        weight = norm * w * profile * rho ** (n - 1)
+        offset = x - bump.center_array
+        d = np.sqrt(_row_dots(offset, offset))[:, None]
+        sphere = np.exp(-(d - rho) ** 2 / (4.0 * t))
+        if n == 1:
+            sphere += np.exp(-(d + rho) ** 2 / (4.0 * t))
+        elif n == 2:
+            sphere *= 2.0 * math.pi * i0e(d * rho / (2.0 * t))
+        else:
+            two_z = d * rho / t
+            sphere *= 4.0 * math.pi * np.divide(-np.expm1(-two_z), two_z,
+                                                out=np.ones_like(two_z), where=two_z > 0.0)
+        # A sum along each row, so a row of a block is its single point.
+        total += (sphere * weight).sum(axis=1)
+    return total, np.zeros(len(x)), total
 
 
 def heat_eval(datum: InitialDatum, x: Union[Array, float], t: float,
-              order: int = DEFAULT_ORDER, check: bool = False) -> float:
-    """Gaussian-kernel smoothing of the datum at time t."""
-    pts, single = _as_points(datum, x, t)
-    if not single:
-        raise ValueError("heat_eval takes one point")
-    pt = pts[0]
-    n = datum.dimension
-    norm = (4.0 * math.pi * t) ** (-n / 2.0)
-
-    def evaluate(o: int) -> Tuple[float, float]:
-        total = 0.0
-        for bump in datum.bumps:
-            pts, w = ball_nodes(bump.center_array, bump.radius, n, o)
-            gap = pts - pt[None, :]
-            kern = np.exp(-(gap * gap).sum(axis=1) / (4.0 * t))
-            total += norm * float((w * kern) @ bump.value(pts))
-        return total, max(abs(total), 1e-300)
-
-    if check:
-        return float(with_refinement(evaluate, order, label="heat value"))
-    return evaluate(order)[0]
+              order: int = DEFAULT_ORDER, check: bool = False) -> Union[float, Array]:
+    """Gaussian-kernel smoothing of the datum at time t, at one point or at
+    each row of an (m, n) block; dimensions one to three."""
+    if not 1 <= datum.dimension <= 3:
+        raise ValueError(f"heat_eval supports dimensions 1-3, got {datum.dimension}")
+    return _evaluate(datum, x, t, order, check, "heat value",
+                     lambda o, xs: _heat_parts(datum, xs, t, o))[1]
 
 
 def _diagnostic_points(datum: InitialDatum, t: float) -> Array:

@@ -207,6 +207,15 @@ def test_sweep_artifact_columns(tmp_path):
     assert {cell for row in rows for cell in row[6:]} <= {"0", "1"}
 
 
+@pytest.mark.parametrize("key, value", [("directions", 0), ("order", 0),
+                                        ("directions", -2), ("directions", 2.7)])
+def test_bad_order_or_directions_is_a_config_error(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path, mode="certify", t=50.0, **{key: value})
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be a positive integer, got {value!r}\n"
+
+
 def test_asymptotics_mode(tmp_path):
     cfg = _write_config(tmp_path, mode="asymptotics",
                         t=[1e3, 1e4],

@@ -149,3 +149,10 @@ def test_inscribed_ball_containment_bundled(single_1d, two_1d, two_2d,
 def test_inscribed_ball_containment_rejects_oversized(two_2d):
     assert not inscribed_ball_containment(two_2d.hull, two_2d.incenter,
                                           10.0 * two_2d.inradius)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_normal_bundle_rejects_count_below_one(two_2d, single_1d, count):
+    for datum in (two_2d, single_1d):
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_normal_bundle(datum.hull, count)

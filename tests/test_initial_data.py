@@ -1,11 +1,13 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dampedwave.initial_data import (InitialDatum, SmoothBump, load_datum,
+from dampedwave.initial_data import (InitialDatum, SmoothBump,
+                                     _unit_profile_derivative_sups, load_datum,
                                      make_datum, sobolev_sup_estimate,
                                      unit_ball_mass)
 
@@ -170,6 +172,36 @@ def test_sobolev_estimate_dominates_samples(two_2d):
         x = rng.uniform(-1.5, 2.5, size=2)
         assert abs(two_2d.value(x)) <= sup0 + 1e-12
         assert np.linalg.norm(two_2d.gradient(x)) <= math.sqrt(2.0) * sup1
+
+
+def _mpmath_profile_sup(k):
+    """Sup over [0, 1) of |d^k/dr^k e*exp(-1/(1 - r^2))| by mpmath: the
+    largest of 200 grid values, refined on a grid 400 times finer between
+    the neighbours of the grid maximum."""
+    prof = lambda r: mpmath.e * mpmath.exp(-1 / (1 - r * r))  # noqa: E731
+    with mpmath.workdps(30):
+        grid = [mpmath.mpf(i) / 200 for i in range(200)]
+        vals = [abs(mpmath.diff(prof, r, k)) for r in grid]
+        i = max(range(len(vals)), key=vals.__getitem__)
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, 199)]
+        return float(max(abs(mpmath.diff(prof, lo + (hi - lo) * j / 400, k))
+                         for j in range(401)))
+
+
+def test_profile_derivative_sups_match_mpmath(two_2d):
+    # Orders up to three are closed forms sampled on the estimate's grid, so
+    # they sit within its sampling error (3.9e-6 at order two); the finite
+    # difference third derivative read 506.672 against 506.6875, 3e-5 off.
+    # The fourth is a central difference of the third, 1.3e-4 off.
+    sups = _unit_profile_derivative_sups()
+    ref = [_mpmath_profile_sup(k) for k in range(5)]
+    for k, rel in ((0, 1e-14), (1, 1e-5), (2, 1e-5), (3, 1e-5), (4, 2e-4)):
+        assert sups[k] == pytest.approx(ref[k], rel=rel), k
+    peak = max(b.amplitude for b in two_2d.bumps)
+    for order in (2, 3, 4):
+        expected = max([peak] + [1.1 * b.amplitude * ref[k] / b.radius ** k
+                                 for b in two_2d.bumps for k in range(1, order + 1)])
+        assert sobolev_sup_estimate(two_2d, order) == pytest.approx(expected, rel=2e-4)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dampedwave import quadrature
-from dampedwave.quadrature import (QuadratureConvergenceError, ball_nodes,
+from dampedwave.quadrature import (QuadratureConvergenceError,
                                    clipped_ball_nodes, gauss_legendre,
-                                   interval_nodes, unit_sphere_nodes,
-                                   with_refinement)
+                                   interval_nodes, with_refinement)
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -24,22 +23,6 @@ def test_interval_nodes_affine():
     assert float(weights.sum()) == pytest.approx(3.0, rel=1e-14)
     assert float(weights @ nodes) == pytest.approx((25.0 - 4.0) / 2.0,
                                                    rel=1e-14)
-
-
-def test_ball_nodes_volume():
-    for dim, vol in ((1, 2.0), (2, math.pi), (3, 4.0 * math.pi / 3.0)):
-        pts, w = ball_nodes(np.zeros(dim), 1.0, dim, 24)
-        assert float(w.sum()) == pytest.approx(vol, rel=1e-10)
-        assert pts.shape[1] == dim
-
-
-def test_unit_sphere_nodes_surface():
-    dirs, w = unit_sphere_nodes(24)
-    assert float(w.sum()) == pytest.approx(4.0 * math.pi, rel=1e-12)
-    assert np.linalg.norm(dirs, axis=1) == pytest.approx(
-        np.ones(len(dirs)), rel=1e-12)
-    # Odd moments vanish by symmetry.
-    assert float(np.abs(w @ dirs).max()) < 1e-12
 
 
 def test_clipped_ball_full_overlap():

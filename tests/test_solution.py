@@ -391,32 +391,35 @@ def test_2d_principal_runs_on_radial_rule(two_2d, monkeypatch):
         eval_grad_u(two_2d, np.array([1.2, 0.4]), 1.5)
 
 
-# Each public evaluator, called with a point and a time; dir2 along the
-# first axis.
+# Each public evaluator, called with a point, a time and an order; dir2
+# along the first axis.
 EVALUATORS = {
     "eval_u": eval_u,
     "eval_grad_u": eval_grad_u,
-    "eval_dir2_u": lambda d, x, t: eval_dir2_u(d, x, t, np.eye(d.dimension)[0]),
+    "eval_dir2_u": lambda d, x, t, order: eval_dir2_u(d, x, t, np.eye(d.dimension)[0],
+                                                      order=order),
     "eval_principal_general_n": eval_principal_general_n,
     "heat_eval": heat_eval,
 }
 BAD_INPUTS = {
-    "t_negative": ("two_1d", [0.3], -1.0),
-    "t_zero": ("two_2d", [0.2, 0.1], 0.0),
-    "t_nan": ("two_1d", [0.3], math.nan),
-    "t_inf": ("two_2d", [0.2, 0.1], math.inf),
-    "x_nan": ("two_2d", [0.2, math.nan], 2.0),
-    "x_inf": ("two_1d", [-math.inf], 2.0),
+    "t_negative": ("two_1d", [0.3], -1.0, 64),
+    "t_zero": ("two_2d", [0.2, 0.1], 0.0, 64),
+    "t_nan": ("two_1d", [0.3], math.nan, 64),
+    "t_inf": ("two_2d", [0.2, 0.1], math.inf, 64),
+    "x_nan": ("two_2d", [0.2, math.nan], 2.0, 64),
+    "x_inf": ("two_1d", [-math.inf], 2.0, 64),
+    "order_zero": ("two_2d", [0.2, 0.1], 2.0, 0),
+    "order_negative": ("two_1d", [0.3], 2.0, -3),
 }
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
 @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
 def test_evaluators_reject_bad_inputs(evaluator, bad, request):
-    name, x, t = BAD_INPUTS[bad]
+    name, x, t, order = BAD_INPUTS[bad]
     datum = request.getfixturevalue(name)
     with pytest.raises(ValueError):
-        EVALUATORS[evaluator](datum, np.array(x), t)
+        EVALUATORS[evaluator](datum, np.array(x), t, order=order)
 
 
 @pytest.mark.parametrize("omega", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]])
@@ -573,8 +576,42 @@ def test_heat_eval_matches_trapezoid(unit_1d):
     y = np.linspace(-1.0, 1.0, 40001)
     f = unit_1d.value(y[:, None])
     kern = np.exp(-((x[0] - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    ref = float(np.trapezoid(f * kern, y))
+    vals = f * kern
+    ref = float((y[1] - y[0]) * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
     assert heat_eval(unit_1d, x, t) == pytest.approx(ref, rel=1e-8)
+
+
+# heat_eval at t = 0.05, 2 and 4000, recorded from the product rule over each
+# bump's ball that it used before the radial rule, at order 256 in 1D and 2D
+# and 96 in 3D (orders 192 and 80 agreed with them to 1.4e-14).
+HEAT_PINNED = {
+    ("two_1d", (0.3,)): (0.2150596772322393, 0.20938512727513706,
+                         0.005059960851261162),
+    ("two_2d", (0.4, 0.2)): (0.5573003985343815, 0.05720177766091496,
+                             3.133204208020847e-05),
+    ("two_3d", (0.5, 0.2, 0.1)): (0.37681281541396117, 0.009637282325667611,
+                                  1.205474857019948e-07),
+}
+
+
+@pytest.mark.parametrize("name, x", sorted(HEAT_PINNED))
+def test_heat_eval_pinned_values(name, x, request):
+    datum = request.getfixturevalue(name)
+    for t, expected in zip((0.05, 2.0, 4000.0), HEAT_PINNED[name, x]):
+        assert heat_eval(datum, np.array(x), t, order=64) == pytest.approx(
+            expected, rel=1e-11)
+    # The check returns the doubled order's value, and refuses a rule too
+    # coarse for the narrow kernel of a small t.
+    x = np.array(x)
+    assert heat_eval(datum, x, 0.05, check=True) == heat_eval(datum, x, 0.05, order=128)
+    with pytest.raises(QuadratureConvergenceError, match="heat value"):
+        heat_eval(datum, x, 0.05, order=2, check=True)
+
+
+def test_heat_eval_needs_dimension_three_or_less():
+    datum = make_datum([SmoothBump((0.0,) * 4, 1.0, 1.0)], 4)
+    with pytest.raises(ValueError, match="dimensions 1-3"):
+        heat_eval(datum, np.zeros(4), 1.0)
 
 
 def test_heat_profile_limit(two_2d):
@@ -595,6 +632,8 @@ def test_wave_remainder_normalized_decay(unit_1d, two_2d):
         assert all(v > 0.0 for v in values)
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier * 1.2
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        error_decay_diagnostic(unit_1d, [10.0], order=0)
 
 
 def test_outside_light_cone_zero(single_1d):
@@ -638,7 +677,9 @@ def test_block_rows_equal_single_points(name, t, chunk_rows, request, monkeypatc
     grads = eval_grad_u(datum, pts, t, order=order)
     per_row = eval_dir2_u(datum, pts, t, omegas, order=order)
     one_omega = eval_dir2_u(datum, pts, t, shared, order=order)
+    heat = heat_eval(datum, pts, t, order=order)
     assert block.value.shape == (len(pts),) and grads.shape == pts.shape
+    assert heat.shape == (len(pts),)
     assert np.array_equal(block.x, pts)
     for i, x in enumerate(pts):
         sample = eval_u(datum, x, t, order=order)
@@ -648,6 +689,7 @@ def test_block_rows_equal_single_points(name, t, chunk_rows, request, monkeypatc
         assert np.array_equal(eval_grad_u(datum, x, t, order=order), grads[i])
         assert eval_dir2_u(datum, x, t, omegas[i], order=order) == per_row[i]
         assert eval_dir2_u(datum, x, t, shared, order=order) == one_omega[i]
+        assert heat_eval(datum, x, t, order=order) == heat[i]
 
 
 def test_block_of_principal_parts_equals_single_points(two_2d, two_3d):
