@@ -144,7 +144,7 @@ def _grid_axes(datum: InitialDatum, config: Dict) -> List[np.ndarray]:
     if len(center) != n:
         raise ConfigError(f"grid center needs {n} coordinates")
     half = float(grid.get("half_width", datum.diameter / 2.0 + 2.0))
-    points = int(grid.get("points", GRID_POINTS_DEFAULT[n]))
+    points = _positive_int(grid, "points", GRID_POINTS_DEFAULT[n])
     if half <= 0.0 or points < 2:
         raise ConfigError("grid needs half_width > 0 and points >= 2")
     return [float(c) + np.linspace(-half, half, points) for c in center]
@@ -256,20 +256,20 @@ def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
     order = _positive_int(config, "order", 64)
     t = ts[0]
     n = datum.dimension
+    grid = config.get("grid", {})
+    points = _positive_int(grid, "points", 101 if n == 1 else 41)
     if n == 1:
         dx = float(oracle_cfg.get("dx", 1.0 / 512.0))
         cfl = float(oracle_cfg.get("cfl", 0.5))
         run = fd_solve_1d(datum, t, dx=dx, cfl=cfl)
     else:
         L = float(oracle_cfg.get("L", 64.0))
-        modes = int(oracle_cfg.get("modes", 1024 if n == 2 else 128))
+        modes = _positive_int(oracle_cfg, "modes", 1024 if n == 2 else 128)
         run = spectral_solve(datum, t, L, modes)
-    grid = config.get("grid", {})
     support = datum.diameter / 2.0 + float(np.max(np.abs(datum.centroid)))
     default_half = min(math.sqrt((2.0 * n + 4.0) * t) + datum.diameter,
                        support + t)
     half = float(grid.get("half_width", default_half))
-    points = int(grid.get("points", 101 if n == 1 else 41))
     axes = [float(c) + np.linspace(-half, half, points)
             for c in datum.centroid]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -7,6 +7,10 @@ the exact ball supports over a dense direction probe and stored as hull_tol,
 so every downstream region test can widen its annuli by a certified amount.
 In one dimension the polytope degenerates to an interval and everything is
 analytic.
+
+The 2D hull is Andrew's monotone chain (A. M. Andrew, Inf. Process. Lett. 9,
+1979), so 2D data load no SciPy. The 3D hull is qhull, through
+scipy.spatial, imported at the first 3D hull.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 __all__ = [
     "ConvexPolytope",
@@ -238,20 +241,52 @@ def hull_of_balls(centers: Array, radii: Sequence[float],
     return body
 
 
+def _monotone_chain(points: Array) -> List[int]:
+    """Row indices of the hull vertices of a 2D cloud, counterclockwise from
+    the lexicographically smallest point. Points on an edge are dropped, as
+    qhull drops them."""
+    order = np.lexsort((points[:, 1], points[:, 0])).tolist()
+    xs, ys = points[:, 0].tolist(), points[:, 1].tolist()
+
+    def half(indices) -> List[int]:
+        chain: List[int] = []
+        for k in indices:
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                turn = ((xs[a] - xs[o]) * (ys[k] - ys[o])
+                        - (ys[a] - ys[o]) * (xs[k] - xs[o]))
+                if turn > 0.0:
+                    break
+                chain.pop()
+            chain.append(k)
+        return chain
+
+    lower, upper = half(order), half(reversed(order))
+    return lower[:-1] + upper[:-1]
+
+
 def hull_of_points(points: Array, dimension: int) -> ConvexPolytope:
-    """Exact polytope of a point cloud (no discretization slack)."""
+    """Exact polytope of a point cloud (no discretization slack).
+
+    A 2D cloud whose hull has fewer than three vertices (all points
+    collinear or equal) has no polygon and raises ValueError."""
     points = np.asarray(points, dtype=float).reshape(-1, dimension)
     if dimension == 1:
         return ConvexPolytope(np.array([[points.min()], [points.max()]]), 1)
+    if dimension == 2:
+        chain = _monotone_chain(points)
+        if len(chain) < 3:
+            raise ValueError(f"a 2D hull needs three points not on one line, "
+                             f"got {len(chain)} hull vertices")
+        return ConvexPolytope(points[chain], 2)
+    # Imported here so that only 3D data load scipy.spatial (and with it
+    # scipy.special).
+    from scipy.spatial import ConvexHull
     hull = ConvexHull(points)
-    vertices = points[hull.vertices]
-    faces = None
-    equations = None
-    if dimension == 3:
-        remap = {int(old): new for new, old in enumerate(hull.vertices)}
-        faces = np.array([[remap[int(i)] for i in simplex] for simplex in hull.simplices])
-        equations = hull.equations
-    return ConvexPolytope(vertices, dimension, faces=faces, equations=equations)
+    remap = {int(old): new for new, old in enumerate(hull.vertices)}
+    faces = np.array([[remap[int(i)] for i in simplex] for simplex in hull.simplices])
+    return ConvexPolytope(points[hull.vertices], dimension, faces=faces,
+                          equations=hull.equations)
 
 
 def sample_normal_bundle(body: ConvexPolytope, count: int) -> List[NormalPoint]:

@@ -13,7 +13,8 @@ The odd family is scipy's ive over its whole domain, except below s = 1e-3,
 where ive(l, s) / s^l underflows and a short power series takes over.  The
 even family has no SciPy routine that is both fast and accurate on small
 arrays, so it keeps its own positive series and terminating large-argument
-form.
+form. scipy.special is imported at the first odd-family call, so the even
+family, all that 2D data use, loads no SciPy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ive
 
 # Small/large argument switch of the even family (the odd family is ive
 # everywhere).  Up to max(switch, ell^2) it is the positive series, above
@@ -75,6 +75,7 @@ def _give_back(value: np.ndarray, template) -> float | np.ndarray:
 
 def bessel_i_scaled(ell: int, s):
     """e^(-s) I_ell(s); never overflows for s up to 1e6."""
+    from scipy.special import ive
     ell = _check_order(ell)
     return _give_back(ive(ell, _as_array(s)), s)
 
@@ -96,6 +97,7 @@ def _odd_k_series_scaled(ell: int, s: np.ndarray) -> np.ndarray:
 
 def _odd_k_large_scaled(ell: int, s: np.ndarray) -> np.ndarray:
     """ive(ell, s) / s^ell, for s >= 1e-3."""
+    from scipy.special import ive
     # As in _even_k_asymptotic_scaled, an overflowing s**ell means the true
     # value is below the smallest normal double; 0 is right.
     with np.errstate(over="ignore"):

@@ -40,7 +40,6 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import i0e
 
 from .geometry import fibonacci_sphere
 from .initial_data import InitialDatum, SmoothBump
@@ -102,14 +101,18 @@ class FieldSample:
     wave_remainder: Union[float, Array]
 
 
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t must be finite and positive, got {t}")
+
+
 def _as_points(datum: InitialDatum, x: Union[Array, float],
                t: float) -> Tuple[Array, bool]:
     """x as an (m, n) block of points, once (x, t) is checked, and whether x
     was one point: a point, or a number in 1D, is a one-row block. Every
     point must be finite with the datum's dimension, and t finite and
     positive. Every public evaluator starts here."""
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be finite and positive, got {t}")
+    _check_time(t)
     n = datum.dimension
     arr = np.asarray(x, dtype=float)
     single = arr.ndim <= 1
@@ -718,6 +721,7 @@ def _heat_parts(datum: InitialDatum, x: Array, t: float,
         if n == 1:
             sphere += np.exp(-(d + rho) ** 2 / (4.0 * t))
         elif n == 2:
+            from scipy.special import i0e
             sphere *= 2.0 * math.pi * i0e(d * rho / (2.0 * t))
         else:
             two_z = d * rho / t
@@ -767,6 +771,8 @@ def error_decay_diagnostic(datum: InitialDatum, t_values: List[float],
     raw (un-damped) wave part so no large exponentials are ever formed. With
     gradient=True the same for |grad E(u)| and exponent n + 1.
     """
+    for t in t_values:
+        _check_time(t)
     n = datum.dimension
     rows: List[Tuple[float, float]] = []
     for t in t_values:

@@ -14,6 +14,7 @@ from dampedwave.features import FeatureConvergenceError
 
 UNIT_DATUM = {"dimension": 1,
               "bumps": [{"center": [0.0], "radius": 1.0, "amplitude": 1.0}]}
+TWO_2D_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "two_bump_2d.json"
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -208,12 +209,32 @@ def test_sweep_artifact_columns(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("directions", 0), ("order", 0),
-                                        ("directions", -2), ("directions", 2.7)])
+                                        ("directions", -2), ("directions", 2.7),
+                                        ("order", "x")])
 def test_bad_order_or_directions_is_a_config_error(tmp_path, capsys, key, value):
     cfg = _write_config(tmp_path, mode="certify", t=50.0, **{key: value})
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: {key} must be a positive integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", [2.7, 0, "x"])
+@pytest.mark.parametrize("mode, section, key", [("evaluate", "grid", "points"),
+                                                ("oracle-compare", "grid", "points"),
+                                                ("oracle-compare", "oracle", "modes")])
+def test_bad_grid_points_or_modes_is_a_config_error(tmp_path, capsys, mode, section,
+                                                    key, value):
+    datum = json.loads(TWO_2D_CONFIG.read_text(encoding="utf-8"))["datum"]
+    cfg = _write_config(tmp_path, datum=datum, mode=mode, **{section: {key: value}})
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be a positive integer, got {value!r}\n"
+
+
+def test_grid_of_one_point_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, grid={"points": 1})
+    assert main(["--config", str(cfg)]) == 1
+    assert "points >= 2" in capsys.readouterr().err
 
 
 def test_asymptotics_mode(tmp_path):
@@ -235,14 +256,36 @@ def test_asymptotics_bad_regime(tmp_path):
     assert main(["--config", str(cfg)]) == 1
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of start-up and the package needs
-    # none of it.
+def test_2d_runs_load_no_scipy(tmp_path):
+    # The 2D hull and the even kernels are the package's own, so importing
+    # it, building a 2D datum and running the evaluate and spots modes on it
+    # load no SciPy module (scipy.stats alone costs about a second of
+    # start-up). A 3D datum's qhull hull loads scipy.spatial, and with it
+    # scipy.special, at set-up.
     import dampedwave
     src = str(Path(dampedwave.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, dampedwave; print('scipy.stats' in sys.modules)"
+    probe = f"""
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import dampedwave
+from dampedwave import cli, load_datum
+print(scipy_modules())
+config = json.load(open({str(TWO_2D_CONFIG)!r}, encoding="utf-8"))
+load_datum(config["datum"])
+print(scipy_modules())
+cli.run({{**config, "mode": "evaluate", "t": [10.0, 3200.0], "order": 16,
+          "grid": {{"half_width": 3.0, "points": 3}}}}, out_override={str(tmp_path / "eval")!r})
+cli.run({{**config, "mode": "spots", "t": 50.0, "order": 16, "directions": 4}},
+        out_override={str(tmp_path / "spots")!r})
+print(scipy_modules())
+load_datum({{"dimension": 3, "bumps": [{{"center": [0, 0, 0], "radius": 1, "amplitude": 1}}]}})
+print("scipy.special" in sys.modules)
+"""
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+                          text=True, timeout=300, check=True)
+    assert done.stdout.split("\n")[:4] == ["[]", "[]", "[]", "True"]
+    assert (tmp_path / "eval" / "field_t3200.0.csv").exists()
+    assert (tmp_path / "spots" / "spots_t50.0.json").exists()

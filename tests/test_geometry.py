@@ -1,13 +1,17 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
-from dampedwave.geometry import (ConvexPolytope, fibonacci_sphere,
-                                 hull_of_balls, hull_of_points,
+from dampedwave.geometry import (ConvexPolytope, _ball_cloud, _probe_directions,
+                                 fibonacci_sphere, hull_of_balls, hull_of_points,
                                  inscribed_ball_containment, phi_inverse,
                                  phi_map, sample_normal_bundle)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_polygon(rng):
@@ -156,3 +160,57 @@ def test_normal_bundle_rejects_count_below_one(two_2d, single_1d, count):
     for datum in (two_2d, single_1d):
         with pytest.raises(ValueError, match="at least 1"):
             sample_normal_bundle(datum.hull, count)
+
+
+def _disc_sets():
+    """(centers, radii) of 2D ball unions: every bundled 2D datum, then 120
+    seeded sets of one to five discs: scattered, overlapping (centres
+    squeezed together) and nested (a smaller disc inside another)."""
+    sets = []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        spec = json.loads(path.read_text(encoding="utf-8"))["datum"]
+        if spec["dimension"] == 2:
+            sets.append((np.array([b["center"] for b in spec["bumps"]], dtype=float),
+                         np.array([b["radius"] for b in spec["bumps"]], dtype=float)))
+    assert sets
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 6))
+        centers = rng.uniform(-3.0, 3.0, size=(count, 2)) * (0.15, 1.0, 3.0)[seed % 3]
+        radii = rng.uniform(0.05, 2.5, size=count)
+        if seed % 4 == 0:
+            centers[-1] = centers[0] + rng.uniform(-0.1, 0.1, size=2)
+            radii[-1] = 0.5 * radii[0]
+        sets.append((centers, radii))
+    return sets
+
+
+def test_hull_2d_matches_qhull():
+    # qhull is the reference: the same vertices in the same counterclockwise
+    # cycle (only the start vertex may differ), and a bit-equal hull_tol.
+    probes = _probe_directions(2)
+    for centers, radii in _disc_sets():
+        cloud = _ball_cloud(centers, radii, 2)
+        want = cloud[ConvexHull(cloud).vertices]
+        body = hull_of_balls(centers, radii, 2)
+        got = body.vertices
+        assert got.shape == want.shape
+        start = np.flatnonzero((want == got[0]).all(axis=1))
+        assert len(start) == 1
+        np.testing.assert_array_equal(np.roll(want, -start[0], axis=0), got)
+        exact = ((probes @ centers.T) + radii[None, :]).max(axis=1)
+        deficiency = float(np.clip(exact - (probes @ want.T).max(axis=1), 0.0, None).max())
+        assert body.hull_tol == deficiency + 1e-6
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
+    [[0.0, 0.0], [3.0, 0.0], [1.0, 0.0], [3.0, 0.0]],
+    [[1.0, 2.0]] * 5,
+    [[0.0, 0.0], [1.0, 0.0]],
+    [[0.5, -0.5]],
+], ids=["diagonal", "axis-with-duplicate", "one-point-repeated", "two-points",
+        "one-point"])
+def test_hull_2d_rejects_fewer_than_three_vertices(points):
+    with pytest.raises(ValueError, match="three points not on one line"):
+        hull_of_points(np.array(points), 2)

@@ -634,6 +634,9 @@ def test_wave_remainder_normalized_decay(unit_1d, two_2d):
             assert later <= earlier * 1.2
     with pytest.raises(ValueError, match="order must be at least 1"):
         error_decay_diagnostic(unit_1d, [10.0], order=0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            error_decay_diagnostic(unit_1d, [10.0, bad])
 
 
 def test_outside_light_cone_zero(single_1d):
