@@ -120,15 +120,31 @@ def _time_list(config: Dict, override: Optional[List[float]]) -> List[float]:
     return ts
 
 
-def _positive_int(config: Dict, key: str, default: Optional[int]) -> Optional[int]:
-    """config[key] as a positive integer, or the default when it is absent."""
+def _integer(config: Dict, key: str, default: Optional[int],
+             least: int = 1) -> Optional[int]:
+    """config[key] as an integer of at least `least` (1 or 0), or the
+    default when it is absent."""
     value = config.get(key)
     if value is None:
         return default
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer()) or value < 1):
-        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+            or (isinstance(value, float) and not value.is_integer()) or value < least):
+        sign = "positive" if least == 1 else "non-negative"
+        raise ConfigError(f"{key} must be a {sign} integer, got {value!r}")
     return int(value)
+
+
+def _positive_number(config: Dict, key: str,
+                     default: Optional[float]) -> Optional[float]:
+    """config[key] as a finite positive float, or the default when it is
+    absent."""
+    value = config.get(key)
+    if value is None:
+        return default
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _t_tag(t: float) -> str:
@@ -144,7 +160,7 @@ def _grid_axes(datum: InitialDatum, config: Dict) -> List[np.ndarray]:
     if len(center) != n:
         raise ConfigError(f"grid center needs {n} coordinates")
     half = float(grid.get("half_width", datum.diameter / 2.0 + 2.0))
-    points = _positive_int(grid, "points", GRID_POINTS_DEFAULT[n])
+    points = _integer(grid, "points", GRID_POINTS_DEFAULT[n])
     if half <= 0.0 or points < 2:
         raise ConfigError("grid needs half_width > 0 and points >= 2")
     return [float(c) + np.linspace(-half, half, points) for c in center]
@@ -153,7 +169,7 @@ def _grid_axes(datum: InitialDatum, config: Dict) -> List[np.ndarray]:
 def _mode_evaluate(datum: InitialDatum, config: Dict, out: Path, seed: int,
                    ts: List[float]) -> None:
     axes = _grid_axes(datum, config)
-    order = _positive_int(config, "order", 64)
+    order = _integer(config, "order", 64)
     n = datum.dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -168,10 +184,10 @@ def _mode_evaluate(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _ray_table(datum: InitialDatum, config: Dict, ts: List[float], out: Path,
                kind: str) -> None:
-    order = _positive_int(config, "order", 64)
+    order = _integer(config, "order", 64)
     n = datum.dimension
     rays = sample_normal_bundle(
-        datum.hull, _positive_int(config, "directions", DIRECTION_COUNTS[n]))
+        datum.hull, _integer(config, "directions", DIRECTION_COUNTS[n]))
     finder = trace_null_radius if kind == "null" else find_critical_radius
     ref_coef = 2.0 * n if kind == "null" else 2.0 * n + 4.0
     radius_col = "rho_null" if kind == "null" else "rho_crit"
@@ -197,9 +213,9 @@ def _mode_critical(datum, config, out, seed, ts):
 
 def _mode_spots(datum: InitialDatum, config: Dict, out: Path, seed: int,
                 ts: List[float]) -> None:
-    order = _positive_int(config, "order", 64)
-    count = _positive_int(config, "directions", None)
-    psi_coefficient = config.get("psi_coefficient")
+    order = _integer(config, "order", 64)
+    count = _integer(config, "directions", None)
+    psi_coefficient = _positive_number(config, "psi_coefficient", None)
     for t in ts:
         report = build_spot_report(
             datum, t, psi_coefficient=psi_coefficient, order=order, seed=seed,
@@ -209,9 +225,9 @@ def _mode_spots(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _mode_certify(datum: InitialDatum, config: Dict, out: Path, seed: int,
                   ts: List[float]) -> None:
-    order = _positive_int(config, "order", 64)
-    count = _positive_int(config, "directions", None)
-    psi_coefficient = config.get("psi_coefficient")
+    order = _integer(config, "order", 64)
+    count = _integer(config, "directions", None)
+    psi_coefficient = _positive_number(config, "psi_coefficient", None)
     for t in ts:
         certs = certify_signs(
             datum, t, psi_coefficient=psi_coefficient, order=order, seed=seed,
@@ -226,9 +242,9 @@ def _mode_certify(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _mode_sweep(datum: InitialDatum, config: Dict, out: Path, seed: int,
                 ts: List[float]) -> None:
-    order = _positive_int(config, "order", 64)
-    count = _positive_int(config, "directions", None)
-    psi_coefficient = config.get("psi_coefficient")
+    order = _integer(config, "order", 64)
+    count = _integer(config, "directions", None)
+    psi_coefficient = _positive_number(config, "psi_coefficient", None)
     header = (["t", "rho_null", "rho_crit", "cold_centroid_gap", "hot_value",
                "cold_value"] + [f"cert_{name}" for name in PROPOSITIONS])
     rows = []
@@ -253,18 +269,18 @@ def _mode_sweep(datum: InitialDatum, config: Dict, out: Path, seed: int,
 def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
                          seed: int, ts: List[float]) -> None:
     oracle_cfg = config.get("oracle", {})
-    order = _positive_int(config, "order", 64)
+    order = _integer(config, "order", 64)
     t = ts[0]
     n = datum.dimension
     grid = config.get("grid", {})
-    points = _positive_int(grid, "points", 101 if n == 1 else 41)
+    points = _integer(grid, "points", 101 if n == 1 else 41)
     if n == 1:
         dx = float(oracle_cfg.get("dx", 1.0 / 512.0))
         cfl = float(oracle_cfg.get("cfl", 0.5))
         run = fd_solve_1d(datum, t, dx=dx, cfl=cfl)
     else:
-        L = float(oracle_cfg.get("L", 64.0))
-        modes = _positive_int(oracle_cfg, "modes", 1024 if n == 2 else 128)
+        L = _positive_number(oracle_cfg, "L", 64.0)
+        modes = _integer(oracle_cfg, "modes", 1024 if n == 2 else 128)
         run = spectral_solve(datum, t, L, modes)
     support = datum.diameter / 2.0 + float(np.max(np.abs(datum.centroid)))
     default_half = min(math.sqrt((2.0 * n + 4.0) * t) + datum.diameter,
@@ -291,7 +307,7 @@ def _mode_asymptotics(datum: InitialDatum, config: Dict, out: Path, seed: int,
                       ts: List[float]) -> None:
     a_cfg = config.get("asymptotics", {})
     parity = str(a_cfg.get("parity", "odd"))
-    ell = int(a_cfg.get("ell", 0))
+    ell = _integer(a_cfg, "ell", 0, least=0)
     regime = str(a_cfg.get("regime", "leading"))
     rows = []
     if regime == "leading":
@@ -359,8 +375,8 @@ def run(config: Dict, mode_override: Optional[str] = None,
     ts = _time_list(config, t_override)
     out = Path(out_override or config.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
-    seed = int(seed_override if seed_override is not None
-               else config.get("seed", 0))
+    seed = (seed_override if seed_override is not None
+            else _integer(config, "seed", 0, least=0))
     _HANDLERS[mode](datum, config, out, seed, ts)
 
 

@@ -104,10 +104,13 @@ class SmoothBump:
     amplitude: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise ValueError("bump radius must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("bump amplitude must be non-negative")
+        if not np.isfinite(self.center_array).all():
+            raise ValueError(f"bump center must be finite, got {self.center}")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"bump radius must be finite and positive, got {self.radius}")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+            raise ValueError("bump amplitude must be finite and non-negative, "
+                             f"got {self.amplitude}")
 
     @property
     def center_array(self) -> Array:

@@ -5,31 +5,31 @@ For initial state (f, -f) the solution in dimensions one to three is a kernel
 integral over B_t(x) (the principal part) plus sphere or wave-weighted ball
 integrals of f and grad f (the remainder). Everything is evaluated through
 the overflow-free scaled kernels; the only exponential ever formed is
-exp(-t/2) multiplying polynomially sized quantities.
+exp(-t/2) multiplying polynomially sized quantities. Gradients and second
+directional derivatives are the displayed derivative formulas: one kernel
+order higher inside the ball integral, plus boundary sphere terms (odd
+dimensions) or wave-weighted moment terms (even dimensions, where the radial
+kernel derivative carries a 1/sqrt(t^2 - r^2) factor).
 
-Gradients and second directional derivatives are the displayed derivative
-formulas: one kernel order higher inside the ball integral, plus boundary
-sphere terms (odd dimensions) or wave-weighted moment terms (even dimensions,
-where the radial kernel derivative carries a 1/sqrt(t^2 - r^2) factor).
-
-Every principal ball integral, and in odd dimensions every term, is a sum
-over bumps of integrals over spheres around x of a radial profile times
-powers of the direction, so each reduces to a radial rule in r and an angular
-rule in the angle to the bump centre (spherical means; F. John, Plane Waves
-and Spherical Means, 1955). In one dimension the sphere is the two points
-x +- r, and the sphere terms at r = t are the d'Alembert values at x +- t.
-In two dimensions only the wave-weighted integrals and the damped interior
-terms keep the clipped-ball rule of `quadrature.clipped_ball_nodes`.
+Every bump is radial, so u and each of its derivatives is a sum of per-bump
+terms. One core (`_parts`) runs the loop over the bumps for each kind of
+evaluation (`_Kind`: the principal part alone, u, grad u or dir2 u). A kind
+has a principal ball term per bump and, where exp(-t/2) > 0, wave terms: on
+the sphere of radius t in odd n, and on the clipped-ball nodes of
+`quadrature.clipped_ball_nodes` in 2D. Ball and sphere integrals reduce to a
+radial rule in r and an angular rule in the angle to the bump centre
+(spherical means; F. John, Plane Waves and Spherical Means, 1955). In one
+dimension the sphere is the two points x +- r, and the sphere terms at r = t
+are the d'Alembert values at x +- t.
 
 The evaluators take one point or an (m, n) block of points at one t, and a
-point is a one-row block. For each bump the radial rule lays the nodes of
-all the rows it reaches end to end, so a block costs one node build, one
-profile pass and one kernel call per bump, not one per point; the 2D
-clipped-ball terms still run row by row. Blocks go through in chunks of rows
-that hold a fixed number of nodes (`_CHUNK_NODES`), which bounds the memory
-of a pass. Every row equals its single-point value bit for bit: per-row
-distances and dot products are taken as the single-point path takes them.
-All of them, and `heat_eval`, share one front end (`_evaluate`).
+point is a one-row block. For each bump the radial rule lays the nodes of all
+the rows it reaches end to end, so a block costs one node build, one profile
+pass and one kernel call per bump, not one per point; the 2D clipped-ball
+terms run row by row. Blocks go through in chunks of rows that hold a fixed
+number of nodes (`_CHUNK_NODES`), which bounds the memory of a pass. Every
+row equals its single-point value bit for bit (see `_row_dots`). All of
+them, and `heat_eval`, share one front end (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -183,9 +183,11 @@ def _evaluate(datum: InitialDatum, x: Union[Array, float], t: float, order: int,
     principal + wave), by row for a block and as one point's for a point.
 
     It checks x and t (`_as_points`) and omega, runs
-    parts(order, rows of x[, rows of omega]) -> (principal, raw wave,
+    parts(order, wave, rows of x[, rows of omega]) -> (principal, raw wave,
     |kernel| mass) a chunk of rows at a time (`_in_chunks`, which checks
-    the order), and damps the wave by exp(-t/2). With check, the principal
+    the order), and damps the wave by exp(-t/2). wave says whether that
+    factor is positive: where it is zero, the wave and damped terms are
+    not computed, and the wave is 0. With check, the principal
     part, the wave and their sum must each pass the row's order-doubling
     test, against the larger of |principal| and |wave| (over every
     component of a gradient) floored at 1e-9 times the mass, so that values
@@ -197,7 +199,7 @@ def _evaluate(datum: InitialDatum, x: Union[Array, float], t: float, order: int,
     damp = wave_factor(t)
 
     def terms(o: int) -> Tuple[Array, Array, Array]:
-        p, wave, mass = _in_chunks(partial(parts, o), o, pts, *per_row)
+        p, wave, mass = _in_chunks(partial(parts, o, damp > 0.0), o, pts, *per_row)
         return p, wave * damp, mass
 
     def checked(o: int) -> Tuple[Array, Array]:
@@ -218,21 +220,18 @@ def _evaluate(datum: InitialDatum, x: Union[Array, float], t: float, order: int,
     return pts, p, wave, total
 
 
-def _bump_nodes(datum: InitialDatum, x: Array, t: float,
-                order: int) -> Iterable[Tuple[SmoothBump, Array, Array, Array]]:
-    """Per bump: the 2D clipped-ball nodes of its part of B_t(x), with their
-    weights and rim cosines. x is one point."""
-    for bump in datum.bumps:
-        pts, _, w, rim = clipped_ball_nodes(x, t, bump.center_array,
-                                            bump.radius, order)
-        if pts.shape[0]:
-            yield bump, pts, w, rim
-
-
 def _rim_coef(ell: int, t: float) -> float:
     """t k_(ell+1)(0) - 2 k_ell(0) of the odd family: e^(t/2) times the
     kernel ktilde_ell on the sphere r = t, which weighs the boundary terms."""
     return t * kernel_at_zero("odd", ell + 1) - 2.0 * kernel_at_zero("odd", ell)
+
+
+def _beta(ell: int, t: float) -> float:
+    """t k_(ell+1)'(0) - 2 k_ell'(0) of the even family: the even kernel is 0
+    on the rim r = t, and its radial derivative there weighs the damped
+    terms inside the 2D ball."""
+    return (t * kernel_deriv_at_zero("even", ell + 1)
+            - 2.0 * kernel_deriv_at_zero("even", ell))
 
 
 def _wave_pair(n: int, t: float) -> Tuple[float, float]:
@@ -424,24 +423,6 @@ def _projections(sh: _Shells, omega: Array) -> Tuple[Array, Array, Array]:
     return cw, cw * sh.mu, cw * cw * mu2 + perp
 
 
-def _radial_bumps(datum: InitialDatum, x: Array, t: float, order: int,
-                  spheres: bool = True
-                  ) -> Iterable[Tuple[SmoothBump, Optional[_Shells], Optional[_Shells]]]:
-    """Per bump: (bump, ball nodes in B_t(x), nodes on the radius-t sphere),
-    for the rows x of a block; no sphere nodes unless `spheres`.
-
-    The sphere terms integrate up to the third derivative of the profile,
-    whose edge is much steeper than the profile's, so the sphere rule takes
-    twice the angular nodes; at a single radius they cost next to nothing.
-    """
-    for bump in datum.bumps:
-        offset = x - bump.center_array
-        dist = np.sqrt(_row_dots(offset, offset))
-        sphere = (_shells(bump, offset, dist, t, 2 * order, on_sphere=True)
-                  if spheres else None)
-        yield bump, _shells(bump, offset, dist, t, order), sphere
-
-
 def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]:
     """One bump's principal ball integral at each point, and the same with
     |kernel|."""
@@ -451,20 +432,6 @@ def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, A
     weight = 0.25 * dc.gamma * ball.wr * kern * ball.r ** (n - 1)
     mean = _profile(bump, ball, 0)[0].sum(axis=1)
     return _segment_dots(ball, weight, mean), _segment_dots(ball, np.abs(weight), mean)
-
-
-def _principal_sum(datum: InitialDatum, x: Array, t: float,
-                   order: int) -> Tuple[Array, Array, Array]:
-    """(the bumps' principal ball integrals summed, zero, the same with
-    |kernel|) at each row of x."""
-    val = np.zeros(len(x))
-    ref = np.zeros(len(x))
-    for bump, ball, _ in _radial_bumps(datum, x, t, order, spheres=False):
-        if ball is not None:
-            share, mass = _ball_principal(bump, ball, t)
-            val[ball.rows] += share
-            ref[ball.rows] += mass
-    return val, np.zeros(len(x)), ref
 
 
 def _ball_grad(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]:
@@ -500,40 +467,158 @@ def _ball_dir2(bump: SmoothBump, ball: _Shells, t: float,
             _segment_dots(ball, np.abs(w2), sq) + _segment_dots(ball, np.abs(w1), mass))
 
 
-def _field_parts(datum: InitialDatum, x: Array, t: float, order: int,
-                 raw: bool = False) -> Tuple[Array, Array, Array]:
-    """(principal, wave_raw, |kernel| mass) at each row of x: wave_raw omits
-    the exp(-t/2) factor.
+# The wave terms of one bump: (damped principal terms, M, dM), on the radius-t
+# sphere around each point of a block in odd n, and on the clipped-ball nodes
+# (pts, w, rim) of one point x in 2D; see _Kind.
+Terms = Tuple[Tuple[Value, ...], Value, Value]
 
-    Where that factor is zero, the 2D wave integrals are not computed and
-    wave_raw is 0, unless raw.
+
+def _sphere_u(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
+    g0, g1 = _profile(bump, sphere, 1)
+    d = sphere.dist[:, None]
+    return (), g0.sum(axis=1), (2.0 * g1 * (d * sphere.mu + t)).sum(axis=1)
+
+
+def _disc_u(bump: SmoothBump, t: float, x: Array, pts: Array, w: Array,
+            rim: Array) -> Terms:
+    jet = bump.jet(pts, 1)
+    return ((), float((w * jet.g[0] / rim).sum()),
+            float((w / rim) @ (((pts - x) * jet.gradient()).sum(axis=1))))
+
+
+def _sphere_grad(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
+    # Every term is a multiple of the axis e: the integrals of theta and of
+    # y - c = d*e + r*theta over a circle of fixed mu lie along it.
+    n = sphere.axis.shape[1]
+    dc = dimension_constants(n)
+    g0, g1, g2 = _profile(bump, sphere, 2)
+    d, mu, e = sphere.dist[:, None], sphere.mu, sphere.axis
+    boundary = t ** (n - 1) * (g0 * mu).sum(axis=1)
+    mean_grad = (2.0 * g1 * (d + t * mu)).sum(axis=1)
+    mean_hvp = (2.0 * g1 * mu + 4.0 * g2 * (d * mu + t) * (d + t * mu)).sum(axis=1)
+    damped = 0.25 * dc.gamma * wave_factor(t) * _rim_coef(dc.ell, t) * boundary[:, None] * e
+    return (damped,), mean_grad[:, None] * e, mean_hvp[:, None] * e
+
+
+def _disc_grad(bump: SmoothBump, t: float, x: Array, pts: Array, w: Array,
+               rim: Array) -> Terms:
+    dc = dimension_constants(2)
+    jet = bump.jet(pts, 2)
+    # The node points are coordinate-major (see clipped_ball_nodes), and so
+    # is every array made from them. BLAS sums a column-major matrix over the
+    # nodes in another order than a row-major one, which moves some gradients
+    # by an ulp, and the hot-spot ascent amplifies that: so, row-major copies.
+    rows = np.ascontiguousarray(x[None, :] - pts)
+    coef = -(dc.gamma / 16.0) * wave_factor(t) * _beta(dc.ell, t)
+    return ((coef * ((w * jet.g[0] / (0.5 * t * rim)) @ rows),),
+            (w / rim) @ np.ascontiguousarray(jet.gradient()),
+            (w / rim) @ np.ascontiguousarray(jet.hvp(pts - x)))
+
+
+def _sphere_dir2(bump: SmoothBump, sphere: _Shells, t: float, omega: Array) -> Terms:
+    n = sphere.axis.shape[1]
+    dc = dimension_constants(n)
+    damp = wave_factor(t)
+    g0, g1, g2, g3 = _profile(bump, sphere, 3)
+    d = sphere.dist[:, None]
+    cw, p1, p2 = _projections(sphere, omega)
+    # Circle means of ((y - c) . omega)**2 and of
+    # (theta . omega) ((y - c) . omega), with y - c = d*e + t*theta.
+    along2 = d * d * cw * cw + 2.0 * d * cw * t * p1 + t * t * p2
+    mixed = d * cw * p1 + t * p2
+    rate = d * sphere.mu + t
+    return (((dc.gamma / 16.0) * damp * _rim_coef(dc.ell + 1, t) * t ** n
+             * (g0 * p2).sum(axis=1),
+             0.25 * dc.gamma * damp * _rim_coef(dc.ell, t) * t ** (n - 1)
+             * (2.0 * g1 * mixed).sum(axis=1)),
+            (2.0 * g1 + 4.0 * g2 * along2).sum(axis=1),
+            (4.0 * g2 * rate + 8.0 * g3 * rate * along2 + 8.0 * g2 * mixed).sum(axis=1))
+
+
+def _disc_dir2(bump: SmoothBump, t: float, x: Array, pts: Array, w: Array, rim: Array,
+               omega: Array) -> Terms:
+    dc = dimension_constants(2)
+    damp = wave_factor(t)
+    jet = bump.jet(pts, 3)
+    along = (x[None, :] - pts) @ omega
+    s = 0.5 * t * rim
+    return (((dc.gamma / 64.0) * damp * _beta(dc.ell + 1, t)
+             * float((w * jet.g[0] / s) @ (along * along)),
+             -(dc.gamma / 16.0) * damp * _beta(dc.ell, t)
+             * float((w / s) @ (along * (jet.gradient() @ omega)))),
+            float((w / rim) @ jet.dir2(omega)),
+            float((w / rim) @ jet.dir3(omega, (pts - x) / t)))
+
+
+class _Kind(NamedTuple):
+    """The per-bump terms of one kind of evaluation: its principal ball term
+    and |kernel| mass, and, but for the principal part alone, its wave
+    terms: sphere in odd n and disc in 2D. The raw wave is
+    gamma * (a * M + b * dM) (`_wave_pair`), M and dM summed over the bumps,
+    and in 2D divided by t**2 and by disc_rate(t). A dir2 term also takes
+    the direction of its point or points, last."""
+    vector: bool
+    ball: Callable[..., Tuple[Array, Array]]
+    sphere: Optional[Callable[..., Terms]] = None
+    disc: Optional[Callable[..., Terms]] = None
+    disc_rate: Callable[[float], float] = lambda t: t ** 3
+
+
+_PRINCIPAL = _Kind(False, _ball_principal)
+_FIELD = _Kind(False, _ball_principal, _sphere_u, _disc_u)
+_GRAD = _Kind(True, _ball_grad, _sphere_grad, _disc_grad)
+_DIR2 = _Kind(False, _ball_dir2, _sphere_dir2, _disc_dir2, lambda t: t * t)
+
+
+def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
+           x: Array, *per_row: Array) -> Tuple[Array, Array, Array]:
+    """(principal, raw wave, |kernel| mass) of one kind at each row of x;
+    per_row holds dir2's unit direction for each row.
+
+    Without wave the wave terms and the damped principal terms are not
+    computed, and the raw wave is 0.
     """
     n = datum.dimension
-    dc = dimension_constants(n)
-    a, b = _wave_pair(n, t)
-    principal = np.zeros(len(x))
-    absacc = np.zeros(len(x))
-    mean_f = np.zeros(len(x))
-    mean_df = np.zeros(len(x))
-    for bump, ball, sphere in _radial_bumps(datum, x, t, order, spheres=n % 2 == 1):
+    wave = wave and kind.sphere is not None
+    spheres = wave and n % 2 == 1
+    a, b = _wave_pair(n, t) if kind.sphere else (0.0, 0.0)
+    principal, mean, rate = np.zeros((3, len(x), n) if kind.vector else (3, len(x)))
+    mass = np.zeros(len(x))
+    for bump in datum.bumps:
+        offset = x - bump.center_array
+        dist = np.sqrt(_row_dots(offset, offset))
+        ball = _shells(bump, offset, dist, t, order)
         if ball is not None:
-            val, ref = _ball_principal(bump, ball, t)
-            principal[ball.rows] += val
-            absacc[ball.rows] += ref
+            term, ref = kind.ball(bump, ball, t, *(v[ball.rows] for v in per_row))
+            principal[ball.rows] += term
+            mass[ball.rows] += ref
+        # The sphere terms integrate up to the third derivative of the
+        # profile, whose edge is much steeper than the profile's, so the
+        # sphere rule takes twice the angular nodes; at one radius they cost
+        # next to nothing.
+        sphere = _shells(bump, offset, dist, t, 2 * order, on_sphere=True) if spheres else None
         if sphere is not None:
-            g0, g1 = _profile(bump, sphere, 1)
-            d = sphere.dist[:, None]
-            mean_f[sphere.rows] += g0.sum(axis=1)
-            mean_df[sphere.rows] += (2.0 * g1 * (d * sphere.mu + t)).sum(axis=1)
-    if n % 2 == 0 and (raw or wave_factor(t) > 0.0):
+            damped, m, dm = kind.sphere(bump, sphere, t, *(v[sphere.rows] for v in per_row))
+            for term in damped:
+                principal[sphere.rows] += term
+            mean[sphere.rows] += m
+            rate[sphere.rows] += dm
+    if wave and n % 2 == 0:
         for i, xi in enumerate(x):
-            for bump, pts, w, rim in _bump_nodes(datum, xi, t, order):
-                jet = bump.jet(pts, 1)
-                mean_f[i] += float((w * jet.g[0] / rim).sum())
-                mean_df[i] += float((w / rim) @ (((pts - xi) * jet.gradient()).sum(axis=1)))
-        mean_f /= t * t
-        mean_df /= t ** 3
-    return principal, dc.gamma * (a * mean_f + b * mean_df), absacc
+            for bump in datum.bumps:
+                pts, _, w, rim = clipped_ball_nodes(xi, t, bump.center_array,
+                                                    bump.radius, order)
+                if not pts.shape[0]:
+                    continue
+                damped, m, dm = kind.disc(bump, t, xi, pts, w, rim,
+                                          *(v[i] for v in per_row))
+                for term in damped:
+                    principal[i] += term
+                mean[i] += m
+                rate[i] += dm
+        mean /= t * t
+        rate /= kind.disc_rate(t)
+    return principal, dimension_constants(n).gamma * (a * mean + b * rate), mass
 
 
 def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
@@ -544,131 +629,17 @@ def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
     holds x and one value per row in arrays. With check, each row must pass
     its own order-doubling test.
     """
-    pts, principal, wave, value = _evaluate(
-        datum, x, t, order, check, "field value",
-        lambda o, xs: _field_parts(datum, xs, t, o))
+    pts, principal, wave, value = _evaluate(datum, x, t, order, check, "field value",
+                                            partial(_parts, _FIELD, datum, t))
     return FieldSample(x=pts, t=t, value=value, principal=principal,
                        wave_remainder=wave)
-
-
-def _grad_parts(datum: InitialDatum, x: Array, t: float,
-                order: int) -> Tuple[Array, Array, Array]:
-    """(principal gradient, raw wave gradient, |kernel| mass) at each row of x."""
-    n = datum.dimension
-    dc = dimension_constants(n)
-    a, b = _wave_pair(n, t)
-    damp = wave_factor(t)
-    grad_p = np.zeros((len(x), n))
-    absacc = np.zeros(len(x))
-    a_w = np.zeros((len(x), n))
-    b_w = np.zeros((len(x), n))
-    coef = _rim_coef(dc.ell, t) if n % 2 else 0.0
-    # In odd n every term is a multiple of the axis e: the integrals of theta
-    # and of y - c = d*e + r*theta over a circle of fixed mu lie along it.
-    for bump, ball, sphere in _radial_bumps(datum, x, t, order, spheres=n % 2 == 1):
-        if ball is not None:
-            term, ref = _ball_grad(bump, ball, t)
-            grad_p[ball.rows] += term
-            absacc[ball.rows] += ref
-        if sphere is not None:
-            g0, g1, g2 = _profile(bump, sphere, 2)
-            d, mu = sphere.dist[:, None], sphere.mu
-            boundary = t ** (n - 1) * (g0 * mu).sum(axis=1)
-            grad_p[sphere.rows] += (0.25 * dc.gamma * damp * coef * boundary[:, None]
-                                    * sphere.axis)
-            mean_grad = (2.0 * g1 * (d + t * mu)).sum(axis=1)
-            mean_hvp = (2.0 * g1 * mu + 4.0 * g2 * (d * mu + t) * (d + t * mu)).sum(axis=1)
-            a_w[sphere.rows] += ((dc.gamma * (a * mean_grad + b * mean_hvp))[:, None]
-                                 * sphere.axis)
-    if n % 2:
-        return grad_p, a_w, absacc
-    # The even kernel vanishes on the rim, so there is no boundary term, but
-    # its radial derivative leaves damped terms inside the ball.
-    beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
-             - 2.0 * kernel_deriv_at_zero("even", dc.ell))
-    for i, xi in enumerate(x):
-        for bump, pts, w, rim in _bump_nodes(datum, xi, t, order):
-            jet = bump.jet(pts, 2)
-            # The node points are coordinate-major (see clipped_ball_nodes),
-            # and so is every (m, n) array made from them, which suits the
-            # passes along the nodes. The products below sum over the nodes,
-            # and BLAS sums a column-major matrix in another order than a
-            # row-major one, which moves some gradients by an ulp; the
-            # hot-spot ascent amplifies that. So they get row-major copies.
-            rows = np.ascontiguousarray(xi[None, :] - pts)
-            s = 0.5 * t * rim
-            grad_p[i] += -(dc.gamma / 16.0) * damp * beta1 * ((w * jet.g[0] / s) @ rows)
-            a_w[i] += (w / rim) @ np.ascontiguousarray(jet.gradient())
-            b_w[i] += (w / rim) @ np.ascontiguousarray(jet.hvp(pts - xi))
-    a_w /= t * t
-    b_w /= t ** 3
-    return grad_p, dc.gamma * (a * a_w + b * b_w), absacc
 
 
 def eval_grad_u(datum: InitialDatum, x: Union[Array, float], t: float,
                 order: int = DEFAULT_ORDER, check: bool = False) -> Array:
     """grad u at (x, t): an (n,) array for one point, (m, n) for a block."""
     return _evaluate(datum, x, t, order, check, "field gradient",
-                     lambda o, xs: _grad_parts(datum, xs, t, o))[3]
-
-
-def _dir2_parts(datum: InitialDatum, x: Array, t: float, omega: Array,
-                order: int) -> Tuple[Array, Array, Array]:
-    """(principal dir2, raw wave dir2, |kernel| mass) at each row of x, along
-    the unit direction in the same row of omega."""
-    n = datum.dimension
-    dc = dimension_constants(n)
-    a, b = _wave_pair(n, t)
-    damp = wave_factor(t)
-    val_p = np.zeros(len(x))
-    absacc = np.zeros(len(x))
-    mean_d2 = np.zeros(len(x))
-    mean_d3 = np.zeros(len(x))
-    if n % 2:
-        coef1 = _rim_coef(dc.ell, t)
-        coef2 = _rim_coef(dc.ell + 1, t)
-    for bump, ball, sphere in _radial_bumps(datum, x, t, order, spheres=n % 2 == 1):
-        if ball is not None:
-            term, ref = _ball_dir2(bump, ball, t, omega[ball.rows])
-            val_p[ball.rows] += term
-            absacc[ball.rows] += ref
-        if sphere is not None:
-            g0, g1, g2, g3 = _profile(bump, sphere, 3)
-            d = sphere.dist[:, None]
-            cw, p1, p2 = _projections(sphere, omega[sphere.rows])
-            # Circle means of ((y - c) . omega)**2 and of
-            # (theta . omega) ((y - c) . omega), with y - c = d*e + t*theta.
-            along2 = d * d * cw * cw + 2.0 * d * cw * t * p1 + t * t * p2
-            mixed = d * cw * p1 + t * p2
-            rate = d * sphere.mu + t
-            val_p[sphere.rows] += ((dc.gamma / 16.0) * damp * coef2 * t ** n
-                                   * (g0 * p2).sum(axis=1))
-            val_p[sphere.rows] += (0.25 * dc.gamma * damp * coef1 * t ** (n - 1)
-                                   * (2.0 * g1 * mixed).sum(axis=1))
-            mean_d2[sphere.rows] += (2.0 * g1 + 4.0 * g2 * along2).sum(axis=1)
-            mean_d3[sphere.rows] += (4.0 * g2 * rate + 8.0 * g3 * rate * along2
-                                     + 8.0 * g2 * mixed).sum(axis=1)
-    if n % 2 == 0:
-        # Damped terms inside the ball, as in _grad_parts.
-        beta2 = (t * kernel_deriv_at_zero("even", dc.ell + 2)
-                 - 2.0 * kernel_deriv_at_zero("even", dc.ell + 1))
-        beta1 = (t * kernel_deriv_at_zero("even", dc.ell + 1)
-                 - 2.0 * kernel_deriv_at_zero("even", dc.ell))
-        for i, (xi, om) in enumerate(zip(x, omega)):
-            for bump, pts, w, rim in _bump_nodes(datum, xi, t, order):
-                jet = bump.jet(pts, 3)
-                along = (xi[None, :] - pts) @ om
-                s = 0.5 * t * rim
-                val_p[i] += (dc.gamma / 64.0) * damp * beta2 * float(
-                    (w * jet.g[0] / s) @ (along * along))
-                val_p[i] += -(dc.gamma / 16.0) * damp * beta1 * float(
-                    (w / s) @ (along * (jet.gradient() @ om)))
-                zeta = (pts - xi) / t
-                mean_d2[i] += float((w / rim) @ jet.dir2(om))
-                mean_d3[i] += float((w / rim) @ jet.dir3(om, zeta))
-        mean_d2 /= t * t
-        mean_d3 /= t * t
-    return val_p, dc.gamma * (a * mean_d2 + b * mean_d3), absacc
+                     partial(_parts, _GRAD, datum, t))[3]
 
 
 def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float,
@@ -680,20 +651,16 @@ def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float,
     omega is one direction (n,) for every row or one per row (m, n).
     """
     return _evaluate(datum, x, t, order, check, "directional second derivative",
-                     lambda o, xs, oms: _dir2_parts(datum, xs, t, oms, o), omega)[3]
+                     partial(_parts, _DIR2, datum, t), omega)[3]
 
 
 def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: float,
                              order: int = DEFAULT_ORDER,
                              check: bool = False) -> Union[float, Array]:
     """Principal part alone, valid in any spatial dimension, at one point or
-    at each row of an (m, n) block.
-
-    Each bump's share of the ball integral collapses to a radial/angular
-    double quadrature around the bump centre; the bumps' shares add.
-    """
+    at each row of an (m, n) block."""
     return _evaluate(datum, x, t, order, check, "general-n principal",
-                     lambda o, xs: _principal_sum(datum, xs, t, o))[1]
+                     partial(_parts, _PRINCIPAL, datum, t))[1]
 
 
 def _heat_parts(datum: InitialDatum, x: Array, t: float,
@@ -739,7 +706,7 @@ def heat_eval(datum: InitialDatum, x: Union[Array, float], t: float,
     if not 1 <= datum.dimension <= 3:
         raise ValueError(f"heat_eval supports dimensions 1-3, got {datum.dimension}")
     return _evaluate(datum, x, t, order, check, "heat value",
-                     lambda o, xs: _heat_parts(datum, xs, t, o))[1]
+                     lambda o, wave, xs: _heat_parts(datum, xs, t, o))[1]
 
 
 def _diagnostic_points(datum: InitialDatum, t: float) -> Array:
@@ -773,16 +740,11 @@ def error_decay_diagnostic(datum: InitialDatum, t_values: List[float],
     """
     for t in t_values:
         _check_time(t)
-    n = datum.dimension
+    kind = _GRAD if gradient else _FIELD
     rows: List[Tuple[float, float]] = []
     for t in t_values:
         pts = _diagnostic_points(datum, t)
-        if gradient:
-            _, raw, _ = _in_chunks(lambda xs: _grad_parts(datum, xs, t, order), order, pts)
-            tops = np.abs(raw).max(axis=1) / (1.0 + t) ** (n + 1)
-        else:
-            _, raw, _ = _in_chunks(lambda xs: _field_parts(datum, xs, t, order, raw=True),
-                                   order, pts)
-            tops = np.abs(raw) / (1.0 + t) ** n
-        rows.append((t, max(0.0, float(tops.max()))))
+        raw = _in_chunks(partial(_parts, kind, datum, t, order, True), order, pts)[1]
+        top = np.abs(raw).max() / (1.0 + t) ** (datum.dimension + gradient)
+        rows.append((t, max(0.0, float(top))))
     return rows

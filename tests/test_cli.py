@@ -208,27 +208,45 @@ def test_sweep_artifact_columns(tmp_path):
     assert {cell for row in rows for cell in row[6:]} <= {"0", "1"}
 
 
+# What each checked config number must be, as its error message says.
+MUST_BE = {"directions": "a positive integer", "order": "a positive integer",
+           "points": "a positive integer", "modes": "a positive integer",
+           "seed": "a non-negative integer", "ell": "a non-negative integer",
+           "psi_coefficient": "a finite positive number", "L": "a finite positive number"}
+
+
 @pytest.mark.parametrize("key, value", [("directions", 0), ("order", 0),
                                         ("directions", -2), ("directions", 2.7),
-                                        ("order", "x")])
+                                        ("order", "x"), ("psi_coefficient", "x"),
+                                        ("psi_coefficient", 0), ("seed", 2.7),
+                                        ("seed", -1)])
 def test_bad_order_or_directions_is_a_config_error(tmp_path, capsys, key, value):
     cfg = _write_config(tmp_path, mode="certify", t=50.0, **{key: value})
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err == f"config error: {key} must be a positive integer, got {value!r}\n"
+    assert err == f"config error: {key} must be {MUST_BE[key]}, got {value!r}\n"
 
 
-@pytest.mark.parametrize("value", [2.7, 0, "x"])
-@pytest.mark.parametrize("mode, section, key", [("evaluate", "grid", "points"),
-                                                ("oracle-compare", "grid", "points"),
-                                                ("oracle-compare", "oracle", "modes")])
+# Values that each section entry refuses: L = 2.7 and ell = 0 are valid.
+SECTION_BAD = {"points": (2.7, 0, "x"), "modes": (2.7, 0, "x"), "L": (0, "x"),
+               "ell": (2.7, -1)}
+
+
+@pytest.mark.parametrize("mode, section, key, value", [
+    (mode, section, key, value)
+    for mode, section, key in [("evaluate", "grid", "points"),
+                               ("oracle-compare", "grid", "points"),
+                               ("oracle-compare", "oracle", "modes"),
+                               ("oracle-compare", "oracle", "L"),
+                               ("asymptotics", "asymptotics", "ell")]
+    for value in SECTION_BAD[key]])
 def test_bad_grid_points_or_modes_is_a_config_error(tmp_path, capsys, mode, section,
                                                     key, value):
     datum = json.loads(TWO_2D_CONFIG.read_text(encoding="utf-8"))["datum"]
     cfg = _write_config(tmp_path, datum=datum, mode=mode, **{section: {key: value}})
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err == f"config error: {key} must be a positive integer, got {value!r}\n"
+    assert err == f"config error: {key} must be {MUST_BE[key]}, got {value!r}\n"
 
 
 def test_grid_of_one_point_is_a_config_error(tmp_path, capsys):

@@ -154,6 +154,18 @@ def test_bump_validation():
         make_datum([], 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["center", "radius", "amplitude"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_non_finite_bump_is_rejected(dimension, field, bad):
+    # NaN passes both `radius <= 0` and `amplitude < 0`: the bump itself
+    # must refuse it, naming the field, before a hull or field is built.
+    bump = {"center": [0.0] * dimension, "radius": 1.0, "amplitude": 1.0}
+    bump[field] = [bad] + [0.0] * (dimension - 1) if field == "center" else bad
+    with pytest.raises(ValueError, match=f"^bump 0 is malformed: bump {field} must be finite"):
+        load_datum({"dimension": dimension, "bumps": [bump]})
+
+
 def test_hull_construction(two_2d, single_3d):
     hull = two_2d.hull
     assert hull is not None

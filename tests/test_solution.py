@@ -7,11 +7,11 @@ from dampedwave import quadrature, solution
 from dampedwave.initial_data import InitialDatum, SmoothBump, make_datum
 from dampedwave.oracles import spectral_solve
 from dampedwave.quadrature import QuadratureConvergenceError
-from dampedwave.solution import (FieldSample, _dir2_parts, _field_parts,
-                                 _grad_parts, dimension_constants,
-                                 error_decay_diagnostic, eval_dir2_u,
-                                 eval_grad_u, eval_principal_general_n,
-                                 eval_u, heat_eval, wave_factor)
+from dampedwave.solution import (_DIR2, _FIELD, _GRAD, FieldSample, _parts,
+                                 dimension_constants, error_decay_diagnostic,
+                                 eval_dir2_u, eval_grad_u,
+                                 eval_principal_general_n, eval_u, heat_eval,
+                                 wave_factor)
 
 
 def test_dimension_constants():
@@ -344,9 +344,9 @@ def test_1d_remainder_is_dalembert(two_1d, t):
     for x in xs:
         pt = np.array([x])
         block = pt[None, :]
-        got.append((_field_parts(two_1d, block, t, 64)[1][0],
-                    _grad_parts(two_1d, block, t, 64)[1][0, 0],
-                    _dir2_parts(two_1d, block, t, omega[None, :], 64)[1][0]))
+        got.append((_parts(_FIELD, two_1d, t, 64, True, block)[1][0],
+                    _parts(_GRAD, two_1d, t, 64, True, block)[1][0, 0],
+                    _parts(_DIR2, two_1d, t, 64, True, block, omega[None, :])[1][0]))
         want.append((0.5 * (two_1d.value(pt + t) + two_1d.value(pt - t)),
                      0.5 * (two_1d.gradient(pt + t)[0] + two_1d.gradient(pt - t)[0]),
                      0.5 * (two_1d.dir2(pt + t, omega) + two_1d.dir2(pt - t, omega))))
@@ -522,8 +522,9 @@ def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
     evaluators = (lambda t: eval_u(two_2d, x, t),
                   lambda t: eval_grad_u(two_2d, x, t),
                   lambda t: eval_dir2_u(two_2d, x, t, FROZEN_2D_OMEGA))
-    # Node sets per bump: at t = 3200 the field builds no clipped-ball nodes.
-    for t, per_bump in ((10.0, (2, 2, 2)), (3200.0, (1, 2, 2))):
+    # Node sets per bump: at t = 3200, where exp(-t/2) is 0, no evaluator
+    # builds clipped-ball nodes.
+    for t, per_bump in ((10.0, (2, 2, 2)), (3200.0, (1, 1, 1))):
         for evaluate, sets in zip(evaluators, per_bump):
             passes.clear()
             node_sets.clear()
@@ -693,6 +694,30 @@ def test_block_rows_equal_single_points(name, t, chunk_rows, request, monkeypatc
         assert eval_dir2_u(datum, x, t, omegas[i], order=order) == per_row[i]
         assert eval_dir2_u(datum, x, t, shared, order=order) == one_omega[i]
         assert heat_eval(datum, x, t, order=order) == heat[i]
+
+
+@pytest.mark.parametrize("name", ["two_1d", "two_2d", "two_3d"])
+def test_wave_skip_is_exact(name, request):
+    # Where exp(-t/2) is 0 the evaluators compute neither the wave terms nor
+    # the damped principal terms. Computing every term and damping the wave
+    # by zero gives the same bits, near the radius-t sphere too, where the
+    # skipped terms are nonzero.
+    datum = request.getfixturevalue(name)
+    t = 1600.0
+    damp = wave_factor(t)
+    assert damp == 0.0
+    pts = _mixed_block(datum, t)
+    omegas = np.random.default_rng(5).normal(size=pts.shape)
+    omegas /= np.linalg.norm(omegas, axis=1)[:, None]
+    sample = eval_u(datum, pts, t, order=24)
+    for kind, got, per_row in ((_FIELD, sample.value, ()),
+                               (_GRAD, eval_grad_u(datum, pts, t, order=24), ()),
+                               (_DIR2, eval_dir2_u(datum, pts, t, omegas, order=24),
+                                (omegas,))):
+        principal, raw, _ = _parts(kind, datum, t, 24, True, pts, *per_row)
+        assert np.any(raw != 0.0)
+        assert got.tobytes() == (principal + raw * damp).tobytes()
+    assert sample.principal.tobytes() == _parts(_FIELD, datum, t, 24, True, pts)[0].tobytes()
 
 
 def test_block_of_principal_parts_equals_single_points(two_2d, two_3d):
