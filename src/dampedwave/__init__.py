@@ -56,7 +56,6 @@ from .quadrature import (
     clipped_ball_nodes,
     gauss_legendre,
     interval_nodes,
-    periodic_nodes,
     with_refinement,
 )
 from .solution import (
@@ -87,7 +86,6 @@ __all__ = [
     "clipped_ball_nodes",
     "gauss_legendre",
     "interval_nodes",
-    "periodic_nodes",
     "with_refinement",
     # geometry
     "ConvexPolytope",

@@ -89,7 +89,8 @@ def _time_list(config: Dict, override: Optional[List[float]]) -> List[float]:
         ts = list(override)
     elif "t" in config:
         raw = config["t"]
-        ts = [float(raw)] if np.isscalar(raw) else [float(v) for v in raw]
+        ts = [_number(v, "t", positive=True)
+              for v in (raw if isinstance(raw, list) else [raw])]
     elif "t_min" in config:
         try:
             t_min = float(config["t_min"])
@@ -123,10 +124,10 @@ def _time_list(config: Dict, override: Optional[List[float]]) -> List[float]:
 def _integer(config: Dict, key: str, default: Optional[int],
              least: int = 1) -> Optional[int]:
     """config[key] as an integer of at least `least` (1 or 0), or the
-    default when it is absent."""
-    value = config.get(key)
-    if value is None:
+    default when it is absent; null is not an integer."""
+    if key not in config:
         return default
+    value = config[key]
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and not value.is_integer()) or value < least):
         sign = "positive" if least == 1 else "non-negative"
@@ -134,17 +135,31 @@ def _integer(config: Dict, key: str, default: Optional[int],
     return int(value)
 
 
+def _number(value, key: str, positive: bool = False) -> float:
+    """value as a finite float, and positive if asked. A bool, a string,
+    null and a number past the float range (JSON's 1e309 reads as inf) are
+    config errors."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max
+            or (positive and value <= 0)):
+        what = "a finite positive number" if positive else "a finite number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return float(value)
+
+
 def _positive_number(config: Dict, key: str,
                      default: Optional[float]) -> Optional[float]:
     """config[key] as a finite positive float, or the default when it is
-    absent."""
-    value = config.get(key)
-    if value is None:
-        return default
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 < value <= sys.float_info.max):
-        raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
-    return float(value)
+    absent; null is not a number."""
+    return _number(config[key], key, positive=True) if key in config else default
+
+
+def _section(config: Dict, key: str) -> Dict:
+    """The sub-object config[key], or an empty one when it is absent."""
+    value = config.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
 
 
 def _t_tag(t: float) -> str:
@@ -152,18 +167,19 @@ def _t_tag(t: float) -> str:
 
 
 def _grid_axes(datum: InitialDatum, config: Dict) -> List[np.ndarray]:
-    grid = config.get("grid", {})
+    grid = _section(config, "grid")
     n = datum.dimension
     center = grid.get("center", [float(v) for v in datum.centroid])
-    if np.isscalar(center):
+    if not isinstance(center, list):
         center = [center]
     if len(center) != n:
-        raise ConfigError(f"grid center needs {n} coordinates")
-    half = float(grid.get("half_width", datum.diameter / 2.0 + 2.0))
+        raise ConfigError(f"grid center needs {n} coordinates, got {center!r}")
+    center = [_number(c, "center") for c in center]
+    half = _positive_number(grid, "half_width", datum.diameter / 2.0 + 2.0)
     points = _integer(grid, "points", GRID_POINTS_DEFAULT[n])
-    if half <= 0.0 or points < 2:
-        raise ConfigError("grid needs half_width > 0 and points >= 2")
-    return [float(c) + np.linspace(-half, half, points) for c in center]
+    if points < 2:
+        raise ConfigError("grid needs points >= 2")
+    return [c + np.linspace(-half, half, points) for c in center]
 
 
 def _mode_evaluate(datum: InitialDatum, config: Dict, out: Path, seed: int,
@@ -268,11 +284,11 @@ def _mode_sweep(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
                          seed: int, ts: List[float]) -> None:
-    oracle_cfg = config.get("oracle", {})
+    oracle_cfg = _section(config, "oracle")
     order = _integer(config, "order", 64)
     t = ts[0]
     n = datum.dimension
-    grid = config.get("grid", {})
+    grid = _section(config, "grid")
     points = _integer(grid, "points", 101 if n == 1 else 41)
     if n == 1:
         dx = float(oracle_cfg.get("dx", 1.0 / 512.0))
@@ -285,7 +301,7 @@ def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
     support = datum.diameter / 2.0 + float(np.max(np.abs(datum.centroid)))
     default_half = min(math.sqrt((2.0 * n + 4.0) * t) + datum.diameter,
                        support + t)
-    half = float(grid.get("half_width", default_half))
+    half = _positive_number(grid, "half_width", default_half)
     axes = [float(c) + np.linspace(-half, half, points)
             for c in datum.centroid]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -305,7 +321,7 @@ def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
 
 def _mode_asymptotics(datum: InitialDatum, config: Dict, out: Path, seed: int,
                       ts: List[float]) -> None:
-    a_cfg = config.get("asymptotics", {})
+    a_cfg = _section(config, "asymptotics")
     parity = str(a_cfg.get("parity", "odd"))
     ell = _integer(a_cfg, "ell", 0, least=0)
     regime = str(a_cfg.get("regime", "leading"))

@@ -5,10 +5,12 @@ Every integrand handled here is smooth and supported on finitely many closed
 balls, and every bump is radial, so `solution` and `initial_data` reduce
 their integrals to rules in one distance built from `interval_nodes`. The
 clipped-ball rule serves only the wave-weighted and damped interior terms of
-the two-dimensional evaluator: angular nodes restricted to the cone of rays
-from the evaluation point that meet the ball, radial nodes on the clipped
-chord. The radial variable is mapped through r = t*sin(phi), which keeps
-factors analytic in sqrt(t**2 - r**2) well behaved up to the rim r = t.
+the two-dimensional evaluator, for a block of points at once: angular nodes
+restricted to the cone of rays from each point that meet the disc, and
+radial nodes on each clipped chord. The radial variable is mapped through
+r = t*sin(phi), which keeps factors analytic in sqrt(t**2 - r**2) well
+behaved up to the rim r = t. The rule returns chords and radii, not node
+points.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "gauss_legendre",
     "interval_nodes",
-    "periodic_nodes",
     "clipped_ball_nodes",
     "with_refinement",
 ]
@@ -51,86 +52,80 @@ def interval_nodes(a: float, b: float, order: int) -> Tuple[Array, Array]:
     return a + half * (base + 1.0), half * weights
 
 
-def periodic_nodes(count: int) -> Tuple[Array, Array]:
-    """Trapezoidal rule on [0, 2*pi); spectrally accurate for periodic data."""
-    step = 2.0 * np.pi / count
-    return np.arange(count) * step, np.full(count, step)
-
-
-def _cone_directions(x: Array, center: Array, radius: float,
-                     order: int) -> Tuple[Array, Array]:
-    """Directions in the plane from x whose rays can meet the ball, with
-    arc weights; two dimensions only.
-
-    When x lies inside the ball the full circle is returned.
-    """
-    if x.size != 2:
-        raise ValueError(f"unsupported dimension {x.size}")
-    offset = center - x
-    dist = float(np.linalg.norm(offset))
-    if dist <= radius:
-        ang, wang = periodic_nodes(2 * order)
-    else:
-        span = float(np.arcsin(min(radius / dist, 1.0)))
-        base = float(np.arctan2(offset[1], offset[0]))
-        ang, wang = interval_nodes(base - span, base + span, 2 * order)
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1), wang
-
-
 def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
-                       order: int) -> Tuple[Array, Array, Array, Array]:
-    """Nodes for the region B_t(x) intersected with the ball (center, radius).
+                       order: int) -> Tuple[Array, Array, Array, Array, Array]:
+    """Chords and nodes for the regions B_t(x) intersected with the disc
+    (center, radius), for each row x of an (m, 2) block (or one point).
 
     Two dimensions only, and there only for the wave-weighted and damped
     interior terms; the principal ball integrals, and every term in odd
     dimensions, reduce each bump to a radial and an angular rule of its own.
 
-    Returns (points, radii, weights, rim_cosines) where radii = |point - x|
-    and rim_cosines = sqrt(1 - (radii / t)**2) evaluated without cancellation.
-    Weights carry the full volume element. Arrays are empty when the region is.
+    The directions from x are a Gauss rule of 2 * order nodes on the cone of
+    rays that meet the disc, or the 2 * order-point trapezoid on the full
+    circle when x lies in the disc. A direction theta whose ray meets the
+    disc inside B_t(x) is a chord; on it the radius is r = t * sin(phi) with
+    `order` Gauss nodes in phi. Returns (r, weights, theta, s, rows):
 
-    The (m, n) points are the transpose of one contiguous (n, m) block of
-    coordinate rows. Every pass over them (building them, the offsets from
-    a bump centre, their squared norms, the offsets from x) then runs along
-    m contiguous values per coordinate instead of m rows of length n; the
-    values are the same either way.
+    - r and weights, one entry per node, chord by chord (chord j owns
+      entries j * order to (j + 1) * order). The weights are the area
+      element sigma * w_phi * t * cos(phi) * r divided by the rim cosine
+      cos(phi) = sqrt(1 - (r / t)**2), which every 2D wave term divides by.
+    - theta (k, 2), s = theta . (center - x) and the row of x, one per
+      chord; the chords of a row are consecutive, rows ascending.
+
+    No node point is built: a node is x + r * theta. Arrays are empty when
+    no region is.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    dimension = x.size
-    empty = (np.zeros((0, dimension)), np.zeros(0), np.zeros(0), np.zeros(0))
-    # The region is empty when t is not positive or the ball lies beyond
-    # the radius-t circle; then no cone direction is worth building.
-    if t <= 0.0 or float(np.linalg.norm(center - x)) - radius >= t:
-        return empty
-    omegas, sigma_w = _cone_directions(x, center, radius, order)
-    offset = center - x
-    along = omegas @ offset
-    dist2 = float(offset @ offset)
-    disc = radius * radius - (dist2 - along * along)
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"the clipped-ball rule is 2D only, got points of shape {pts.shape}")
+    offset = np.asarray(center, dtype=float) - pts
+    dist2 = offset[:, 0] * offset[:, 0] + offset[:, 1] * offset[:, 1]
+    dist = np.sqrt(dist2)
+    # A row's region is empty when t is not positive or the disc lies
+    # beyond its radius-t circle; then no direction is worth building.
+    rows = np.flatnonzero(dist - radius < t) if t > 0.0 else np.zeros(0, dtype=int)
+    if not rows.size:
+        return (np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros(0),
+                np.zeros(0, dtype=int))
+    offset, dist2, dist = offset[rows], dist2[rows], dist[rows]
+    count = 2 * order
+    base, wbase = gauss_legendre(count)
+    step = 2.0 * np.pi / count
+    inside = (dist <= radius)[:, None]
+    # Outside the disc the cone is the arc of half-width asin(radius / dist)
+    # around the direction to the centre.
+    span = np.arcsin(radius / np.maximum(dist, radius))
+    mid = np.arctan2(offset[:, 1], offset[:, 0])
+    lo_ang, hi_ang = mid - span, mid + span
+    half = (0.5 * (hi_ang - lo_ang))[:, None]
+    ang = np.where(inside, np.arange(count) * step, lo_ang[:, None] + half * (base + 1.0))
+    sigma = np.where(inside, step, half * wbase)
+    cos, sin = np.cos(ang), np.sin(ang)
+    along = cos * offset[:, :1] + sin * offset[:, 1:]
+    disc = radius * radius - (dist2[:, None] - along * along)
     hit = disc > 0.0
     root = np.sqrt(np.where(hit, disc, 0.0))
-    lo = np.clip(along - root, 0.0, None)
+    lo = np.maximum(along - root, 0.0)
     hi = np.minimum(along + root, t)
     keep = hit & (hi > lo)
-    if not np.any(keep):
-        return empty
-    omegas, sigma_w = omegas[keep], sigma_w[keep]
-    lo, hi = lo[keep], hi[keep]
+    theta = np.stack([cos[keep], sin[keep]], axis=1)
+    owner = np.repeat(rows, keep.sum(axis=1))
+    along, lo, hi, sigma = along[keep], lo[keep], hi[keep], sigma[keep]
 
-    phi_lo = np.arcsin(np.clip(lo / t, 0.0, 1.0))
-    phi_hi = np.arcsin(np.clip(hi / t, 0.0, 1.0))
+    phi_lo = np.arcsin(np.minimum(lo / t, 1.0))
+    phi_hi = np.arcsin(np.minimum(hi / t, 1.0))
     base, wbase = gauss_legendre(order)
     half = 0.5 * (phi_hi - phi_lo)
-    phi = phi_lo[:, None] + half[:, None] * (base[None, :] + 1.0)
-    wphi = half[:, None] * wbase[None, :]
-    sin_phi = np.sin(phi)
-    cos_phi = np.cos(phi)
-    rad = t * sin_phi
-    weights = sigma_w[:, None] * wphi * t * cos_phi * rad ** (dimension - 1)
-    coords = x[:, None, None] + omegas.T[:, :, None] * rad[None, :, :]
-    return (coords.reshape(dimension, -1).T, rad.ravel(), weights.ravel(),
-            cos_phi.ravel())
+    # In place: the node arrays are the largest this rule builds.
+    r = half[:, None] * (base + 1.0)
+    r += phi_lo[:, None]
+    np.sin(r, out=r)
+    r *= t
+    weights = (sigma * half * t)[:, None] * wbase
+    weights *= r
+    return r.ravel(), weights.ravel(), theta, along, owner
 
 
 Value = Union[float, Array]

@@ -15,7 +15,7 @@ Every bump is radial, so u and each of its derivatives is a sum of per-bump
 terms. One core (`_parts`) runs the loop over the bumps for each kind of
 evaluation (`_Kind`: the principal part alone, u, grad u or dir2 u). A kind
 has a principal ball term per bump and, where exp(-t/2) > 0, wave terms: on
-the sphere of radius t in odd n, and on the clipped-ball nodes of
+the sphere of radius t in odd n, and on the chords of
 `quadrature.clipped_ball_nodes` in 2D. Ball and sphere integrals reduce to a
 radial rule in r and an angular rule in the angle to the bump centre
 (spherical means; F. John, Plane Waves and Spherical Means, 1955). In one
@@ -25,11 +25,13 @@ are the d'Alembert values at x +- t.
 The evaluators take one point or an (m, n) block of points at one t, and a
 point is a one-row block. For each bump the radial rule lays the nodes of all
 the rows it reaches end to end, so a block costs one node build, one profile
-pass and one kernel call per bump, not one per point; the 2D clipped-ball
-terms run row by row. Blocks go through in chunks of rows that hold a fixed
-number of nodes (`_CHUNK_NODES`), which bounds the memory of a pass. Every
-row equals its single-point value bit for bit (see `_row_dots`). All of
-them, and `heat_eval`, share one front end (`_evaluate`).
+pass and one kernel call per bump, not one per point. The 2D wave terms run
+the same way on the clipped-ball chords of all the rows, written in per-node
+scalars (r, s = theta . (c - x), theta) with no node point. Blocks go through
+in chunks of rows that hold a fixed number of nodes (`_CHUNK_NODES`, and
+`_CHORD_NODES` for the chords), which bounds the memory of a pass. Every row
+equals its single-point value bit for bit (see `_row_dots`). All of them,
+and `heat_eval`, share one front end (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -160,6 +162,12 @@ def _row_dots(a: Array, b: Array) -> Array:
 # 0.138 s in chunks of 16 rows, 0.135 s in chunks of 32 and 0.159 s in one
 # pass, which holds 18 times the memory (one row at a time: 0.31 s).
 _CHUNK_NODES = 1 << 17
+# Rows of a chunk per pass of the 2D clipped-ball chords, by the same count:
+# 4 points at order 64, where up to 128 chords of 64 nodes make 8,192 nodes
+# a point. A chord pass holds about twice the node arrays of a radial pass
+# (radii, weights, the profile table and the terms), and at this size it
+# holds no more memory than the radial pass of 16 points.
+_CHORD_NODES = 1 << 15
 
 
 def _in_chunks(parts, order: int, x: Array, *per_row: Array) -> Tuple[Array, ...]:
@@ -467,10 +475,69 @@ def _ball_dir2(bump: SmoothBump, ball: _Shells, t: float,
             _segment_dots(ball, np.abs(w2), sq) + _segment_dots(ball, np.abs(w1), mass))
 
 
+class _Chords(NamedTuple):
+    """One bump seen from the rows of a block along the chords of the 2D
+    clipped-ball rule (`quadrature.clipped_ball_nodes`).
+
+    rows are the rows of the block that own a chord, ascending, and starts
+    the index of each one's first chord. Per chord: theta, x - c of its row
+    (xc) and s = theta . (c - x), the last as a column. r and w are
+    (chords, order): the radii of the nodes x + r*theta and their weights,
+    the area element over the rim cosine. The terms are sums over the nodes
+    of each chord, then over the chords of each row in a fixed order, so a
+    row of a block is its single point bit for bit.
+    """
+    rows: Array
+    starts: Array
+    theta: Array
+    xc: Array
+    s: Array
+    r: Array
+    w: Array
+
+
+def _chords(bump: SmoothBump, x: Array, offset: Array, t: float, order: int,
+            first: int) -> Optional[_Chords]:
+    """The bump's chords from each row x of a block that starts at row
+    `first`, given x - c by row; None when no row has one."""
+    r, w, theta, s, owner = clipped_ball_nodes(x, t, bump.center_array, bump.radius,
+                                               order)
+    if not r.size:
+        return None
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    return _Chords(owner[starts] + first, starts, theta, offset[owner], s[:, None],
+                   r.reshape(-1, order), w.reshape(-1, order))
+
+
+def _chord_profile(bump: SmoothBump, ch: _Chords, top: int) -> Array:
+    """g and its first `top` derivatives in w = |y - c|**2 at the nodes."""
+    # |y - c|**2 from the two components of y - c = (x - c) + r*theta;
+    # expanding it as d**2 - 2rs + r**2 would cancel where d is near t.
+    gap = ch.r * ch.theta[:, :1]
+    gap += ch.xc[:, :1]
+    second = ch.r * ch.theta[:, 1:]
+    second += ch.xc[:, 1:]
+    gap *= gap
+    second *= second
+    gap += second
+    np.subtract(bump.radius * bump.radius, gap, out=gap)
+    return bump._g_table(gap, top)
+
+
+def _per_row(ch: _Chords, a: Array) -> Array:
+    """Per row, the sum over its chords of each chord's sum of a."""
+    return np.add.reduceat(a.sum(axis=1), ch.starts)
+
+
+def _along_theta(ch: _Chords, a: Array) -> Array:
+    """Per row, the sum over its chords of theta times the chord's sum of a."""
+    return np.add.reduceat(ch.theta * a.sum(axis=1)[:, None], ch.starts, axis=0)
+
+
 # The wave terms of one bump: (damped principal terms, M, dM), on the radius-t
-# sphere around each point of a block in odd n, and on the clipped-ball nodes
-# (pts, w, rim) of one point x in 2D; see _Kind.
-Terms = Tuple[Tuple[Value, ...], Value, Value]
+# sphere around each point of a block in odd n, and on the clipped-ball chords
+# in 2D; see _Kind.
+Terms = Tuple[Tuple[Array, ...], Array, Array]
 
 
 def _sphere_u(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
@@ -479,11 +546,11 @@ def _sphere_u(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
     return (), g0.sum(axis=1), (2.0 * g1 * (d * sphere.mu + t)).sum(axis=1)
 
 
-def _disc_u(bump: SmoothBump, t: float, x: Array, pts: Array, w: Array,
-            rim: Array) -> Terms:
-    jet = bump.jet(pts, 1)
-    return ((), float((w * jet.g[0] / rim).sum()),
-            float((w / rim) @ (((pts - x) * jet.gradient()).sum(axis=1))))
+def _disc_u(bump: SmoothBump, ch: _Chords, t: float) -> Terms:
+    # (y - x) . grad f = 2 g' r theta . (y - c) = 2 g' r (r - s).
+    g0, g1 = _chord_profile(bump, ch, 1)
+    wr = ch.w * ch.r
+    return (), _per_row(ch, ch.w * g0), _per_row(ch, 2.0 * g1 * wr * (ch.r - ch.s))
 
 
 def _sphere_grad(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
@@ -500,19 +567,21 @@ def _sphere_grad(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
     return (damped,), mean_grad[:, None] * e, mean_hvp[:, None] * e
 
 
-def _disc_grad(bump: SmoothBump, t: float, x: Array, pts: Array, w: Array,
-               rim: Array) -> Terms:
+def _disc_grad(bump: SmoothBump, ch: _Chords, t: float) -> Terms:
+    # With y - c = (x - c) + r*theta, each vector sum is (x - c) times a
+    # scalar sum plus theta times one per chord. The Hessian H = 2 g' I +
+    # 4 g'' (y - c)(y - c)^T takes y - x = r*theta, and theta . (y - c) is
+    # r - s.
     dc = dimension_constants(2)
-    jet = bump.jet(pts, 2)
-    # The node points are coordinate-major (see clipped_ball_nodes), and so
-    # is every array made from them. BLAS sums a column-major matrix over the
-    # nodes in another order than a row-major one, which moves some gradients
-    # by an ulp, and the hot-spot ascent amplifies that: so, row-major copies.
-    rows = np.ascontiguousarray(x[None, :] - pts)
-    coef = -(dc.gamma / 16.0) * wave_factor(t) * _beta(dc.ell, t)
-    return ((coef * ((w * jet.g[0] / (0.5 * t * rim)) @ rows),),
-            (w / rim) @ np.ascontiguousarray(jet.gradient()),
-            (w / rim) @ np.ascontiguousarray(jet.hvp(pts - x)))
+    g0, g1, g2 = _chord_profile(bump, ch, 2)
+    wr = ch.w * ch.r
+    xc = ch.xc[ch.starts]
+    bend = 4.0 * g2 * wr * (ch.r - ch.s)
+    coef = (dc.gamma / 8.0) * wave_factor(t) * _beta(dc.ell, t) / t
+    return ((coef * _along_theta(ch, wr * g0),),
+            2.0 * (xc * _per_row(ch, ch.w * g1)[:, None] + _along_theta(ch, wr * g1)),
+            xc * _per_row(ch, bend)[:, None]
+            + _along_theta(ch, 2.0 * g1 * wr + bend * ch.r))
 
 
 def _sphere_dir2(bump: SmoothBump, sphere: _Shells, t: float, omega: Array) -> Terms:
@@ -535,19 +604,28 @@ def _sphere_dir2(bump: SmoothBump, sphere: _Shells, t: float, omega: Array) -> T
             (4.0 * g2 * rate + 8.0 * g3 * rate * along2 + 8.0 * g2 * mixed).sum(axis=1))
 
 
-def _disc_dir2(bump: SmoothBump, t: float, x: Array, pts: Array, w: Array, rim: Array,
-               omega: Array) -> Terms:
+def _disc_dir2(bump: SmoothBump, ch: _Chords, t: float, omega: Array) -> Terms:
+    # omega projects through p = theta . omega per chord and q = (x - c) .
+    # omega per row: (y - c) . omega = q + r*p, (y - x) . omega = r*p. dM
+    # is t times the third derivative along (omega, omega, (y - x) / t).
     dc = dimension_constants(2)
     damp = wave_factor(t)
-    jet = bump.jet(pts, 3)
-    along = (x[None, :] - pts) @ omega
-    s = 0.5 * t * rim
-    return (((dc.gamma / 64.0) * damp * _beta(dc.ell + 1, t)
-             * float((w * jet.g[0] / s) @ (along * along)),
-             -(dc.gamma / 16.0) * damp * _beta(dc.ell, t)
-             * float((w / s) @ (along * (jet.gradient() @ omega)))),
-            float((w / rim) @ jet.dir2(omega)),
-            float((w / rim) @ jet.dir3(omega, (pts - x) / t)))
+    g0, g1, g2, g3 = _chord_profile(bump, ch, 3)
+    om = np.repeat(omega, np.diff(ch.starts, append=len(ch.s)), axis=0)
+    p = (ch.theta[:, 0] * om[:, 0] + ch.theta[:, 1] * om[:, 1])[:, None]
+    q = (ch.xc[:, 0] * om[:, 0] + ch.xc[:, 1] * om[:, 1])[:, None]
+    wr = ch.w * ch.r
+    rp = ch.r * p
+    along = q + rp
+    along2 = along * along
+    rise = ch.r * (ch.r - ch.s)
+    return (((dc.gamma / 32.0) * damp * _beta(dc.ell + 1, t) / t
+             * _per_row(ch, wr * g0 * rp * p),
+             (dc.gamma / 4.0) * damp * _beta(dc.ell, t) / t
+             * _per_row(ch, wr * g1 * p * along)),
+            _per_row(ch, ch.w * (2.0 * g1 + 4.0 * g2 * along2)),
+            _per_row(ch, ch.w * (4.0 * g2 * (rise + 2.0 * rp * along)
+                                 + 8.0 * g3 * rise * along2)))
 
 
 class _Kind(NamedTuple):
@@ -555,19 +633,18 @@ class _Kind(NamedTuple):
     and |kernel| mass, and, but for the principal part alone, its wave
     terms: sphere in odd n and disc in 2D. The raw wave is
     gamma * (a * M + b * dM) (`_wave_pair`), M and dM summed over the bumps,
-    and in 2D divided by t**2 and by disc_rate(t). A dir2 term also takes
-    the direction of its point or points, last."""
+    and in 2D divided by t**2 and t**3. A dir2 term also takes the direction
+    of its point or points, last."""
     vector: bool
     ball: Callable[..., Tuple[Array, Array]]
     sphere: Optional[Callable[..., Terms]] = None
     disc: Optional[Callable[..., Terms]] = None
-    disc_rate: Callable[[float], float] = lambda t: t ** 3
 
 
 _PRINCIPAL = _Kind(False, _ball_principal)
 _FIELD = _Kind(False, _ball_principal, _sphere_u, _disc_u)
 _GRAD = _Kind(True, _ball_grad, _sphere_grad, _disc_grad)
-_DIR2 = _Kind(False, _ball_dir2, _sphere_dir2, _disc_dir2, lambda t: t * t)
+_DIR2 = _Kind(False, _ball_dir2, _sphere_dir2, _disc_dir2)
 
 
 def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
@@ -575,12 +652,14 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
     """(principal, raw wave, |kernel| mass) of one kind at each row of x;
     per_row holds dir2's unit direction for each row.
 
-    Without wave the wave terms and the damped principal terms are not
-    computed, and the raw wave is 0.
+    Per bump: one pass of the radial rule for the principal ball term and,
+    with wave, the wave terms: one pass over the radius-t sphere in odd n,
+    and in 2D one pass over the clipped-ball chords of each `_CHORD_NODES`
+    worth of rows. Without wave the wave terms and the damped principal
+    terms are not computed, and the raw wave is 0.
     """
     n = datum.dimension
     wave = wave and kind.sphere is not None
-    spheres = wave and n % 2 == 1
     a, b = _wave_pair(n, t) if kind.sphere else (0.0, 0.0)
     principal, mean, rate = np.zeros((3, len(x), n) if kind.vector else (3, len(x)))
     mass = np.zeros(len(x))
@@ -592,32 +671,33 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
             term, ref = kind.ball(bump, ball, t, *(v[ball.rows] for v in per_row))
             principal[ball.rows] += term
             mass[ball.rows] += ref
+        # Free the radial nodes before the wave pass builds its own.
+        del ball
+        if not wave:
+            continue
         # The sphere terms integrate up to the third derivative of the
         # profile, whose edge is much steeper than the profile's, so the
         # sphere rule takes twice the angular nodes; at one radius they cost
         # next to nothing.
-        sphere = _shells(bump, offset, dist, t, 2 * order, on_sphere=True) if spheres else None
-        if sphere is not None:
-            damped, m, dm = kind.sphere(bump, sphere, t, *(v[sphere.rows] for v in per_row))
+        if n % 2:
+            passes = [_shells(bump, offset, dist, t, 2 * order, on_sphere=True)]
+            terms = kind.sphere
+        else:
+            step = max(1, _CHORD_NODES // (2 * order * order))
+            passes = (_chords(bump, x[i:i + step], offset[i:i + step], t, order, i)
+                      for i in range(0, len(x), step))
+            terms = kind.disc
+        for nodes in passes:
+            if nodes is None:
+                continue
+            damped, m, dm = terms(bump, nodes, t, *(v[nodes.rows] for v in per_row))
             for term in damped:
-                principal[sphere.rows] += term
-            mean[sphere.rows] += m
-            rate[sphere.rows] += dm
+                principal[nodes.rows] += term
+            mean[nodes.rows] += m
+            rate[nodes.rows] += dm
     if wave and n % 2 == 0:
-        for i, xi in enumerate(x):
-            for bump in datum.bumps:
-                pts, _, w, rim = clipped_ball_nodes(xi, t, bump.center_array,
-                                                    bump.radius, order)
-                if not pts.shape[0]:
-                    continue
-                damped, m, dm = kind.disc(bump, t, xi, pts, w, rim,
-                                          *(v[i] for v in per_row))
-                for term in damped:
-                    principal[i] += term
-                mean[i] += m
-                rate[i] += dm
         mean /= t * t
-        rate /= kind.disc_rate(t)
+        rate /= t ** 3
     return principal, dimension_constants(n).gamma * (a * mean + b * rate), mass
 
 

@@ -255,6 +255,41 @@ def test_grid_of_one_point_is_a_config_error(tmp_path, capsys):
     assert "points >= 2" in capsys.readouterr().err
 
 
+# Null, non-numeric and out-of-range fields, each with the one-line error it
+# must give; 1e309 is past the float range, and JSON reads it as inf.
+NULL_FIELDS = [
+    ("evaluate", {"t": None}, "t must be a finite positive number, got None"),
+    ("evaluate", {"t": [10.0, None]}, "t must be a finite positive number, got None"),
+    ("evaluate", {"t": "10"}, "t must be a finite positive number, got '10'"),
+    ("evaluate", {"grid": {"half_width": None}},
+     "half_width must be a finite positive number, got None"),
+    ("evaluate", {"grid": {"half_width": "1e309"}},
+     "half_width must be a finite positive number, got inf"),
+    ("evaluate", {"grid": {"center": [0.0, None]}}, "center must be a finite number, got None"),
+    ("evaluate", {"grid": {"center": None}}, "grid center needs 2 coordinates, got [None]"),
+    ("evaluate", {"grid": None}, "grid must be an object, got None"),
+    ("evaluate", {"grid": {"points": None}}, "points must be a positive integer, got None"),
+    ("evaluate", {"order": None}, "order must be a positive integer, got None"),
+    ("oracle-compare", {"grid": {"half_width": None}},
+     "half_width must be a finite positive number, got None"),
+    ("oracle-compare", {"grid": {"half_width": "1e309"}},
+     "half_width must be a finite positive number, got inf"),
+]
+
+
+@pytest.mark.parametrize("mode, fields, message", NULL_FIELDS,
+                         ids=[f"{mode}-{json.dumps(fields)}" for mode, fields, _ in NULL_FIELDS])
+def test_null_or_non_numeric_field_is_a_config_error(tmp_path, capsys, mode, fields,
+                                                      message):
+    datum = json.loads(TWO_2D_CONFIG.read_text(encoding="utf-8"))["datum"]
+    cfg = _write_config(tmp_path, datum=datum, mode=mode, **{"t": 10.0, **fields})
+    # The literal 1e309, as a config file would hold it.
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace('"1e309"', "1e309"),
+                   encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_asymptotics_mode(tmp_path):
     cfg = _write_config(tmp_path, mode="asymptotics",
                         t=[1e3, 1e4],

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from dampedwave import quadrature
 from dampedwave.quadrature import (QuadratureConvergenceError,
                                    clipped_ball_nodes, gauss_legendre,
                                    interval_nodes, with_refinement)
@@ -25,13 +24,23 @@ def test_interval_nodes_affine():
                                                    rel=1e-14)
 
 
+def _area(r, w, t):
+    """The area of the clipped region: the weights carry the area element
+    over the rim cosine sqrt(1 - (r / t)**2), which the sum puts back."""
+    return float(w @ np.sqrt((1.0 - r / t) * (1.0 + r / t)))
+
+
 def test_clipped_ball_full_overlap():
-    # With t much larger than the offset the clipped region is the whole ball.
+    # With t much larger than the offset the clipped region is the whole disc.
     x = np.full(2, 0.3)
-    pts, rad, w, rim = clipped_ball_nodes(x, 50.0, np.zeros(2), 1.0, 24)
-    assert float(w.sum()) == pytest.approx(math.pi, rel=1e-8)
-    assert np.all(rad <= 50.0 + 1e-12)
-    assert np.all(rim > 0.0)
+    r, w, theta, s, rows = clipped_ball_nodes(x, 50.0, np.zeros(2), 1.0, 24)
+    assert _area(r, w, 50.0) == pytest.approx(math.pi, rel=1e-8)
+    assert np.all(r <= 50.0 + 1e-12)
+    assert np.all(w > 0.0)
+    assert np.all(rows == 0)
+    # Inside the disc the directions are the 48-point trapezoid on the circle.
+    assert len(theta) == 48
+    np.testing.assert_allclose(s, theta @ -x, rtol=0.0, atol=1e-15)
 
 
 def test_clipped_ball_partial_overlap_mass():
@@ -44,10 +53,32 @@ def test_clipped_ball_partial_overlap_mass():
             + t * t * math.acos((dist ** 2 + t * t - 1.0) / (2.0 * dist * t))
             - 0.5 * math.sqrt((t + 1.0 - dist) * (dist + 1.0 - t)
                               * (dist - 1.0 + t) * (dist + 1.0 + t)))
-    pts, rad, w, rim = clipped_ball_nodes(x, t, np.zeros(2), 1.0, 32)
-    assert float(w.sum()) == pytest.approx(lens, rel=1e-4)
+    order = 32
+    r, w, theta, _, _ = clipped_ball_nodes(x, t, np.zeros(2), 1.0, order)
+    assert _area(r, w, t) == pytest.approx(lens, rel=1e-4)
+    # The node points x + r*theta, rebuilt from the chords.
+    pts = x + r[:, None] * np.repeat(theta, order, axis=0)
     assert float(np.linalg.norm(pts, axis=1).max()) <= 1.0 + 1e-12
-    assert float(rad.max()) <= t + 1e-12
+    assert float(r.max()) <= t + 1e-12
+
+
+def test_clipped_ball_block_rows_are_single_rows():
+    # A block gives each row's chords and nodes as that row alone does, bit
+    # for bit, with the rows in order; a row out of reach owns none.
+    block = np.array([[0.3, -0.2], [2.0, 0.0], [9.0, 9.0], [1.0, 0.0], [-1.9, 1.1]])
+    out = clipped_ball_nodes(block, 1.5, np.zeros(2), 1.0, 16)
+    rows = out[4]
+    assert np.all(np.diff(rows) >= 0) and 2 not in rows
+    for i, x in enumerate(block):
+        one = clipped_ball_nodes(x, 1.5, np.zeros(2), 1.0, 16)
+        chords = rows == i
+        nodes = np.repeat(chords, 16)
+        for got, want in zip((out[0][nodes], out[1][nodes], out[2][chords],
+                              out[3][chords]), one[:4]):
+            assert got.tobytes() == want.tobytes()
+        assert np.all(one[4] == 0)
+    with pytest.raises(ValueError, match="2D only"):
+        clipped_ball_nodes(np.zeros(3), 1.5, np.zeros(3), 1.0, 16)
 
 
 def test_with_refinement_accepts_smooth():
@@ -71,20 +102,15 @@ def test_with_refinement_rejects_rough():
         with_refinement(evaluate, 8, rtol=1e-10)
 
 
-def test_clipped_ball_beyond_reach_builds_nothing(monkeypatch):
-    # A ball that lies beyond the radius-t circle gives empty arrays before
-    # any cone direction is built; one that the circle reaches still gets
-    # its nodes.
-    def refuse(*args, **kwargs):
-        raise AssertionError("built cone directions")
-
+def test_clipped_ball_beyond_reach_builds_nothing():
+    # A disc that lies beyond the radius-t circle gives no chords and empty
+    # arrays of the returned shapes; one that the circle reaches gets them.
     x = np.array([3.0, 4.0])
     empty = clipped_ball_nodes(x, 4.0, np.zeros(2), 1.0, 16)
-    assert all(arr.shape[0] == 0 for arr in empty) and empty[0].shape == (0, 2)
+    assert all(arr.shape[0] == 0 for arr in empty) and empty[2].shape == (0, 2)
     reached = clipped_ball_nodes(x, 4.5, np.zeros(2), 1.0, 16)
-    assert reached[0].shape[0] > 0
-    monkeypatch.setattr(quadrature, "_cone_directions", refuse)
-    assert clipped_ball_nodes(x, 4.0, np.zeros(2), 1.0, 16)[0].shape == (0, 2)
+    assert reached[0].shape[0] == 16 * reached[2].shape[0] > 0
+    assert clipped_ball_nodes(np.array([x, x]), 0.0, np.zeros(2), 1.0, 16)[0].size == 0
 
 
 def test_with_refinement_judges_each_row():

@@ -489,10 +489,16 @@ def test_frozen_2d_values(two_2d):
 
 
 def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
-    # Each bump reached from x gets its radial nodes, and its clipped-ball
-    # nodes where the wave or damped terms are computed. Every term at one
-    # node set (value, gradient, Hessian and third derivative of f) comes
-    # from one pass of the profile table over it.
+    # Each bump reached from a block gets one pass of the profile table over
+    # its radial nodes per chunk of rows and, where the wave or damped terms
+    # are computed, one over its clipped-ball nodes per chord pass. Every
+    # term at one node set (value, gradient, Hessian and third derivative of
+    # f) comes from that one pass. Every row below reaches both bumps at
+    # t = 10; the block runs in two chunks of three rows, and each chunk in
+    # chord passes of two rows and one.
+    order = 16
+    monkeypatch.setattr(solution, "_CHUNK_NODES", 2 * order * order * 3)
+    monkeypatch.setattr(solution, "_CHORD_NODES", 2 * order * order * 2)
     passes = []
     node_sets = []
     g_table = SmoothBump._g_table
@@ -500,37 +506,120 @@ def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
     clipped = solution.clipped_ball_nodes
 
     def counted_table(self, gap, top):
-        passes.append(gap.shape)
+        passes.append(gap.size)
         return g_table(self, gap, top)
 
     def counted_shells(*args, **kwargs):
         out = shells(*args, **kwargs)
         if out is not None:
-            node_sets.append(out.rho2.shape)
+            node_sets.append(out.rho2.size)
         return out
 
     def counted_clipped(*args, **kwargs):
         out = clipped(*args, **kwargs)
         if out[0].shape[0]:
-            node_sets.append(out[1].shape)
+            node_sets.append(out[0].shape[0])
         return out
 
     monkeypatch.setattr(SmoothBump, "_g_table", counted_table)
     monkeypatch.setattr(solution, "_shells", counted_shells)
     monkeypatch.setattr(solution, "clipped_ball_nodes", counted_clipped)
-    x = np.array([0.9, 0.5])
-    evaluators = (lambda t: eval_u(two_2d, x, t),
-                  lambda t: eval_grad_u(two_2d, x, t),
-                  lambda t: eval_dir2_u(two_2d, x, t, FROZEN_2D_OMEGA))
-    # Node sets per bump: at t = 3200, where exp(-t/2) is 0, no evaluator
-    # builds clipped-ball nodes.
-    for t, per_bump in ((10.0, (2, 2, 2)), (3200.0, (1, 1, 1))):
-        for evaluate, sets in zip(evaluators, per_bump):
+    pts = np.array([[0.9, 0.5], [0.2, -0.3], [1.4, 1.2], [-0.6, 0.4], [2.0, 0.1],
+                    [0.5, 1.5]])
+    evaluators = (lambda t: eval_u(two_2d, pts, t, order=order),
+                  lambda t: eval_grad_u(two_2d, pts, t, order=order),
+                  lambda t: eval_dir2_u(two_2d, pts, t, FROZEN_2D_OMEGA, order=order))
+    bumps = len(two_2d.bumps)
+    # At t = 3200, where exp(-t/2) is 0, no evaluator builds clipped-ball
+    # nodes.
+    for t, per_bump in ((10.0, 2 * (1 + 2)), (3200.0, 2)):
+        for evaluate in evaluators:
             passes.clear()
             node_sets.clear()
             evaluate(t)
-            assert len(node_sets) == sets * len(two_2d.bumps), (t, node_sets)
+            assert len(node_sets) == per_bump * bumps, (t, node_sets)
             assert passes == node_sets, (t, passes, node_sets)
+
+
+def _point_terms(bump, x, t, order, omega):
+    """The 2D wave terms of one bump at each row of x, from BumpJet at the
+    node points y = x + r*theta of the clipped-ball rule, and the sum of
+    their absolute node values: {name: (terms, scale)} with one entry per
+    row. dir2's dM is t times the third derivative term, as the chord form
+    reports it."""
+    dc = dimension_constants(2)
+    damp = wave_factor(t)
+    r, w, theta, _, owner = quadrature.clipped_ball_nodes(x, t, bump.center_array,
+                                                          bump.radius, order)
+    row = np.repeat(owner, order)
+    y = x[row] + r[:, None] * np.repeat(theta, order, axis=0)
+    jet = bump.jet(y, 3)
+    om = omega[row]
+    along = ((x[row] - y) * om).sum(axis=1)
+    grad = jet.gradient()
+    grad_om = (grad * om).sum(axis=1)
+    dir2 = 2.0 * jet.g[1] + 4.0 * jet.g[2] * (jet.offset * om).sum(axis=1) ** 2
+    zeta = (y - x[row]) / t
+    a_ze = (jet.offset * zeta).sum(axis=1)
+    a_om = (jet.offset * om).sum(axis=1)
+    dir3 = (4.0 * jet.g[2] * a_ze + 8.0 * jet.g[3] * a_ze * a_om * a_om
+            + 8.0 * jet.g[2] * (zeta * om).sum(axis=1) * a_om)
+    over = w / (0.5 * t)
+    nodes = {
+        "u M": w * jet.g[0],
+        "u dM": w * ((y - x[row]) * grad).sum(axis=1),
+        "grad damped": (-(dc.gamma / 16.0) * damp * solution._beta(dc.ell, t))
+        * (over * jet.g[0])[:, None] * (x[row] - y),
+        "grad M": w[:, None] * grad,
+        "grad dM": w[:, None] * jet.hvp(y - x[row]),
+        "dir2 damped 1": (dc.gamma / 64.0) * damp * solution._beta(dc.ell + 1, t)
+        * over * jet.g[0] * along * along,
+        "dir2 damped 2": -(dc.gamma / 16.0) * damp * solution._beta(dc.ell, t)
+        * over * along * grad_om,
+        "dir2 M": w * dir2,
+        "dir2 dM": t * w * dir3,
+    }
+    out = {}
+    for name, values in nodes.items():
+        cols = values.reshape(len(row), -1)
+        total = np.stack([np.bincount(row, c, len(x)) for c in cols.T], axis=1)
+        scale = np.stack([np.bincount(row, np.abs(c), len(x)) for c in cols.T], axis=1)
+        out[name] = (total, scale.max(axis=1))
+    return out
+
+
+@pytest.mark.parametrize("t", [1.5, 10.0, 50.0])
+def test_chord_form_matches_point_formulas(two_2d, t):
+    # The chord-form wave terms (per-node scalars in r, s = theta . (c - x)
+    # and theta, summed per chord and then per row) against the BumpJet
+    # formulas at the rebuilt node points. Rows: inside each bump, on the
+    # first bump's rim (chords that start at x), grazing the radius-t circle
+    # (short chords that end at r = t), beyond reach, and two seeded points.
+    order = 32
+    first, second = (b.center_array for b in two_2d.bumps)
+    down = np.array([0.0, -1.0])
+    rows = np.array([first + [0.3, -0.2], second + [0.1, 0.2], first + [1.0, 0.0],
+                     first + (t + 0.95) * down, first + (t + 1.5) * down,
+                     *np.random.default_rng(7).uniform(-2.0, 3.0, size=(2, 2))])
+    omega = np.random.default_rng(8).normal(size=rows.shape)
+    omega /= np.linalg.norm(omega, axis=1)[:, None]
+    for bump in two_2d.bumps:
+        want = _point_terms(bump, rows, t, order, omega)
+        ch = solution._chords(bump, rows, rows - bump.center_array, t, order, 0)
+        assert 4 not in ch.rows
+        got = {}
+        (), got["u M"], got["u dM"] = solution._disc_u(bump, ch, t)
+        (got["grad damped"],), got["grad M"], got["grad dM"] = solution._disc_grad(
+            bump, ch, t)
+        (got["dir2 damped 1"], got["dir2 damped 2"]), got["dir2 M"], got["dir2 dM"] = (
+            solution._disc_dir2(bump, ch, t, omega[ch.rows]))
+        for name, (total, scale) in want.items():
+            missing = np.setdiff1d(np.arange(len(rows)), ch.rows)
+            assert np.all(scale[missing] == 0.0), name
+            assert np.all(scale[ch.rows] > 0.0), name
+            value = np.reshape(got[name], (len(ch.rows), -1))
+            gap = np.abs(value - total[ch.rows]).max(axis=1)
+            assert np.all(gap <= 1e-13 * scale[ch.rows]), (name, gap / scale[ch.rows])
 
 
 # Where the radius-t circle cuts a bump, the 2D terms that stay on the
@@ -663,7 +752,7 @@ def _mixed_block(datum, t):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("t", [1.5, 1600.0])
+@pytest.mark.parametrize("t", [1.5, 10.0, 1600.0])
 @pytest.mark.parametrize("name", ["two_1d", "two_2d", "two_3d"])
 @pytest.mark.parametrize("chunk_rows", [None, 3])
 def test_block_rows_equal_single_points(name, t, chunk_rows, request, monkeypatch):
