@@ -11,6 +11,15 @@ analytic.
 The 2D hull is Andrew's monotone chain (A. M. Andrew, Inf. Process. Lett. 9,
 1979), so 2D data load no SciPy. The 3D hull is qhull, through
 scipy.spatial, imported at the first 3D hull.
+
+The dense products over the vertices (the support over thousands of probe
+directions, the pairwise vertex distances of the diameter) run in row blocks
+of at most _BLOCK float64 entries, 4 MiB, so neither builds a matrix larger
+than that. The diameter adds its squares in the dense order, and a max is
+exact, so it keeps every bit. A support entry is the same dot product as in
+one dense product, but BLAS may round one that lies on a tile edge in one
+product and inside a tile in the other differently in its last bit; every
+bundled datum keeps its hull_tol bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +46,15 @@ Array = np.ndarray
 
 CIRCLE_POINTS = 256
 SPHERE_POINTS = 512
+# Entries per row block of the dense vertex products: 4 MiB of float64.
+# Not smaller: glibc's malloc raises its mmap threshold to the largest
+# mmapped block freed so far, and trims the heap above twice that (see
+# mallopt(3)). Until a block of 2 MiB or more has been freed, the
+# evaluators' arrays of about 1 MiB are mapped, and page-faulted, afresh on
+# every pass. A freed 4 MiB block lifts the threshold above them; with 1 MiB
+# blocks the run phase of grid-2d took about 43,300 minor page faults
+# instead of under 900, and ran markedly slower.
+_BLOCK = 1 << 19
 
 
 def fibonacci_sphere(count: int) -> Array:
@@ -74,17 +92,43 @@ class ConvexPolytope:
 
     @cached_property
     def diameter(self) -> float:
-        # The vertices are read-only, so the O(V^2) pairwise scan runs once.
+        """Largest distance between two vertices.
+
+        The vertices are read-only, so the O(V^2) pairwise scan runs once. It
+        takes _BLOCK // V rows at a time and adds the squared coordinate
+        differences one coordinate after the other, in the order of a sum
+        over the last axis. The square root is taken once, of the largest
+        square: it is monotone and correctly rounded, so that equals the
+        largest root."""
         v = self.vertices
         if self.dimension == 1:
             return float(v.max() - v.min())
-        diff = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=2)).max())
+        rows = max(1, _BLOCK // len(v))
+        widest = 0.0
+        for start in range(0, len(v), rows):
+            block = v[start:start + rows]
+            total = np.zeros((len(block), len(v)))
+            gap = np.empty_like(total)
+            for axis in range(self.dimension):
+                np.subtract.outer(block[:, axis], v[:, axis], out=gap)
+                gap *= gap
+                total += gap
+            widest = max(widest, float(total.max()))
+        return float(np.sqrt(widest))
 
     def support(self, directions: Array) -> Array:
-        """Support function h(d) = max_v v . d, vectorized over rows."""
+        """Support function h(d) = max_v v . d, vectorized over rows.
+
+        The rows go through the product _BLOCK // V at a time; each entry is
+        the same dot product as in one dense product, up to the rounding of
+        BLAS tile edges."""
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        return (dirs @ self.vertices.T).max(axis=1)
+        vt = self.vertices.T
+        rows = max(1, _BLOCK // vt.shape[1])
+        out = np.empty(len(dirs))
+        for start in range(0, len(dirs), rows):
+            out[start:start + rows] = (dirs[start:start + rows] @ vt).max(axis=1)
+        return out
 
     def contains(self, x: Array, tol: float = 0.0) -> bool:
         return self.distance(x)[0] <= tol
@@ -268,9 +312,13 @@ def _monotone_chain(points: Array) -> List[int]:
 def hull_of_points(points: Array, dimension: int) -> ConvexPolytope:
     """Exact polytope of a point cloud (no discretization slack).
 
-    A 2D cloud whose hull has fewer than three vertices (all points
-    collinear or equal) has no polygon and raises ValueError."""
+    A cloud with a non-finite coordinate raises ValueError. So does a 2D
+    cloud whose hull has fewer than three vertices (all points collinear or
+    equal), and a 3D cloud with no four points off one plane: neither has
+    a body."""
     points = np.asarray(points, dtype=float).reshape(-1, dimension)
+    if not np.isfinite(points).all():
+        raise ValueError("hull points must be finite")
     if dimension == 1:
         return ConvexPolytope(np.array([[points.min()], [points.max()]]), 1)
     if dimension == 2:
@@ -281,10 +329,14 @@ def hull_of_points(points: Array, dimension: int) -> ConvexPolytope:
         return ConvexPolytope(points[chain], 2)
     # Imported here so that only 3D data load scipy.spatial (and with it
     # scipy.special).
-    from scipy.spatial import ConvexHull
-    hull = ConvexHull(points)
-    remap = {int(old): new for new, old in enumerate(hull.vertices)}
-    faces = np.array([[remap[int(i)] for i in simplex] for simplex in hull.simplices])
+    from scipy.spatial import ConvexHull, QhullError
+    try:
+        hull = ConvexHull(points)
+    except QhullError as err:
+        raise ValueError("a 3D hull needs four points not on one plane") from err
+    remap = np.empty(len(points), dtype=int)
+    remap[hull.vertices] = np.arange(len(hull.vertices))
+    faces = remap[hull.simplices]
     return ConvexPolytope(points[hull.vertices], dimension, faces=faces,
                           equations=hull.equations)
 

@@ -1,15 +1,18 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, Delaunay
 
-from dampedwave.geometry import (ConvexPolytope, _ball_cloud, _probe_directions,
-                                 fibonacci_sphere, hull_of_balls, hull_of_points,
+from dampedwave.geometry import (_BLOCK, ConvexPolytope, _ball_cloud,
+                                 _probe_directions, fibonacci_sphere,
+                                 hull_of_balls, hull_of_points,
                                  inscribed_ball_containment, phi_inverse,
                                  phi_map, sample_normal_bundle)
+from dampedwave.initial_data import load_datum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -214,3 +217,118 @@ def test_hull_2d_matches_qhull():
 def test_hull_2d_rejects_fewer_than_three_vertices(points):
     with pytest.raises(ValueError, match="three points not on one line"):
         hull_of_points(np.array(points), 2)
+
+
+def _dense_support(dirs, verts):
+    return (dirs @ verts.T).max(axis=1)
+
+
+def _dense_diameter(verts):
+    diff = verts[:, None, :] - verts[None, :, :]
+    return float(np.sqrt((diff * diff).sum(axis=2)).max())
+
+
+def _dense_hull_tol(verts, centers, radii):
+    probes = _probe_directions(verts.shape[1])
+    exact = ((probes @ centers.T) + radii[None, :]).max(axis=1)
+    return float(np.clip(exact - _dense_support(probes, verts), 0.0, None).max()) + 1e-6
+
+
+def _dot_error_bound(dirs, verts):
+    # Two roundings of the same n-term dot product differ by at most
+    # 2 * gamma_n * sum |d_i v_i|, about n * eps of it.
+    n = verts.shape[1]
+    return 1.01 * n * np.finfo(float).eps * (np.abs(dirs) @ np.abs(verts).T).max(axis=1)
+
+
+@pytest.mark.parametrize("dimension,count", [(2, 5), (2, 1000), (3, 700), (3, 1200)])
+def test_blocked_geometry_matches_dense(dimension, count):
+    # Block rows _BLOCK // V leave a partial last block for every size here,
+    # and every size but the smallest takes several support blocks; the
+    # 1,200-vertex cloud also takes several diameter blocks.
+    rng = np.random.default_rng(100 + count)
+    verts = rng.normal(size=(count, dimension)) * rng.uniform(0.5, 5.0, size=dimension)
+    body = ConvexPolytope(verts, dimension)
+    rows = _BLOCK // count
+    dirs = rng.normal(size=(3 * rows + 7 if count > 5 else 40, dimension))
+    # The diameter is elementwise arithmetic in the dense order: bit-equal.
+    assert body.diameter == _dense_diameter(body.vertices)
+    # BLAS may round a dot product on a tile edge of one product differently
+    # from the same dot product inside a tile of the other, so a support
+    # value may differ from the dense one in its last bits, never by more
+    # than the rounding bound of the dot product.
+    got = body.support(dirs)
+    want = _dense_support(dirs, body.vertices)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= _dot_error_bound(dirs, body.vertices))
+    centers = rng.normal(size=(3, dimension))
+    radii = rng.uniform(0.2, 1.5, size=3)
+    balls = hull_of_balls(centers, radii, dimension)
+    probes = _probe_directions(dimension)
+    assert balls.diameter == _dense_diameter(balls.vertices)
+    assert abs(balls.hull_tol - _dense_hull_tol(balls.vertices, centers, radii)) <= \
+        _dot_error_bound(probes, balls.vertices).max()
+
+
+def test_support_of_no_directions(two_2d, single_3d):
+    for datum in (two_2d, single_3d):
+        assert datum.hull.support(np.zeros((0, datum.dimension))).shape == (0,)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_hull_tol_and_diameter_bit_equal_dense(path):
+    spec = json.loads(path.read_text(encoding="utf-8"))["datum"]
+    body = load_datum(spec).hull
+    if body.dimension == 1:
+        assert body.hull_tol == 1e-6
+        assert body.diameter == float(body.vertices.max() - body.vertices.min())
+        return
+    centers = np.array([b["center"] for b in spec["bumps"]], dtype=float)
+    radii = np.array([b["radius"] for b in spec["bumps"]], dtype=float)
+    assert body.hull_tol == _dense_hull_tol(body.vertices, centers, radii)
+    assert body.diameter == _dense_diameter(body.vertices)
+
+
+def test_3d_hull_memory_is_bounded():
+    # A dense probe product of single_bump_3d would hold 32 MiB and dense
+    # pairwise differences for its diameter 14 MiB; a block holds 4 MiB.
+    spec = json.loads((CONFIG_DIR / "single_bump_3d.json").read_text(encoding="utf-8"))["datum"]
+    load_datum(spec)  # imports and cached rules, outside the measurement
+    tracemalloc.start()
+    try:
+        body = load_datum(spec).hull
+        datum_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        body.diameter
+        diameter_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert datum_peak < 8 * 2**20
+    assert diameter_peak < 8 * 2**20
+
+
+def test_hull_3d_faces_index_the_qhull_simplices():
+    cloud = _ball_cloud(np.zeros((1, 3)), np.ones(1), 3)
+    body = hull_of_points(cloud, 3)
+    hull = ConvexHull(cloud)
+    np.testing.assert_array_equal(body.vertices[body.faces], cloud[hull.simplices])
+
+
+@pytest.mark.parametrize("points", [
+    np.c_[np.random.default_rng(3).normal(size=(20, 2)), np.zeros(20)],
+    [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [0.0, 1.0, 1.0], [3.0, 0.5, 1.0]],
+    [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]],
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+], ids=["plane-z0", "plane-z1", "line", "three-points"])
+def test_hull_3d_rejects_flat_clouds(points):
+    with pytest.raises(ValueError, match="four points not on one plane"):
+        hull_of_points(np.array(points, dtype=float), 3)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hull_rejects_non_finite_points(dimension, bad):
+    points = np.random.default_rng(4).normal(size=(12, dimension))
+    points[5, -1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        hull_of_points(points, dimension)
