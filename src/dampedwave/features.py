@@ -7,20 +7,22 @@ which the features live are exactly the sets hit by xi + rho nu over the
 normal bundle. Region tests shrink each stated region by the hull's
 discretization tolerance so a certificate never passes on points that might
 lie outside the true region. Sampling is deterministic (seeded Halton plus
-fixed ray grids) so repeated runs produce identical reports.
+fixed ray grids) so repeated runs produce identical reports. Every stage
+evaluates the field through the per-bump radial profiles of
+`solution.radial_field`, built once per t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .geometry import ConvexPolytope, NormalPoint, phi_map, sample_normal_bundle
 from .initial_data import InitialDatum
-from .solution import dimension_constants, eval_dir2_u, eval_grad_u, eval_u
+from .solution import dimension_constants, radial_field
 
 __all__ = [
     "CertificateResult",
@@ -138,9 +140,32 @@ def _require_hull(datum: InitialDatum) -> ConvexPolytope:
     return datum.hull
 
 
+# The stages evaluate u, grad u and dir2 u through the radial field of
+# (datum, t, order), `solution.radial_field`, which is built once per t. These
+# three keep the names and arguments of the public evaluators (without
+# `check`; u returns the value), so that each stage's evaluations can be
+# counted or wrapped by name.
+def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
+           order: int = DEFAULT_ORDER) -> Union[float, Array]:
+    """u at one point, or at each row of an (m, n) block."""
+    return radial_field(datum, t, order).u(x)
+
+
+def eval_grad_u(datum: InitialDatum, x: Union[Array, float], t: float,
+                order: int = DEFAULT_ORDER) -> Array:
+    """grad u: (n,) for one point, (m, n) for a block."""
+    return radial_field(datum, t, order).grad(x)
+
+
+def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float, omega: Array,
+                order: int = DEFAULT_ORDER) -> Union[float, Array]:
+    """(omega . grad)^2 u, omega one direction or one per row."""
+    return radial_field(datum, t, order).dir2(x, omega)
+
+
 def _ray_value(datum: InitialDatum, point: NormalPoint, rho: float, t: float,
                order: int) -> float:
-    return eval_u(datum, phi_map(point, rho), t, order=order).value
+    return eval_u(datum, phi_map(point, rho), t, order=order)
 
 
 def _ray_slope(datum: InitialDatum, point: NormalPoint, rho: float, t: float,
@@ -236,7 +261,7 @@ def _extremum_search(datum: InitialDatum, t: float, x0: Array, sense: float,
     xtol = 1e-10 * max(1.0, math.sqrt(t))
     step_cap = math.sqrt((2.0 * datum.dimension + 4.0) * t)
     fallback = 0.5 * datum.inradius
-    value = sense * eval_u(datum, x, t, order=order).value
+    value = sense * eval_u(datum, x, t, order=order)
     for _ in range(cap):
         grad = sense * eval_grad_u(datum, x, t, order=order)
         gnorm = float(np.linalg.norm(grad))
@@ -253,7 +278,7 @@ def _extremum_search(datum: InitialDatum, t: float, x0: Array, sense: float,
                 rho, nearest, _ = hull.distance(trial)
                 if rho > hull.hull_tol:
                     trial = nearest
-            trial_value = sense * eval_u(datum, trial, t, order=order).value
+            trial_value = sense * eval_u(datum, trial, t, order=order)
             if trial_value > value + 1e-4 * step * gnorm:
                 displacement = float(np.linalg.norm(trial - x))
                 gain = trial_value - value
@@ -411,7 +436,7 @@ def certify_signs(datum: InitialDatum, t: float,
     interior = _interior_points(hull, INTERIOR_SAMPLES, seed)
 
     def values(pts: Array) -> Array:
-        return eval_u(datum, pts, t, order=order).value
+        return eval_u(datum, pts, t, order=order)
 
     def grid(lo: float, hi: float) -> Tuple[Array, Array]:
         """Every ray's points at the rho grid on [lo, hi], ray after ray, and

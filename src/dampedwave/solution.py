@@ -52,6 +52,7 @@ from .quadrature import (clipped_ball_nodes, gauss_legendre, interval_nodes,
 __all__ = [
     "DimensionConstants",
     "FieldSample",
+    "RadialField",
     "dimension_constants",
     "eval_u",
     "eval_grad_u",
@@ -59,6 +60,8 @@ __all__ = [
     "eval_principal_general_n",
     "heat_eval",
     "error_decay_diagnostic",
+    "profile_reach",
+    "radial_field",
     "wave_factor",
 ]
 
@@ -828,3 +831,278 @@ def error_decay_diagnostic(datum: InitialDatum, t_values: List[float],
         top = np.abs(raw).max() / (1.0 + t) ** (datum.dimension + gradient)
         rows.append((t, max(0.0, float(top))))
     return rows
+
+
+# Degree of the profile series: the Chebyshev-Lobatto grid s_j = cos(j pi/N),
+# j = 0..N, on [-1, 1], whose distances |s_j| are N/2 + 1 = 33 values.
+_PROFILE_DEGREE = 64
+# No value of the profile data is known better than this fraction of its
+# |kernel| mass: the kernels agree with 60-digit mpmath to 3.5e-12 at worst
+# (acceptance criterion 04), and a value at order 128 sums about 33,000
+# nodes. At order 64 in 2D the node and order gaps both sit at 1e-13 to
+# 4e-13 of the mass, so without this floor a converged profile of two_bump_2d
+# would be refused on noise.
+_PROFILE_FLOOR = 1e-12
+
+
+def profile_reach(n: int, t: float) -> float:
+    """D = 1.5 sqrt((2n + 5) t) + 2, the distance from a bump centre up to
+    which its profile is fitted. The stages look up to psi + diameter + 2
+    past the hull, with psi = sqrt((2n + 5) t) by default; a point farther
+    than D from a bump centre is evaluated directly."""
+    return 1.5 * math.sqrt((2 * n + 5) * t) + 2.0
+
+
+@lru_cache(maxsize=None)
+def _lobatto_matrix(degree: int) -> Array:
+    """The Lobatto cosine sum of an even function: its values at
+    s_j = cos(j pi / degree), j = 0..degree/2, to its Chebyshev coefficients
+    of T_0, T_2, ..., T_degree. The mirror nodes -s_j are folded in: the two
+    ends count once between them, every other node twice, and s = 0 once."""
+    half = degree // 2
+    j = np.arange(half + 1)
+    fold = np.full(half + 1, 2.0)
+    fold[[0, half]] = 1.0
+    out = (2.0 / degree) * np.cos(np.outer(2 * j, j) * (math.pi / degree)) * fold
+    out[[0, half]] *= 0.5
+    return out
+
+
+def _lobatto_distances(degree: int) -> Array:
+    """|s_j| = cos(j pi / degree), j = 0..degree/2, from 1 down to exactly 0."""
+    s = np.cos(np.arange(degree // 2 + 1) * (math.pi / degree))
+    s[-1] = 0.0
+    return s
+
+
+def _chebyshev_derivative(coef: Array) -> Array:
+    """Chebyshev coefficients of the derivative of sum coef[k] T_k, by the
+    recurrence c'_(k-1) = c'_(k+1) + 2k c_k."""
+    top = len(coef) - 1
+    out = np.zeros(top + 2)
+    for k in range(top, 0, -1):
+        out[k - 1] = out[k + 1] + 2.0 * k * coef[k]
+    out[0] *= 0.5
+    return out[:top]
+
+
+class _Series(NamedTuple):
+    """An even q(s) = sum over m of a_m T_2m(s), and its first two
+    derivatives in s, as coefficients in phi = arcsin(s):
+    T_2m(s) = (-1)^m cos(2m phi) and T_(2m+1)(s) = (-1)^m sin((2m+1) phi).
+    That is T_k(s) = cos(k arccos s), written so that the odd terms of dq/ds
+    keep their relative accuracy as s -> 0, where dq/ds is divided by s."""
+    even: Array
+    odd: Array
+    second: Array
+
+
+def _series(coef: Array) -> _Series:
+    full = np.zeros(2 * len(coef) - 1)
+    full[::2] = coef
+    first = _chebyshev_derivative(full)
+    second = _chebyshev_derivative(first)
+    sign = (-1.0) ** np.arange(len(coef))
+    return _Series(coef * sign, first[1::2] * sign[:-1], second[::2] * sign[:-1])
+
+
+def _series_jet(series: _Series, reach: float, t: float, d: Array,
+                top: int = 2) -> List[Array]:
+    """[h, h'/d, h''][:top + 1] at distances d in [0, D] of
+    h(d) = q(d/D) exp(-d**2/4t).
+
+    With q' = dq/dd, h' = (q' - d q/(2t)) exp(-d**2/4t) by the product rule,
+    and h'' = (q'' - (d/t) q' + (d**2/(4t**2) - 1/(2t)) q) exp(-d**2/4t).
+    h'/d is even and smooth; at d = 0 it is h''(0)."""
+    s = np.minimum(d / reach, 1.0)
+    phi = np.arcsin(s)
+    m = np.arange(len(series.even))
+    cos = np.cos(np.outer(phi, 2 * m))
+    q = cos @ series.even
+    gauss = np.exp(-d * d / (4.0 * t))
+    out = [gauss * q]
+    if top == 0:
+        return out
+    k = 2 * m[:-1] + 1
+    sin = np.sin(np.outer(phi, k))
+    # sin((2m+1) phi)/s -> 2m + 1 as s -> 0.
+    ratio = np.divide(sin, s[:, None], out=np.broadcast_to(k, sin.shape).astype(float),
+                      where=s[:, None] > 0.0)
+    q1 = (ratio @ series.odd) / (reach * reach)
+    out.append(gauss * (q1 - q / (2.0 * t)))
+    if top == 2:
+        q2 = (cos[:, :-1] @ series.second) / (reach * reach)
+        d2 = d * d
+        out.append(gauss * (q2 - (d2 / t) * q1 + (d2 / (4.0 * t * t) - 0.5 / t) * q))
+    return out
+
+
+class RadialProfile(NamedTuple):
+    """One bump's share of u at one t, h(d) with d = |x - c|, on [0, D].
+
+    errors holds the error bars of h, of h' and of the dir2 terms (the
+    larger of h'' and h'/d) over [0, D]. Each is the largest of the gap
+    between the 33- and 65-node interpolants, the gap between the
+    interpolants of the data at `order` and at 2*`order` (the rule's own
+    error at `order`), and, for h, the rounding floor of the data.
+    converged says whether the node gap of h is within the larger of the
+    order gap and the floor: where it is not, 65 nodes do not resolve h.
+    """
+    series: _Series
+    reach: float
+    t: float
+    errors: Array
+    converged: bool
+
+    def jet(self, d: Array, top: int = 2) -> List[Array]:
+        """[h, h'/d, h''][:top + 1] at distances d in [0, D]."""
+        return _series_jet(self.series, self.reach, self.t, d, top)
+
+
+def _radial_profile(bump: SmoothBump, t: float, order: int) -> RadialProfile:
+    """The bump's profile at t: one block call of the full field `_parts` at
+    the 33 distances at 2*`order`, fitted as h(d) exp(d**2/4t), and one at
+    `order` for the error bar.
+
+    u is linear in the datum, so the profile is built for the bump with
+    amplitude 1 and scaled; a bump of amplitude 0 adds nothing. The bump is
+    moved to the origin, so that the points d e_1 lie at distance d exactly.
+    """
+    n = len(bump.center)
+    one = InitialDatum((SmoothBump((0.0,) * n, bump.radius, 1.0),), n, None)
+    reach = profile_reach(n, t)
+    dist = reach * _lobatto_distances(_PROFILE_DEGREE)
+    pts = np.zeros((len(dist), n))
+    pts[:, 0] = dist
+    damp = wave_factor(t)
+    lift = np.exp(dist * dist / (4.0 * t))
+
+    def lifted(o: int) -> Tuple[Array, Array]:
+        p, wave, mass = _in_chunks(partial(_parts, _FIELD, one, t, o, damp > 0.0), o, pts)
+        return (p + wave * damp) * lift, mass
+
+    values, mass = lifted(2 * order)
+    values *= bump.amplitude
+    fine = _lobatto_matrix(_PROFILE_DEGREE) @ values
+    # The 33-node grid is every other node of the 65-node one.
+    nodes = fine.copy()
+    nodes[:_PROFILE_DEGREE // 4 + 1] -= _lobatto_matrix(_PROFILE_DEGREE // 2) @ values[::2]
+    orders = fine - _lobatto_matrix(_PROFILE_DEGREE) @ (bump.amplitude * lifted(order)[0])
+    # The gaps are taken on the 65 distances of the 129-node grid, so that
+    # they are seen between the nodes as well.
+    check = reach * _lobatto_distances(2 * _PROFILE_DEGREE)
+
+    def gaps(coef: Array) -> Array:
+        h, slope, curv = np.abs(_series_jet(_series(coef), reach, t, check))
+        return np.array([h.max(), (slope * check).max(), max(slope.max(), curv.max())])
+
+    node_gap, order_gap = gaps(nodes), gaps(orders)
+    floor = _PROFILE_FLOOR * bump.amplitude * float(mass.max())
+    errors = np.maximum(node_gap, order_gap)
+    errors[0] = max(errors[0], floor)
+    return RadialProfile(_series(fine), reach, t, errors,
+                         bool(node_gap[0] <= max(order_gap[0], floor)))
+
+
+class RadialField:
+    """u, grad u and dir2 u of one datum at one t and rule order, as sums of
+    the bumps' radial profiles: with d_b = |x - c_b| and e_b = (x - c_b)/d_b,
+
+        u = sum h_b(d_b),  grad u = sum h_b'(d_b) e_b,
+        (omega . grad)^2 u = sum h_b'' (e_b . omega)**2
+                             + (h_b'/d_b) (1 - (e_b . omega)**2),
+
+    which is h_b'' at d_b = 0. The profiles hold the data at 2*`order`, so
+    the field is the more accurate of the two; `errors` holds the error bars
+    of its three quantities, the sums of the bumps' error bars.
+
+    It evaluates with the direct evaluators at `order` instead:
+    - every point, where some bump has D + R_b >= t (`fallback` says so):
+      the light cone then enters [0, D], and h_b is not smooth there;
+    - every point, where a profile has not converged: 65 nodes leave a gap
+      above both the order gap and the rounding floor;
+    - each point farther than D from some bump centre, where no profile
+      holds data.
+    Such points give exactly what the direct evaluators give.
+    """
+
+    def __init__(self, datum: InitialDatum, t: float, order: int) -> None:
+        _check_time(t)
+        self.datum, self.t, self.order = datum, t, order
+        self.reach = profile_reach(datum.dimension, t)
+        self.profiles: Optional[List[RadialProfile]] = None
+        self.errors = np.zeros(3)
+        if self.reach + max(b.radius for b in datum.bumps) >= t:
+            self.fallback: Optional[str] = "the light cone reaches the profile domain"
+            return
+        profiles = [_radial_profile(bump, t, order) for bump in datum.bumps]
+        if not all(p.converged for p in profiles):
+            self.fallback = "a profile has not converged on 65 nodes"
+            return
+        self.fallback = None
+        self.profiles = profiles
+        self.errors = np.sum([p.errors for p in profiles], axis=0)
+
+    def u(self, x: Union[Array, float]) -> Value:
+        """u at one point, or at each row of an (m, n) block."""
+        return self._evaluate(0, x)
+
+    def grad(self, x: Union[Array, float]) -> Array:
+        """grad u: (n,) for one point, (m, n) for a block."""
+        return self._evaluate(1, x)
+
+    def dir2(self, x: Union[Array, float], omega: Array) -> Value:
+        """(omega . grad)^2 u, omega one direction or one per row."""
+        return self._evaluate(2, x, omega)
+
+    def _direct(self, top: int, x: Array, omega: Optional[Array]) -> Value:
+        if top == 0:
+            return eval_u(self.datum, x, self.t, order=self.order).value
+        if top == 1:
+            return eval_grad_u(self.datum, x, self.t, order=self.order)
+        return eval_dir2_u(self.datum, x, self.t, omega, order=self.order)
+
+    def _evaluate(self, top: int, x: Union[Array, float],
+                  omega: Optional[Array] = None) -> Value:
+        """u (top 0), grad u (1) or dir2 u (2)."""
+        if self.profiles is None:
+            return self._direct(top, x, omega)
+        pts, single = _as_points(self.datum, x, self.t)
+        m, n = pts.shape
+        om = None if omega is None else _as_directions(omega, m, n, single)
+        offsets = [pts - bump.center_array for bump in self.datum.bumps]
+        dists = [np.sqrt(_row_dots(offset, offset)) for offset in offsets]
+        near = np.logical_and.reduce([dist <= self.reach for dist in dists])
+        if single and not near[0]:
+            return self._direct(top, x, omega)
+        rows = slice(None) if near.all() else near
+        out = np.zeros((m, n) if top == 1 else m)
+        for profile, offset, dist in zip(self.profiles, offsets, dists):
+            offset, dist = offset[rows], dist[rows]
+            jet = profile.jet(dist, top)
+            if top == 0:
+                out[rows] += jet[0]
+            elif top == 1:
+                out[rows] += jet[1][:, None] * offset
+            else:
+                _, slope, curv = jet
+                along = _row_dots(offset, om[rows])
+                cos2 = np.divide(along * along, dist * dist, out=np.zeros_like(dist),
+                                 where=dist > 0.0)
+                out[rows] += slope + (curv - slope) * cos2
+        if rows is near:
+            far = ~near
+            far_omega = None if omega is None else np.broadcast_to(
+                np.asarray(omega, dtype=float), (m, n))[far]
+            out[far] = self._direct(top, pts[far], far_omega)
+        if single:
+            return out[0] if top == 1 else float(out[0])
+        return out
+
+
+@lru_cache(maxsize=4)
+def radial_field(datum: InitialDatum, t: float, order: int = DEFAULT_ORDER) -> RadialField:
+    """The `RadialField` of (datum, t, order), built once and shared by every
+    call at that t: the feature stages evaluate through it. The cache holds
+    the four most recent fields."""
+    return RadialField(datum, t, order)
