@@ -14,7 +14,6 @@ from .features import (
     build_spot_report,
     certify_signs,
     default_psi,
-    empirical_threshold,
     find_cold_spot,
     find_critical_radius,
     find_hot_spots,
@@ -28,7 +27,6 @@ from .geometry import (
     hull_of_balls,
     hull_of_points,
     inscribed_ball_containment,
-    phi_inverse,
     phi_map,
     sample_normal_bundle,
 )
@@ -37,7 +35,6 @@ from .initial_data import (
     SmoothBump,
     load_datum,
     make_datum,
-    sobolev_sup_estimate,
     unit_ball_mass,
 )
 from .kernels import (
@@ -94,7 +91,6 @@ __all__ = [
     "hull_of_balls",
     "hull_of_points",
     "inscribed_ball_containment",
-    "phi_inverse",
     "phi_map",
     "sample_normal_bundle",
     # initial data
@@ -102,7 +98,6 @@ __all__ = [
     "SmoothBump",
     "load_datum",
     "make_datum",
-    "sobolev_sup_estimate",
     "unit_ball_mass",
     # solution
     "DimensionConstants",
@@ -128,7 +123,6 @@ __all__ = [
     "build_spot_report",
     "certify_signs",
     "default_psi",
-    "empirical_threshold",
     "find_cold_spot",
     "find_critical_radius",
     "find_hot_spots",

@@ -23,8 +23,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .features import (DIRECTION_COUNTS, FeatureConvergenceError,
-                       PROPOSITIONS, build_spot_report, certify_signs,
-                       default_psi, find_critical_radius, trace_null_radius)
+                       PROPOSITIONS, _critical_shell_radius, _null_shell_radius,
+                       build_spot_report, certify_signs, default_psi,
+                       find_critical_radius, trace_null_radius)
 from .geometry import sample_normal_bundle
 from .initial_data import InitialDatum, load_datum
 from .kernels import (kernel_ktilde_scaled, ktilde_expansion_sqrt,
@@ -92,19 +93,14 @@ def _time_list(config: Dict, override: Optional[List[float]]) -> List[float]:
         ts = [_number(v, "t", positive=True)
               for v in (raw if isinstance(raw, list) else [raw])]
     elif "t_min" in config:
-        try:
-            t_min = float(config["t_min"])
-            t_max = float(config["t_max"])
-            factor = float(config.get("factor", 2.0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"geometric time grid needs t_min, t_max, "
-                              f"factor: {exc}") from exc
+        if "t_max" not in config:
+            raise ConfigError("geometric time grid needs t_min, t_max, factor")
+        # Finite and positive, or the loop below would never end.
+        t_min = _number(config["t_min"], "t_min", positive=True)
+        t_max = _number(config["t_max"], "t_max", positive=True)
+        factor = _positive_number(config, "factor", 2.0)
         if factor <= 1.0:
             raise ConfigError(f"factor must exceed 1, got {factor}")
-        # Otherwise the loop below would never end.
-        if not (t_min > 0.0 and math.isfinite(t_max)):
-            raise ConfigError(f"geometric time grid needs t_min > 0 and a finite "
-                              f"t_max, got {t_min}, {t_max}")
         ts = []
         t = t_min
         while t <= t_max * (1.0 + 1e-12):
@@ -205,13 +201,13 @@ def _ray_table(datum: InitialDatum, config: Dict, ts: List[float], out: Path,
     rays = sample_normal_bundle(
         datum.hull, _integer(config, "directions", DIRECTION_COUNTS[n]))
     finder = trace_null_radius if kind == "null" else find_critical_radius
-    ref_coef = 2.0 * n if kind == "null" else 2.0 * n + 4.0
+    shell_radius = _null_shell_radius if kind == "null" else _critical_shell_radius
     radius_col = "rho_null" if kind == "null" else "rho_crit"
     header = ([f"xi{i + 1}" for i in range(n)]
               + [f"nu{i + 1}" for i in range(n)]
               + [radius_col, "reference_radius"])
     for t in ts:
-        ref = math.sqrt(ref_coef * t)
+        ref = shell_radius(n, t)
         rows = []
         for point in rays:
             rho = finder(datum, t, point, order=order)
@@ -291,15 +287,15 @@ def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
     grid = _section(config, "grid")
     points = _integer(grid, "points", 101 if n == 1 else 41)
     if n == 1:
-        dx = float(oracle_cfg.get("dx", 1.0 / 512.0))
-        cfl = float(oracle_cfg.get("cfl", 0.5))
+        dx = _positive_number(oracle_cfg, "dx", 1.0 / 512.0)
+        cfl = _positive_number(oracle_cfg, "cfl", 0.5)
         run = fd_solve_1d(datum, t, dx=dx, cfl=cfl)
     else:
         L = _positive_number(oracle_cfg, "L", 64.0)
         modes = _integer(oracle_cfg, "modes", 1024 if n == 2 else 128)
         run = spectral_solve(datum, t, L, modes)
     support = datum.diameter / 2.0 + float(np.max(np.abs(datum.centroid)))
-    default_half = min(math.sqrt((2.0 * n + 4.0) * t) + datum.diameter,
+    default_half = min(_critical_shell_radius(n, t) + datum.diameter,
                        support + t)
     half = _positive_number(grid, "half_width", default_half)
     axes = [float(c) + np.linspace(-half, half, points)
@@ -327,13 +323,13 @@ def _mode_asymptotics(datum: InitialDatum, config: Dict, out: Path, seed: int,
     regime = str(a_cfg.get("regime", "leading"))
     rows = []
     if regime == "leading":
-        r = float(a_cfg.get("r", 1.0))
+        r = _number(a_cfg.get("r", 1.0), "r")
         for t in ts:
             exact = kernel_ktilde_scaled(parity, ell, r, t)
             expansion = ktilde_leading_order(parity, ell, t)
             rows.append([t, exact, expansion, exact / expansion])
     elif regime == "sqrt":
-        c = float(a_cfg.get("r_over_sqrt_t", 1.0))
+        c = _number(a_cfg.get("r_over_sqrt_t", 1.0), "r_over_sqrt_t")
         for t in ts:
             r = c * math.sqrt(t)
             exact = kernel_ktilde_scaled(parity, ell, r, t)

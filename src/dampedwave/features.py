@@ -1,6 +1,6 @@
 """Geometric features of the evolved field: the null and critical sets near
 their limiting radii, delayed hot spots, the cold spot, sign certificates
-with explicit envelopes, empirical onset times, and log-log rate fits.
+with explicit envelopes, and log-log rate fits.
 
 All searches run along outer-normal rays of the support hull: the annuli in
 which the features live are exactly the sets hit by xi + rho nu over the
@@ -35,7 +35,6 @@ __all__ = [
     "find_hot_spots",
     "find_cold_spot",
     "certify_signs",
-    "empirical_threshold",
     "rate_fit",
     "build_spot_report",
     "default_psi",
@@ -163,6 +162,22 @@ def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float, omega: Ar
     return radial_field(datum, t, order).dir2(x, omega)
 
 
+def _null_shell_radius(n: int, t: float) -> float:
+    """sqrt(2nt), the radius that the null set approaches."""
+    return math.sqrt(2.0 * n * t)
+
+
+def _critical_shell_radius(n: int, t: float) -> float:
+    """sqrt((2n + 4)t), the radius that the critical set approaches."""
+    return math.sqrt((2.0 * n + 4.0) * t)
+
+
+def _shell_bracket(datum: InitialDatum, target: float) -> Tuple[float, float]:
+    """The interval of distances rho along an outer normal that a ray search
+    scans around the shell radius `target`."""
+    return max(0.0, target - datum.diameter - 1.0), target + 1.0
+
+
 def _ray_value(datum: InitialDatum, point: NormalPoint, rho: float, t: float,
                order: int) -> float:
     return eval_u(datum, phi_map(point, rho), t, order=order)
@@ -206,10 +221,7 @@ def trace_null_radius(datum: InitialDatum, t: float, normal_point: NormalPoint,
     do not change sign (a certificate failure, not an error).
     """
     _require_hull(datum)
-    n = datum.dimension
-    target = math.sqrt(2.0 * n * t)
-    lo = max(0.0, target - datum.diameter - 1.0)
-    hi = target + 1.0
+    lo, hi = _shell_bracket(datum, _null_shell_radius(datum.dimension, t))
     return _bisect(lambda rho: _ray_value(datum, normal_point, rho, t, order),
                    lo, hi)
 
@@ -219,10 +231,7 @@ def find_critical_radius(datum: InitialDatum, t: float,
                          order: int = DEFAULT_ORDER) -> Optional[float]:
     """Distance along the outer normal at which nu . grad u crosses zero."""
     _require_hull(datum)
-    n = datum.dimension
-    target = math.sqrt((2.0 * n + 4.0) * t)
-    lo = max(0.0, target - datum.diameter - 1.0)
-    hi = target + 1.0
+    lo, hi = _shell_bracket(datum, _critical_shell_radius(datum.dimension, t))
     return _bisect(lambda rho: _ray_slope(datum, normal_point, rho, t, order),
                    lo, hi)
 
@@ -259,7 +268,7 @@ def _extremum_search(datum: InitialDatum, t: float, x0: Array, sense: float,
     """
     x = np.array(x0, dtype=float)
     xtol = 1e-10 * max(1.0, math.sqrt(t))
-    step_cap = math.sqrt((2.0 * datum.dimension + 4.0) * t)
+    step_cap = _critical_shell_radius(datum.dimension, t)
     fallback = 0.5 * datum.inradius
     value = sense * eval_u(datum, x, t, order=order)
     for _ in range(cap):
@@ -308,10 +317,7 @@ def find_hot_spots(datum: InitialDatum, t: float,
     ascent; results are deduplicated and sorted by value, best first.
     """
     _require_hull(datum)
-    n = datum.dimension
-    target = math.sqrt((2.0 * n + 4.0) * t)
-    lo = max(0.0, target - datum.diameter - 1.0)
-    hi = target + 1.0
+    lo, hi = _shell_bracket(datum, _critical_shell_radius(datum.dimension, t))
     candidates: List[Tuple[Array, float]] = []
     for point in directions:
         rho = _golden_max(
@@ -423,8 +429,8 @@ def certify_signs(datum: InitialDatum, t: float,
         raise ValueError(f"unknown propositions: {sorted(unknown)}")
 
     delta = hull.hull_tol
-    r_null = math.sqrt(2.0 * n * t)
-    r_crit = math.sqrt((2.0 * n + 4.0) * t)
+    r_null = _null_shell_radius(n, t)
+    r_crit = _critical_shell_radius(n, t)
     psi = default_psi(n, t, psi_coefficient)
     d_f = datum.diameter
     mass = datum.mass
@@ -515,39 +521,6 @@ def certify_signs(datum: InitialDatum, t: float,
     return out
 
 
-def empirical_threshold(datum: InitialDatum, proposition: str,
-                        psi_coefficient: Optional[float] = None,
-                        order: int = DEFAULT_ORDER, seed: int = 0,
-                        t_start: float = 1.0, t_cap: float = 1e5,
-                        direction_count: Optional[int] = None,
-                        ) -> Optional[float]:
-    """Smallest dyadic t at which the certificate holds and keeps holding.
-
-    A time passes only when the proposition certifies at t, 2t, and 4t.
-    Returns None when no such t at or below the cap exists. The result is an
-    empirical onset for this datum, not a proven threshold.
-    """
-    if proposition not in PROPOSITIONS:
-        raise ValueError(f"unknown proposition: {proposition}")
-    cache: Dict[float, bool] = {}
-
-    def passes(t: float) -> bool:
-        if t not in cache:
-            res = certify_signs(datum, t, psi_coefficient=psi_coefficient,
-                                order=order, seed=seed,
-                                propositions=(proposition,),
-                                direction_count=direction_count)
-            cache[t] = res[proposition].passed
-        return cache[t]
-
-    t = t_start
-    while t <= t_cap:
-        if passes(t) and passes(2.0 * t) and passes(4.0 * t):
-            return t
-        t *= 2.0
-    return None
-
-
 def rate_fit(series: Sequence[Tuple[float, float]]) -> RateFit:
     """Least-squares slope of log(quantity) against log(t).
 
@@ -586,8 +559,8 @@ def build_spot_report(datum: InitialDatum, t: float,
     report = SpotReport(
         t=t,
         psi=default_psi(n, t, psi_coefficient),
-        radius_null_reference=math.sqrt(2.0 * n * t),
-        radius_crit_reference=math.sqrt((2.0 * n + 4.0) * t),
+        radius_null_reference=_null_shell_radius(n, t),
+        radius_crit_reference=_critical_shell_radius(n, t),
         diameter=datum.diameter,
     )
     for point in rays:

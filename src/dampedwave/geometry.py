@@ -24,7 +24,7 @@ bundled datum keeps its hull_tol bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,7 +37,6 @@ __all__ = [
     "hull_of_balls",
     "hull_of_points",
     "phi_map",
-    "phi_inverse",
     "sample_normal_bundle",
     "inscribed_ball_containment",
 ]
@@ -368,14 +367,6 @@ def sample_normal_bundle(body: ConvexPolytope, count: int) -> List[NormalPoint]:
 def phi_map(point: NormalPoint, rho: float) -> Array:
     """Annulus chart: the point at distance rho along the outward normal."""
     return point.xi + rho * point.nu
-
-
-def phi_inverse(body: ConvexPolytope, x: Array) -> Tuple[NormalPoint, float]:
-    """Nearest-point decomposition of an exterior point; rejects interior x."""
-    rho, xi, nu = body.distance(x)
-    if nu is None:
-        raise ValueError("point lies inside the body; no normal decomposition")
-    return NormalPoint(xi, nu), rho
 
 
 def inscribed_ball_containment(body: ConvexPolytope, center: Array, rho: float,

@@ -3,10 +3,11 @@
 A bump of amplitude a, radius R at center c takes the value
 a * exp(1 - R**2 / (R**2 - |y - c|**2)) inside its ball and 0 outside, so the
 peak value is exactly a and every derivative vanishes on the support boundary.
-First through third derivatives are closed-form, from one table of the
-profile g(w), w = |y - c|**2, and its w-derivatives (`SmoothBump._g_table`),
-which also gives the bump mass (a Gauss-Legendre rule in the radius with a
-doubling refinement check) and the derivative sups of the Sobolev estimate.
+Each derivative through the third is a closed form in the offset y - c and
+one table of the profile g(w), w = |y - c|**2, and its w-derivatives
+(`SmoothBump._g_table`). The same table gives the bump mass (a
+Gauss-Legendre rule in the radius with a doubling refinement check) and the
+sups of the unit profile's radial derivatives.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "InitialDatum",
     "make_datum",
     "load_datum",
-    "sobolev_sup_estimate",
     "unit_ball_mass",
 ]
 
@@ -45,55 +45,6 @@ def _as_batch(x: Union[Array, Sequence[float], float], dimension: int) -> Tuple[
             return pts[:, None], False
         return pts[None, :], True
     return pts, False
-
-
-class BumpJet(NamedTuple):
-    """One bump at one set of points y: the offsets y - c, and g with its
-    first derivatives in w = |y - c|**2, stacked, zero off the support.
-
-    Every derivative of f(y) = g(|y - c|**2) at those points is a polynomial
-    in these, so one jet serves all of them.
-    """
-    offset: Array
-    g: Array
-
-    def gradient(self) -> Array:
-        return 2.0 * self.g[1][:, None] * self.offset
-
-    def dir2(self, omega: Array) -> Array:
-        """(omega . grad)^2 f."""
-        along = self.offset @ np.asarray(omega, dtype=float)
-        return 2.0 * self.g[1] + 4.0 * self.g[2] * along * along
-
-    def dir3(self, omega: Array, zeta: Array) -> Array:
-        """Third derivative D^3 f[omega, omega, zeta]; zeta may vary per point."""
-        _, g1, g2, g3 = self.g[:4]
-        omega = np.asarray(omega, dtype=float)
-        zeta = np.asarray(zeta, dtype=float)
-        if zeta.ndim == 2:
-            a_ze = (self.offset * zeta).sum(axis=1)
-            om_ze = zeta @ omega
-        else:
-            a_ze = self.offset @ zeta
-            om_ze = float(omega @ zeta)
-        a_om = self.offset @ omega
-        return (4.0 * g2 * a_ze + 8.0 * g3 * a_ze * a_om * a_om
-                + 8.0 * g2 * om_ze * a_om)
-
-    def hvp(self, vecs: Array) -> Array:
-        """Hessian-vector products H(y) v(y); vecs is (n,) or one row per point."""
-        vecs = np.asarray(vecs, dtype=float)
-        v = vecs if vecs.ndim == 2 else vecs[None, :]
-        along = (self.offset * v).sum(axis=1)
-        return (2.0 * self.g[1][:, None] * v
-                + 4.0 * (self.g[2] * along)[:, None] * self.offset)
-
-    def hessian(self) -> Array:
-        """H(y) = 2 g'(w) I + 4 g''(w) (y - c)(y - c)^T, one matrix per point."""
-        d = self.offset
-        eye = np.eye(d.shape[1])
-        return (2.0 * self.g[1][:, None, None] * eye[None, :, :]
-                + 4.0 * self.g[2][:, None, None] * d[:, :, None] * d[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -147,29 +98,44 @@ class SmoothBump:
                           - 6.0 * r2 * inv**4)
         return out
 
-    def jet(self, pts: Array, top: int) -> BumpJet:
-        """Offsets and g up to its `top`-th derivative at the points, in one
-        pass; `top` is 1 for the gradient, 2 for dir2 and hvp, 3 for dir3."""
-        offset, gap = self._shape(pts)
-        return BumpJet(offset, self._g_table(gap, top))
-
     def value(self, pts: Array) -> Array:
-        return self.jet(pts, 0).g[0]
+        return self._g_table(self._shape(pts)[1], 0)[0]
 
     def gradient(self, pts: Array) -> Array:
-        return self.jet(pts, 1).gradient()
+        offset, gap = self._shape(pts)
+        return 2.0 * self._g_table(gap, 1)[1][:, None] * offset
 
     def dir2(self, pts: Array, omega: Array) -> Array:
         """(omega . grad)^2 of the bump."""
-        return self.jet(pts, 2).dir2(omega)
+        offset, gap = self._shape(pts)
+        _, g1, g2 = self._g_table(gap, 2)
+        along = offset @ np.asarray(omega, dtype=float)
+        return 2.0 * g1 + 4.0 * g2 * along * along
 
     def dir3(self, pts: Array, omega: Array, zeta: Array) -> Array:
         """Third derivative D^3 f[omega, omega, zeta]; zeta may vary per point."""
-        return self.jet(pts, 3).dir3(omega, zeta)
+        offset, gap = self._shape(pts)
+        _, _, g2, g3 = self._g_table(gap, 3)
+        omega = np.asarray(omega, dtype=float)
+        zeta = np.asarray(zeta, dtype=float)
+        if zeta.ndim == 2:
+            a_ze = (offset * zeta).sum(axis=1)
+            om_ze = zeta @ omega
+        else:
+            a_ze = offset @ zeta
+            om_ze = float(omega @ zeta)
+        a_om = offset @ omega
+        return (4.0 * g2 * a_ze + 8.0 * g3 * a_ze * a_om * a_om
+                + 8.0 * g2 * om_ze * a_om)
 
     def hvp(self, pts: Array, vecs: Array) -> Array:
         """Hessian-vector products H(y) v(y); vecs is (n,) or one row per point."""
-        return self.jet(pts, 2).hvp(vecs)
+        offset, gap = self._shape(pts)
+        _, g1, g2 = self._g_table(gap, 2)
+        vecs = np.asarray(vecs, dtype=float)
+        v = vecs if vecs.ndim == 2 else vecs[None, :]
+        along = (offset * v).sum(axis=1)
+        return 2.0 * g1[:, None] * v + 4.0 * (g2 * along)[:, None] * offset
 
     def mass(self, dimension: int) -> float:
         return self.amplitude * self.radius**dimension * unit_ball_mass(dimension)
@@ -227,52 +193,24 @@ class InitialDatum:
         # Each bump is radially symmetric, so its first moment sits at its center.
         self.centroid = (self.bump_masses @ centers) / self.mass
 
-    def value(self, x: Union[Array, float]) -> Union[Array, float]:
+    def _bump_sum(self, x: Union[Array, float], method: Callable[..., Array],
+                  *args: Array) -> Union[Array, float]:
+        """Sum over the bumps of one `SmoothBump` method, at one point or at
+        each row of an (m, n) block; one point gives a float or an (n,) row."""
         pts, single = _as_batch(x, self.dimension)
-        out = np.zeros(pts.shape[0])
-        for bump in self.bumps:
-            out += bump.value(pts)
-        return float(out[0]) if single else out
+        out = sum(method(bump, pts, *args) for bump in self.bumps)
+        if not single:
+            return out
+        return float(out[0]) if out.ndim == 1 else out[0]
+
+    def value(self, x: Union[Array, float]) -> Union[Array, float]:
+        return self._bump_sum(x, SmoothBump.value)
 
     def gradient(self, x: Union[Array, float]) -> Array:
-        pts, single = _as_batch(x, self.dimension)
-        out = np.zeros_like(pts)
-        for bump in self.bumps:
-            out += bump.gradient(pts)
-        return out[0] if single else out
+        return self._bump_sum(x, SmoothBump.gradient)
 
     def dir2(self, x: Union[Array, float], omega: Array) -> Union[Array, float]:
-        pts, single = _as_batch(x, self.dimension)
-        out = np.zeros(pts.shape[0])
-        for bump in self.bumps:
-            out += bump.dir2(pts, omega)
-        return float(out[0]) if single else out
-
-    def dir3(self, x: Union[Array, float], omega: Array,
-             zeta: Array) -> Union[Array, float]:
-        pts, single = _as_batch(x, self.dimension)
-        out = np.zeros(pts.shape[0])
-        for bump in self.bumps:
-            out += bump.dir3(pts, omega, zeta)
-        return float(out[0]) if single else out
-
-    def hvp(self, x: Union[Array, float], vecs: Array) -> Array:
-        pts, single = _as_batch(x, self.dimension)
-        out = np.zeros_like(pts)
-        for bump in self.bumps:
-            out += bump.hvp(pts, vecs)
-        return out[0] if single else out
-
-    def hessian(self, x: Union[Array, float]) -> Array:
-        pts, single = _as_batch(x, self.dimension)
-        n = self.dimension
-        out = np.zeros((pts.shape[0], n, n))
-        for bump in self.bumps:
-            out += bump.jet(pts, 2).hessian()
-        return out[0] if single else out
-
-    def sup_norm(self) -> float:
-        return sobolev_sup_estimate(self, 0)
+        return self._bump_sum(x, SmoothBump.dir2, omega)
 
     def to_dict(self) -> dict:
         return {
@@ -335,8 +273,7 @@ def _unit_profile_derivative_sups() -> Tuple[float, ...]:
 
     Orders up to three are closed forms in g and its w-derivatives:
     p' = 2r g', p'' = 2g' + 4r^2 g'' and p''' = 12r g'' + 8r^3 g'''. The
-    fourth is a central difference of the third, which is plenty for a
-    diagnostic estimate.
+    fourth is a central difference of the third, about 1e-4 relative.
     """
     r = np.linspace(0.0, 1.0, _PROFILE_GRID)
     g0, g1, g2, g3 = _UNIT_BUMP._g_table(1.0 - r * r, 3)
@@ -344,23 +281,3 @@ def _unit_profile_derivative_sups() -> Tuple[float, ...]:
     fourth = np.gradient(third, r[1] - r[0], edge_order=2)
     derivatives = (g0, 2.0 * r * g1, 2.0 * g1 + 4.0 * r * r * g2, third, fourth)
     return tuple(float(np.max(np.abs(d))) for d in derivatives)
-
-
-def sobolev_sup_estimate(datum: InitialDatum, order: int) -> float:
-    """Estimate of the W^{order,inf} norm; diagnostic only, not a certificate.
-
-    Order zero is the exact peak for non-overlapping bumps; higher orders use
-    radial-profile derivative sups scaled by amplitude / radius^k and carry a
-    10 percent safety factor.
-    """
-    if order < 0 or order > 4:
-        raise ValueError("derivative order must be between 0 and 4")
-    sups = _unit_profile_derivative_sups()
-    peak = max(b.amplitude for b in datum.bumps)
-    if order == 0:
-        return peak
-    level = peak
-    for k in range(1, order + 1):
-        level = max(level, 1.1 * max(b.amplitude * sups[k] / b.radius**k
-                                     for b in datum.bumps))
-    return level

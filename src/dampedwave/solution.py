@@ -78,16 +78,15 @@ class DimensionConstants:
     parity: str
     ell: int
     gamma: float
-    c: float
 
 
 @lru_cache(maxsize=None)
 def dimension_constants(n: int) -> DimensionConstants:
     if n % 2 == 1:
         gamma = 2.0 ** (-(3 * n - 1) / 2.0) * math.pi ** (-(n - 1) / 2.0)
-        return DimensionConstants(n, "odd", (n - 1) // 2, gamma, gamma * 2.0 ** (n - 1))
+        return DimensionConstants(n, "odd", (n - 1) // 2, gamma)
     gamma = 2.0 ** (-(3 * n - 2) / 2.0) * math.pi ** (-n / 2.0)
-    return DimensionConstants(n, "even", n // 2, gamma, gamma * 2.0 ** (n - 2))
+    return DimensionConstants(n, "even", n // 2, gamma)
 
 
 def wave_factor(t: float) -> float:

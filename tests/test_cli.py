@@ -255,37 +255,62 @@ def test_grid_of_one_point_is_a_config_error(tmp_path, capsys):
     assert "points >= 2" in capsys.readouterr().err
 
 
-# Null, non-numeric and out-of-range fields, each with the one-line error it
-# must give; 1e309 is past the float range, and JSON reads it as inf.
+TWO_2D_DATUM = json.loads(TWO_2D_CONFIG.read_text(encoding="utf-8"))["datum"]
+
+# Null, non-numeric and out-of-range fields, each with the datum and mode it
+# is read in and the one-line error it must give; 1e309 is past the float
+# range, and JSON reads it as inf.
 NULL_FIELDS = [
-    ("evaluate", {"t": None}, "t must be a finite positive number, got None"),
-    ("evaluate", {"t": [10.0, None]}, "t must be a finite positive number, got None"),
-    ("evaluate", {"t": "10"}, "t must be a finite positive number, got '10'"),
-    ("evaluate", {"grid": {"half_width": None}},
+    (TWO_2D_DATUM, "evaluate", {"t": None},
+     "t must be a finite positive number, got None"),
+    (TWO_2D_DATUM, "evaluate", {"t": [10.0, None]},
+     "t must be a finite positive number, got None"),
+    (TWO_2D_DATUM, "evaluate", {"t": "10"},
+     "t must be a finite positive number, got '10'"),
+    (TWO_2D_DATUM, "evaluate", {"grid": {"half_width": None}},
      "half_width must be a finite positive number, got None"),
-    ("evaluate", {"grid": {"half_width": "1e309"}},
+    (TWO_2D_DATUM, "evaluate", {"grid": {"half_width": "1e309"}},
      "half_width must be a finite positive number, got inf"),
-    ("evaluate", {"grid": {"center": [0.0, None]}}, "center must be a finite number, got None"),
-    ("evaluate", {"grid": {"center": None}}, "grid center needs 2 coordinates, got [None]"),
-    ("evaluate", {"grid": None}, "grid must be an object, got None"),
-    ("evaluate", {"grid": {"points": None}}, "points must be a positive integer, got None"),
-    ("evaluate", {"order": None}, "order must be a positive integer, got None"),
-    ("oracle-compare", {"grid": {"half_width": None}},
+    (TWO_2D_DATUM, "evaluate", {"grid": {"center": [0.0, None]}},
+     "center must be a finite number, got None"),
+    (TWO_2D_DATUM, "evaluate", {"grid": {"center": None}},
+     "grid center needs 2 coordinates, got [None]"),
+    (TWO_2D_DATUM, "evaluate", {"grid": None}, "grid must be an object, got None"),
+    (TWO_2D_DATUM, "evaluate", {"grid": {"points": None}},
+     "points must be a positive integer, got None"),
+    (TWO_2D_DATUM, "evaluate", {"order": None},
+     "order must be a positive integer, got None"),
+    (TWO_2D_DATUM, "oracle-compare", {"grid": {"half_width": None}},
      "half_width must be a finite positive number, got None"),
-    ("oracle-compare", {"grid": {"half_width": "1e309"}},
+    (TWO_2D_DATUM, "oracle-compare", {"grid": {"half_width": "1e309"}},
      "half_width must be a finite positive number, got inf"),
+    (UNIT_DATUM, "oracle-compare", {"oracle": {"dx": None}},
+     "dx must be a finite positive number, got None"),
+    (UNIT_DATUM, "oracle-compare", {"oracle": {"cfl": "0.5"}},
+     "cfl must be a finite positive number, got '0.5'"),
+    (UNIT_DATUM, "asymptotics", {"asymptotics": {"r": None}},
+     "r must be a finite number, got None"),
+    (UNIT_DATUM, "asymptotics", {"asymptotics": {"regime": "sqrt", "r_over_sqrt_t": None}},
+     "r_over_sqrt_t must be a finite number, got None"),
+    (UNIT_DATUM, "sweep", {"t_min": True, "t_max": 8.0},
+     "t_min must be a finite positive number, got True"),
+    (UNIT_DATUM, "sweep", {"t_min": 1.0, "t_max": None},
+     "t_max must be a finite positive number, got None"),
+    (UNIT_DATUM, "sweep", {"t_min": 1.0, "t_max": 8.0, "factor": "2"},
+     "factor must be a finite positive number, got '2'"),
 ]
 
 
-@pytest.mark.parametrize("mode, fields, message", NULL_FIELDS,
-                         ids=[f"{mode}-{json.dumps(fields)}" for mode, fields, _ in NULL_FIELDS])
-def test_null_or_non_numeric_field_is_a_config_error(tmp_path, capsys, mode, fields,
+@pytest.mark.parametrize("datum, mode, fields, message", NULL_FIELDS,
+                         ids=[f"{mode}-{json.dumps(fields)}" for _, mode, fields, _ in NULL_FIELDS])
+def test_null_or_non_numeric_field_is_a_config_error(tmp_path, capsys, datum, mode, fields,
                                                       message):
-    datum = json.loads(TWO_2D_CONFIG.read_text(encoding="utf-8"))["datum"]
-    cfg = _write_config(tmp_path, datum=datum, mode=mode, **{"t": 10.0, **fields})
+    # A geometric time grid (t_min, t_max, factor) is read only without t.
+    config = {"datum": datum, "mode": mode, "out": str(tmp_path / "out"),
+              **({} if "t_min" in fields else {"t": 10.0}), **fields}
+    cfg = tmp_path / "config.json"
     # The literal 1e309, as a config file would hold it.
-    cfg.write_text(cfg.read_text(encoding="utf-8").replace('"1e309"', "1e309"),
-                   encoding="utf-8")
+    cfg.write_text(json.dumps(config).replace('"1e309"', "1e309"), encoding="utf-8")
     assert main(["--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
 

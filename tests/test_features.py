@@ -9,9 +9,9 @@ from dampedwave.features import (INTERIOR_SAMPLES, PROPOSITIONS,
                                  CertificateResult, _halton_block,
                                  _halton_permutations, _interior_points,
                                  build_spot_report, certify_signs,
-                                 default_psi, empirical_threshold,
-                                 find_cold_spot, find_critical_radius,
-                                 find_hot_spots, rate_fit, trace_null_radius)
+                                 default_psi, find_cold_spot,
+                                 find_critical_radius, find_hot_spots,
+                                 rate_fit, trace_null_radius)
 from dampedwave import features
 from dampedwave.geometry import sample_normal_bundle
 from dampedwave.initial_data import SmoothBump, make_datum
@@ -137,8 +137,6 @@ def test_certificates_flag_early_time(two_1d):
 def test_certify_unknown_proposition(two_1d):
     with pytest.raises(ValueError, match="unknown proposition"):
         certify_signs(two_1d, 10.0, propositions=("negativity_null", "bogus"))
-    with pytest.raises(ValueError, match="unknown proposition"):
-        empirical_threshold(two_1d, "bogus")
 
 
 def test_certify_evaluates_each_sample_set_once(two_2d, monkeypatch):
@@ -173,11 +171,6 @@ def test_certify_subset(two_1d):
     results = certify_signs(two_1d, 400.0, propositions=("convex",), order=48)
     assert list(results) == ["convex"]
     assert results["convex"].passed
-
-
-def test_empirical_threshold_dyadic_onset(two_1d):
-    got = empirical_threshold(two_1d, "negativity_null", order=48)
-    assert got == 4.0
 
 
 def test_rate_fit_recovers_power_law():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, Delaunay
 
-from dampedwave.geometry import (_BLOCK, ConvexPolytope, _ball_cloud,
-                                 _probe_directions, fibonacci_sphere,
-                                 hull_of_balls, hull_of_points,
-                                 inscribed_ball_containment, phi_inverse,
+from dampedwave.geometry import (_BLOCK, ConvexPolytope, NormalPoint,
+                                 _ball_cloud, _probe_directions,
+                                 fibonacci_sphere, hull_of_balls,
+                                 hull_of_points, inscribed_ball_containment,
                                  phi_map, sample_normal_bundle)
 from dampedwave.initial_data import load_datum
 
@@ -33,15 +33,9 @@ def test_phi_roundtrip_random_polygons():
         for point in points:
             rho = float(rng.uniform(0.05, 10.0))
             x = phi_map(point, rho)
-            back, rho_back = phi_inverse(body, x)
+            rho_back, xi, nu = body.distance(x)
             assert abs(rho_back - rho) <= 1e-9
-            assert np.linalg.norm(phi_map(back, rho_back) - x) <= 1e-9
-
-
-def test_phi_inverse_rejects_interior():
-    body = hull_of_balls(np.array([[0.0, 0.0]]), [1.0], 2)
-    with pytest.raises(ValueError):
-        phi_inverse(body, np.array([0.1, 0.0]))
+            assert np.linalg.norm(phi_map(NormalPoint(xi, nu), rho_back) - x) <= 1e-9
 
 
 def test_distance_matches_brute_force():

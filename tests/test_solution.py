@@ -542,38 +542,40 @@ def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
 
 
 def _point_terms(bump, x, t, order, omega):
-    """The 2D wave terms of one bump at each row of x, from BumpJet at the
-    node points y = x + r*theta of the clipped-ball rule, and the sum of
-    their absolute node values: {name: (terms, scale)} with one entry per
-    row. dir2's dM is t times the third derivative term, as the chord form
-    reports it."""
+    """The 2D wave terms of one bump at each row of x, from the bump's own
+    derivatives at the node points y = x + r*theta of the clipped-ball rule,
+    and the sum of their absolute node values: {name: (terms, scale)} with
+    one entry per row. omega varies per row, so dir2 and dir3 are formed
+    from the profile table. dir2's dM is t times the third derivative term,
+    as the chord form reports it."""
     dc = dimension_constants(2)
     damp = wave_factor(t)
     r, w, theta, _, owner = quadrature.clipped_ball_nodes(x, t, bump.center_array,
                                                           bump.radius, order)
     row = np.repeat(owner, order)
     y = x[row] + r[:, None] * np.repeat(theta, order, axis=0)
-    jet = bump.jet(y, 3)
+    offset, gap = bump._shape(y)
+    g0, g1, g2, g3 = bump._g_table(gap, 3)
     om = omega[row]
     along = ((x[row] - y) * om).sum(axis=1)
-    grad = jet.gradient()
+    grad = bump.gradient(y)
     grad_om = (grad * om).sum(axis=1)
-    dir2 = 2.0 * jet.g[1] + 4.0 * jet.g[2] * (jet.offset * om).sum(axis=1) ** 2
+    dir2 = 2.0 * g1 + 4.0 * g2 * (offset * om).sum(axis=1) ** 2
     zeta = (y - x[row]) / t
-    a_ze = (jet.offset * zeta).sum(axis=1)
-    a_om = (jet.offset * om).sum(axis=1)
-    dir3 = (4.0 * jet.g[2] * a_ze + 8.0 * jet.g[3] * a_ze * a_om * a_om
-            + 8.0 * jet.g[2] * (zeta * om).sum(axis=1) * a_om)
+    a_ze = (offset * zeta).sum(axis=1)
+    a_om = (offset * om).sum(axis=1)
+    dir3 = (4.0 * g2 * a_ze + 8.0 * g3 * a_ze * a_om * a_om
+            + 8.0 * g2 * (zeta * om).sum(axis=1) * a_om)
     over = w / (0.5 * t)
     nodes = {
-        "u M": w * jet.g[0],
+        "u M": w * bump.value(y),
         "u dM": w * ((y - x[row]) * grad).sum(axis=1),
         "grad damped": (-(dc.gamma / 16.0) * damp * solution._beta(dc.ell, t))
-        * (over * jet.g[0])[:, None] * (x[row] - y),
+        * (over * g0)[:, None] * (x[row] - y),
         "grad M": w[:, None] * grad,
-        "grad dM": w[:, None] * jet.hvp(y - x[row]),
+        "grad dM": w[:, None] * bump.hvp(y, y - x[row]),
         "dir2 damped 1": (dc.gamma / 64.0) * damp * solution._beta(dc.ell + 1, t)
-        * over * jet.g[0] * along * along,
+        * over * g0 * along * along,
         "dir2 damped 2": -(dc.gamma / 16.0) * damp * solution._beta(dc.ell, t)
         * over * along * grad_om,
         "dir2 M": w * dir2,
@@ -591,8 +593,8 @@ def _point_terms(bump, x, t, order, omega):
 @pytest.mark.parametrize("t", [1.5, 10.0, 50.0])
 def test_chord_form_matches_point_formulas(two_2d, t):
     # The chord-form wave terms (per-node scalars in r, s = theta . (c - x)
-    # and theta, summed per chord and then per row) against the BumpJet
-    # formulas at the rebuilt node points. Rows: inside each bump, on the
+    # and theta, summed per chord and then per row) against the bump's
+    # derivatives at the rebuilt node points. Rows: inside each bump, on the
     # first bump's rim (chords that start at x), grazing the radius-t circle
     # (short chords that end at r = t), beyond reach, and two seeded points.
     order = 32
