@@ -32,7 +32,7 @@ from .kernels import (kernel_ktilde_scaled, ktilde_expansion_sqrt,
                       ktilde_leading_order)
 from .oracles import fd_solve_1d, spectral_solve
 from .quadrature import QuadratureConvergenceError
-from .solution import eval_u
+from .solution import DEFAULT_ORDER, eval_u
 
 MODES = ("evaluate", "null", "critical", "spots", "certify", "sweep",
          "oracle-compare", "asymptotics")
@@ -150,6 +150,15 @@ def _positive_number(config: Dict, key: str,
     return _number(config[key], key, positive=True) if key in config else default
 
 
+def _string(config: Dict, key: str, default: str) -> str:
+    """config[key] as a string, or the default when it is absent; null is not
+    a string."""
+    value = config.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _section(config: Dict, key: str) -> Dict:
     """The sub-object config[key], or an empty one when it is absent."""
     value = config.get(key, {})
@@ -181,7 +190,7 @@ def _grid_axes(datum: InitialDatum, config: Dict) -> List[np.ndarray]:
 def _mode_evaluate(datum: InitialDatum, config: Dict, out: Path, seed: int,
                    ts: List[float]) -> None:
     axes = _grid_axes(datum, config)
-    order = _integer(config, "order", 64)
+    order = _integer(config, "order", DEFAULT_ORDER)
     n = datum.dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -196,7 +205,7 @@ def _mode_evaluate(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _ray_table(datum: InitialDatum, config: Dict, ts: List[float], out: Path,
                kind: str) -> None:
-    order = _integer(config, "order", 64)
+    order = _integer(config, "order", DEFAULT_ORDER)
     n = datum.dimension
     rays = sample_normal_bundle(
         datum.hull, _integer(config, "directions", DIRECTION_COUNTS[n]))
@@ -225,7 +234,7 @@ def _mode_critical(datum, config, out, seed, ts):
 
 def _mode_spots(datum: InitialDatum, config: Dict, out: Path, seed: int,
                 ts: List[float]) -> None:
-    order = _integer(config, "order", 64)
+    order = _integer(config, "order", DEFAULT_ORDER)
     count = _integer(config, "directions", None)
     psi_coefficient = _positive_number(config, "psi_coefficient", None)
     for t in ts:
@@ -237,7 +246,7 @@ def _mode_spots(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _mode_certify(datum: InitialDatum, config: Dict, out: Path, seed: int,
                   ts: List[float]) -> None:
-    order = _integer(config, "order", 64)
+    order = _integer(config, "order", DEFAULT_ORDER)
     count = _integer(config, "directions", None)
     psi_coefficient = _positive_number(config, "psi_coefficient", None)
     for t in ts:
@@ -254,7 +263,7 @@ def _mode_certify(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _mode_sweep(datum: InitialDatum, config: Dict, out: Path, seed: int,
                 ts: List[float]) -> None:
-    order = _integer(config, "order", 64)
+    order = _integer(config, "order", DEFAULT_ORDER)
     count = _integer(config, "directions", None)
     psi_coefficient = _positive_number(config, "psi_coefficient", None)
     header = (["t", "rho_null", "rho_crit", "cold_centroid_gap", "hot_value",
@@ -281,7 +290,9 @@ def _mode_sweep(datum: InitialDatum, config: Dict, out: Path, seed: int,
 def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
                          seed: int, ts: List[float]) -> None:
     oracle_cfg = _section(config, "oracle")
-    order = _integer(config, "order", 64)
+    order = _integer(config, "order", DEFAULT_ORDER)
+    if len(ts) > 1:
+        raise ConfigError(f"oracle-compare runs at one t, got {ts}")
     t = ts[0]
     n = datum.dimension
     grid = _section(config, "grid")
@@ -318,9 +329,9 @@ def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
 def _mode_asymptotics(datum: InitialDatum, config: Dict, out: Path, seed: int,
                       ts: List[float]) -> None:
     a_cfg = _section(config, "asymptotics")
-    parity = str(a_cfg.get("parity", "odd"))
+    parity = _string(a_cfg, "parity", "odd")
     ell = _integer(a_cfg, "ell", 0, least=0)
-    regime = str(a_cfg.get("regime", "leading"))
+    regime = _string(a_cfg, "regime", "leading")
     rows = []
     if regime == "leading":
         r = _number(a_cfg.get("r", 1.0), "r")

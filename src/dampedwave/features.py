@@ -7,22 +7,23 @@ which the features live are exactly the sets hit by xi + rho nu over the
 normal bundle. Region tests shrink each stated region by the hull's
 discretization tolerance so a certificate never passes on points that might
 lie outside the true region. Sampling is deterministic (seeded Halton plus
-fixed ray grids) so repeated runs produce identical reports. Every stage
-evaluates the field through the per-bump radial profiles of
-`solution.radial_field`, built once per t.
+fixed ray grids) so repeated runs produce identical reports. Each stage
+looks up the `solution.RadialField` of (datum, t, order) once, through the
+`solution.radial_field` cache, and evaluates u, grad u and dir2 u through
+that field's `u`, `grad` and `dir2`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import ConvexPolytope, NormalPoint, phi_map, sample_normal_bundle
 from .initial_data import InitialDatum
-from .solution import dimension_constants, radial_field
+from .solution import DEFAULT_ORDER, RadialField, dimension_constants, radial_field
 
 __all__ = [
     "CertificateResult",
@@ -42,7 +43,6 @@ __all__ = [
 
 Array = np.ndarray
 
-DEFAULT_ORDER = 64
 BISECTION_XTOL = 1e-6
 DEDUPE_TOL = 1e-4
 DIRECTION_COUNTS = {1: 2, 2: 16, 3: 32}
@@ -139,29 +139,6 @@ def _require_hull(datum: InitialDatum) -> ConvexPolytope:
     return datum.hull
 
 
-# The stages evaluate u, grad u and dir2 u through the radial field of
-# (datum, t, order), `solution.radial_field`, which is built once per t. These
-# three keep the names and arguments of the public evaluators (without
-# `check`; u returns the value), so that each stage's evaluations can be
-# counted or wrapped by name.
-def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
-           order: int = DEFAULT_ORDER) -> Union[float, Array]:
-    """u at one point, or at each row of an (m, n) block."""
-    return radial_field(datum, t, order).u(x)
-
-
-def eval_grad_u(datum: InitialDatum, x: Union[Array, float], t: float,
-                order: int = DEFAULT_ORDER) -> Array:
-    """grad u: (n,) for one point, (m, n) for a block."""
-    return radial_field(datum, t, order).grad(x)
-
-
-def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float, omega: Array,
-                order: int = DEFAULT_ORDER) -> Union[float, Array]:
-    """(omega . grad)^2 u, omega one direction or one per row."""
-    return radial_field(datum, t, order).dir2(x, omega)
-
-
 def _null_shell_radius(n: int, t: float) -> float:
     """sqrt(2nt), the radius that the null set approaches."""
     return math.sqrt(2.0 * n * t)
@@ -176,17 +153,6 @@ def _shell_bracket(datum: InitialDatum, target: float) -> Tuple[float, float]:
     """The interval of distances rho along an outer normal that a ray search
     scans around the shell radius `target`."""
     return max(0.0, target - datum.diameter - 1.0), target + 1.0
-
-
-def _ray_value(datum: InitialDatum, point: NormalPoint, rho: float, t: float,
-               order: int) -> float:
-    return eval_u(datum, phi_map(point, rho), t, order=order)
-
-
-def _ray_slope(datum: InitialDatum, point: NormalPoint, rho: float, t: float,
-               order: int) -> float:
-    grad = eval_grad_u(datum, phi_map(point, rho), t, order=order)
-    return float(grad @ point.nu)
 
 
 def _bisect(fn, lo: float, hi: float) -> Optional[float]:
@@ -222,8 +188,8 @@ def trace_null_radius(datum: InitialDatum, t: float, normal_point: NormalPoint,
     """
     _require_hull(datum)
     lo, hi = _shell_bracket(datum, _null_shell_radius(datum.dimension, t))
-    return _bisect(lambda rho: _ray_value(datum, normal_point, rho, t, order),
-                   lo, hi)
+    field = radial_field(datum, t, order)
+    return _bisect(lambda rho: field.u(phi_map(normal_point, rho)), lo, hi)
 
 
 def find_critical_radius(datum: InitialDatum, t: float,
@@ -232,8 +198,9 @@ def find_critical_radius(datum: InitialDatum, t: float,
     """Distance along the outer normal at which nu . grad u crosses zero."""
     _require_hull(datum)
     lo, hi = _shell_bracket(datum, _critical_shell_radius(datum.dimension, t))
-    return _bisect(lambda rho: _ray_slope(datum, normal_point, rho, t, order),
-                   lo, hi)
+    field = radial_field(datum, t, order)
+    return _bisect(lambda rho: float(field.grad(phi_map(normal_point, rho))
+                                     @ normal_point.nu), lo, hi)
 
 
 def _golden_max(fn, lo: float, hi: float, xtol: float = 1e-7) -> float:
@@ -254,8 +221,8 @@ def _golden_max(fn, lo: float, hi: float, xtol: float = 1e-7) -> float:
     return 0.5 * (a + b)
 
 
-def _extremum_search(datum: InitialDatum, t: float, x0: Array, sense: float,
-                     order: int, cap: int = 1000, raise_on_cap: bool = True,
+def _extremum_search(field: RadialField, x0: Array, sense: float,
+                     cap: int = 1000, raise_on_cap: bool = True,
                      hull: Optional[ConvexPolytope] = None) -> Tuple[Array, float]:
     """Ascent on sense*u with Armijo backtracking.
 
@@ -266,18 +233,19 @@ def _extremum_search(datum: InitialDatum, t: float, x0: Array, sense: float,
     near-radial fields have an almost flat ring of maxima that no gradient
     method can traverse in finite time, and the ray seed already sits on it.
     """
+    datum, t = field.datum, field.t
     x = np.array(x0, dtype=float)
     xtol = 1e-10 * max(1.0, math.sqrt(t))
     step_cap = _critical_shell_radius(datum.dimension, t)
     fallback = 0.5 * datum.inradius
-    value = sense * eval_u(datum, x, t, order=order)
+    value = sense * field.u(x)
     for _ in range(cap):
-        grad = sense * eval_grad_u(datum, x, t, order=order)
+        grad = sense * field.grad(x)
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:
             return x, sense * value
         direction = grad / gnorm
-        curv = sense * eval_dir2_u(datum, x, t, direction, order=order)
+        curv = sense * field.dir2(x, direction)
         step = gnorm / abs(curv) if curv < 0.0 else fallback
         step = min(step, step_cap)
         moved = False
@@ -287,7 +255,7 @@ def _extremum_search(datum: InitialDatum, t: float, x0: Array, sense: float,
                 rho, nearest, _ = hull.distance(trial)
                 if rho > hull.hull_tol:
                     trial = nearest
-            trial_value = sense * eval_u(datum, trial, t, order=order)
+            trial_value = sense * field.u(trial)
             if trial_value > value + 1e-4 * step * gnorm:
                 displacement = float(np.linalg.norm(trial - x))
                 gain = trial_value - value
@@ -318,13 +286,13 @@ def find_hot_spots(datum: InitialDatum, t: float,
     """
     _require_hull(datum)
     lo, hi = _shell_bracket(datum, _critical_shell_radius(datum.dimension, t))
+    field = radial_field(datum, t, order)
     candidates: List[Tuple[Array, float]] = []
     for point in directions:
-        rho = _golden_max(
-            lambda r: _ray_value(datum, point, r, t, order), lo, hi)
+        rho = _golden_max(lambda r: field.u(phi_map(point, r)), lo, hi)
         seed = phi_map(point, rho)
-        spot, value = _extremum_search(datum, t, seed, +1.0, order,
-                                       cap=25, raise_on_cap=False)
+        spot, value = _extremum_search(field, seed, +1.0, cap=25,
+                                       raise_on_cap=False)
         candidates.append((spot, value))
     candidates.sort(key=lambda item: -item[1])
     kept: List[Tuple[Array, float]] = []
@@ -339,7 +307,7 @@ def find_cold_spot(datum: InitialDatum, t: float, order: int = DEFAULT_ORDER,
     """Minimum of u(., t) over the support hull, descending from the centroid."""
     hull = _require_hull(datum)
     x0 = datum.centroid if start is None else np.asarray(start, dtype=float)
-    return _extremum_search(datum, t, x0, -1.0, order, hull=hull)
+    return _extremum_search(radial_field(datum, t, order), x0, -1.0, hull=hull)
 
 
 # Halton bases of the first three coordinates; hulls live in one to three
@@ -441,8 +409,7 @@ def certify_signs(datum: InitialDatum, t: float,
     rays = sample_normal_bundle(hull, count)
     interior = _interior_points(hull, INTERIOR_SAMPLES, seed)
 
-    def values(pts: Array) -> Array:
-        return eval_u(datum, pts, t, order=order)
+    field = radial_field(datum, t, order)
 
     def grid(lo: float, hi: float) -> Tuple[Array, Array]:
         """Every ray's points at the rho grid on [lo, hi], ray after ray, and
@@ -454,7 +421,7 @@ def certify_signs(datum: InitialDatum, t: float,
 
     def slopes(lo: float, hi: float) -> Array:
         pts, normals = grid(lo, hi)
-        grads = eval_grad_u(datum, pts, t, order=order)
+        grads = field.grad(pts)
         return np.array([float(g @ nu) for g, nu in zip(grads, normals)])
 
     def result(margins: Array) -> CertificateResult:
@@ -467,10 +434,10 @@ def certify_signs(datum: InitialDatum, t: float,
 
     if "negativity_null" in wanted:
         shell, _ = grid(0.0, r_null - d_f - delta)
-        out["negativity_null"] = result(-values(np.concatenate([interior, shell])))
+        out["negativity_null"] = result(-field.u(np.concatenate([interior, shell])))
 
     if "positivity_null" in wanted:
-        out["positivity_null"] = result(values(grid(r_null + delta, psi - delta)[0]))
+        out["positivity_null"] = result(field.u(grid(r_null + delta, psi - delta)[0]))
 
     if "monotonicity_null" in wanted:
         out["monotonicity_null"] = result(slopes(max(0.0, r_null - d_f) + delta,
@@ -484,19 +451,19 @@ def certify_signs(datum: InitialDatum, t: float,
 
     if "concavity_crit" in wanted:
         pts, normals = grid(max(0.0, r_crit - d_f) + delta, r_crit - delta)
-        out["concavity_crit"] = result(-eval_dir2_u(datum, pts, t, normals, order=order))
+        out["concavity_crit"] = result(-field.dir2(pts, normals))
 
     if "lb_CS" in wanted:
         bound = n * dc.gamma * pf / (5.0 * t ** (n / 2.0 + 1.0)) * mass
         hull_points = np.array([point.xi for point in rays])
-        out["lb_CS"] = result(-values(np.concatenate([interior, hull_points])) - bound)
+        out["lb_CS"] = result(-field.u(np.concatenate([interior, hull_points])) - bound)
 
     if "ub_A" in wanted or "lb_A" in wanted:
         ub = (7.0 * dc.gamma * pf / (10.0 * t ** (n / 2.0 + 1.0))
               * math.exp(-(n + 2.0) / 2.0) * mass)
         lb = (3.0 * dc.gamma * pf / (32.0 * t ** (n / 2.0 + 1.0))
               * math.exp(-(2.0 * n + 5.0) / 2.0) * mass)
-        shell = values(grid(max(0.0, r_crit - d_f) + delta, r_crit - delta)[0])
+        shell = field.u(grid(max(0.0, r_crit - d_f) + delta, r_crit - delta)[0])
         if "ub_A" in wanted:
             out["ub_A"] = result(ub - shell)
         if "lb_A" in wanted:
@@ -505,7 +472,7 @@ def certify_signs(datum: InitialDatum, t: float,
     if "ub_E" in wanted:
         bound = (3.0 * dc.gamma * pf / (8.0 * t ** (n / 2.0))
                  * math.exp(-psi * psi / (4.0 * t)) * mass)
-        far = values(grid(psi + delta, psi + delta + d_f + 2.0)[0])
+        far = field.u(grid(psi + delta, psi + delta + d_f + 2.0)[0])
         out["ub_E"] = result(bound - np.abs(far))
 
     if "convex" in wanted:
@@ -516,7 +483,7 @@ def certify_signs(datum: InitialDatum, t: float,
             omega = rng.normal(size=n)
             omega /= np.linalg.norm(omega)
             omegas.append(omega)
-        out["convex"] = result(eval_dir2_u(datum, pts, t, np.array(omegas), order=order))
+        out["convex"] = result(field.dir2(pts, np.array(omegas)))
 
     return out
 

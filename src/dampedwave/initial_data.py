@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -230,20 +231,33 @@ def make_datum(bumps: Sequence[SmoothBump], dimension: int) -> InitialDatum:
     return InitialDatum(bumps, dimension, hull)
 
 
+def _bump_number(value, field: str) -> float:
+    """A bump field as a float. A bool, a string and null are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"bump {field} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_datum(source: Union[str, Path, dict]) -> InitialDatum:
-    """Datum from a JSON document {"dimension": n, "bumps": [...]}."""
+    """Datum from a JSON document {"dimension": n, "bumps": [...]}.
+
+    The dimension is 1, 2 or 3, and each centre coordinate, radius and
+    amplitude a number: a bool or a string is refused, not converted.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             spec = json.load(handle)
     else:
         spec = source
     try:
-        dimension = int(spec["dimension"])
+        dimension = spec["dimension"]
         raw_bumps = spec["bumps"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"datum document needs 'dimension' and 'bumps': {exc}") from exc
-    if dimension not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2, or 3, got {dimension}")
+    if (isinstance(dimension, bool) or not isinstance(dimension, numbers.Real)
+            or dimension not in (1, 2, 3)):
+        raise ValueError(f"dimension must be 1, 2, or 3, got {dimension!r}")
+    dimension = int(dimension)
     if not isinstance(raw_bumps, list) or not raw_bumps:
         raise ValueError("'bumps' must be a non-empty list")
     bumps = []
@@ -252,9 +266,10 @@ def load_datum(source: Union[str, Path, dict]) -> InitialDatum:
             center = raw["center"]
             if np.isscalar(center):
                 center = [center]
-            center = tuple(float(v) for v in center)
-            bumps.append(SmoothBump(center=center, radius=float(raw["radius"]),
-                                    amplitude=float(raw["amplitude"])))
+            center = tuple(_bump_number(v, "center") for v in center)
+            bumps.append(SmoothBump(center=center,
+                                    radius=_bump_number(raw["radius"], "radius"),
+                                    amplitude=_bump_number(raw["amplitude"], "amplitude")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bump {i} is malformed: {exc}") from exc
         if len(center) != dimension:

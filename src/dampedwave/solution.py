@@ -1072,8 +1072,6 @@ class RadialField:
         offsets = [pts - bump.center_array for bump in self.datum.bumps]
         dists = [np.sqrt(_row_dots(offset, offset)) for offset in offsets]
         near = np.logical_and.reduce([dist <= self.reach for dist in dists])
-        if single and not near[0]:
-            return self._direct(top, x, omega)
         rows = slice(None) if near.all() else near
         out = np.zeros((m, n) if top == 1 else m)
         for profile, offset, dist in zip(self.profiles, offsets, dists):
@@ -1091,9 +1089,7 @@ class RadialField:
                 out[rows] += slope + (curv - slope) * cos2
         if rows is near:
             far = ~near
-            far_omega = None if omega is None else np.broadcast_to(
-                np.asarray(omega, dtype=float), (m, n))[far]
-            out[far] = self._direct(top, pts[far], far_omega)
+            out[far] = self._direct(top, pts[far], None if om is None else om[far])
         if single:
             return out[0] if top == 1 else float(out[0])
         return out

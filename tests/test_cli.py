@@ -139,16 +139,20 @@ def test_output_override(tmp_path):
 
 
 def test_null_mode_table(tmp_path):
-    cfg = _write_config(tmp_path, mode="null", t=200.0)
-    assert main(["--config", str(cfg)]) == 0
-    header, rows = _read_csv(tmp_path / "out" / "null_t200.0.csv")
-    assert header == ["xi1", "nu1", "rho_null", "reference_radius"]
-    assert len(rows) == 2
-    for row in rows:
-        rho = float(row[2])
-        ref = float(row[3])
-        assert ref == 20.0
-        assert abs(rho - ref) < 2.0
+    # The critical mode writes the same table, with its own radius: sqrt(6t)
+    # in 1D, as the null radius is sqrt(2t).
+    for mode, column, reference in (("null", "rho_null", 20.0),
+                                    ("critical", "rho_crit", math.sqrt(1200.0))):
+        cfg = _write_config(tmp_path, mode=mode, t=200.0)
+        assert main(["--config", str(cfg)]) == 0
+        header, rows = _read_csv(tmp_path / "out" / f"{mode}_t200.0.csv")
+        assert header == ["xi1", "nu1", column, "reference_radius"]
+        assert len(rows) == 2
+        for row in rows:
+            rho = float(row[2])
+            ref = float(row[3])
+            assert ref == reference
+            assert abs(rho - ref) < 2.0
 
 
 def test_certify_mode_reruns_byte_identical(tmp_path):
@@ -257,7 +261,7 @@ def test_grid_of_one_point_is_a_config_error(tmp_path, capsys):
 
 TWO_2D_DATUM = json.loads(TWO_2D_CONFIG.read_text(encoding="utf-8"))["datum"]
 
-# Null, non-numeric and out-of-range fields, each with the datum and mode it
+# Null, mistyped and out-of-range fields, each with the datum and mode it
 # is read in and the one-line error it must give; 1e309 is past the float
 # range, and JSON reads it as inf.
 NULL_FIELDS = [
@@ -288,10 +292,23 @@ NULL_FIELDS = [
      "dx must be a finite positive number, got None"),
     (UNIT_DATUM, "oracle-compare", {"oracle": {"cfl": "0.5"}},
      "cfl must be a finite positive number, got '0.5'"),
+    (UNIT_DATUM, "oracle-compare", {"t": [1.0, 2.0]},
+     "oracle-compare runs at one t, got [1.0, 2.0]"),
     (UNIT_DATUM, "asymptotics", {"asymptotics": {"r": None}},
      "r must be a finite number, got None"),
     (UNIT_DATUM, "asymptotics", {"asymptotics": {"regime": "sqrt", "r_over_sqrt_t": None}},
      "r_over_sqrt_t must be a finite number, got None"),
+    (UNIT_DATUM, "evaluate", {"datum": {**UNIT_DATUM, "dimension": 2.7}},
+     "bad datum: dimension must be 1, 2, or 3, got 2.7"),
+    (UNIT_DATUM, "evaluate",
+     {"datum": {"dimension": 1, "bumps": [{"center": [0.0], "radius": "0.7", "amplitude": 1}]}},
+     "bad datum: bump 0 is malformed: bump radius must be a number, got '0.7'"),
+    (UNIT_DATUM, "asymptotics", {"asymptotics": {"parity": None}},
+     "parity must be a string, got None"),
+    (UNIT_DATUM, "asymptotics", {"asymptotics": {"parity": 1}},
+     "parity must be a string, got 1"),
+    (UNIT_DATUM, "asymptotics", {"asymptotics": {"regime": ["sqrt"]}},
+     "regime must be a string, got ['sqrt']"),
     (UNIT_DATUM, "sweep", {"t_min": True, "t_max": 8.0},
      "t_min must be a finite positive number, got True"),
     (UNIT_DATUM, "sweep", {"t_min": 1.0, "t_max": None},

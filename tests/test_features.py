@@ -15,7 +15,7 @@ from dampedwave.features import (INTERIOR_SAMPLES, PROPOSITIONS,
 from dampedwave import features
 from dampedwave.geometry import sample_normal_bundle
 from dampedwave.initial_data import SmoothBump, make_datum
-from dampedwave.solution import eval_u
+from dampedwave.solution import RadialField, eval_u
 
 
 def _rays(datum, count):
@@ -145,21 +145,21 @@ def test_certify_evaluates_each_sample_set_once(two_2d, monkeypatch):
     blocks = []
 
     def counted(name):
-        evaluator = getattr(features, name)
+        evaluator = getattr(RadialField, name)
 
-        def call(datum, pts, *args, **kwargs):
+        def call(field, pts, *args):
             blocks.append((name, len(pts)))
-            return evaluator(datum, pts, *args, **kwargs)
-        monkeypatch.setattr(features, name, call)
+            return evaluator(field, pts, *args)
+        monkeypatch.setattr(RadialField, name, call)
 
-    for name in ("eval_u", "eval_grad_u", "eval_dir2_u"):
+    for name in ("u", "grad", "dir2"):
         counted(name)
     t = 400.0
     results = certify_signs(two_2d, t, order=32, direction_count=3)
     kinds = [name for name, _ in blocks]
-    assert kinds.count("eval_u") == 5
-    assert kinds.count("eval_grad_u") == 3
-    assert kinds.count("eval_dir2_u") == 2
+    assert kinds.count("u") == 5
+    assert kinds.count("grad") == 3
+    assert kinds.count("dir2") == 2
     monkeypatch.undo()
     worst = min(-eval_u(two_2d, x, t, order=32).value
                 for x in features._interior_points(two_2d.hull, INTERIOR_SAMPLES, 0))

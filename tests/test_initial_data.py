@@ -149,6 +149,17 @@ def test_load_datum_rejects_malformed():
     with pytest.raises(ValueError):
         load_datum({"dimension": 1, "bumps": [
             {"center": [0.0], "radius": -1, "amplitude": 1}]})
+    # A bool, a string or a fraction is refused, not converted.
+    for dimension in (2.7, True, "3"):
+        with pytest.raises(ValueError, match=f"^dimension must be 1, 2, or 3, got {dimension!r}$"):
+            load_datum({"dimension": dimension, "bumps": [
+                {"center": [0.0], "radius": 1, "amplitude": 1}]})
+    for field, value in (("radius", "0.7"), ("amplitude", True), ("center", True),
+                         ("center", "0")):
+        bump = {"center": [0.0], "radius": 1, "amplitude": 1, field: value}
+        with pytest.raises(ValueError, match=(f"^bump 0 is malformed: bump {field} "
+                                              f"must be a number, got {value!r}$")):
+            load_datum({"dimension": 1, "bumps": [bump]})
 
 
 def test_bump_validation():

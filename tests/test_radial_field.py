@@ -2,6 +2,7 @@
 at one t against the direct evaluators, its fallbacks, and its memo."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from dampedwave.solution import (RadialField, eval_dir2_u, eval_grad_u, eval_u,
 
 
 def _direct_stages(monkeypatch):
-    """Route the stages' evaluations to the public direct evaluators."""
-    monkeypatch.setattr(features, "eval_u", lambda datum, x, t, order=64:
-                        eval_u(datum, x, t, order=order).value)
-    monkeypatch.setattr(features, "eval_grad_u", eval_grad_u)
-    monkeypatch.setattr(features, "eval_dir2_u", eval_dir2_u)
+    """Route the stages' evaluations to the public direct evaluators: the
+    field each stage looks up evaluates u, grad u and dir2 u directly."""
+    monkeypatch.setattr(features, "radial_field", lambda datum, t, order: SimpleNamespace(
+        datum=datum, t=t,
+        u=lambda x: eval_u(datum, x, t, order=order).value,
+        grad=lambda x: eval_grad_u(datum, x, t, order=order),
+        dir2=lambda x, omega: eval_dir2_u(datum, x, t, omega, order=order)))
 
 
 def _probes(datum, reach, count, seed):
