@@ -83,15 +83,24 @@ class SmoothBump:
         There exp(-R^2/gap) = exp(-1e12) is exactly 0, so every entry off
         the support is 0 (of either sign) with no mask, and 1/gap stays
         within the range it spans on the support.
+
+        The caller's gap is left as it is. g and g' are formed inside their
+        rows of the table, and 1/gap inside the clamped copy, which g's row
+        holds when no derivative is asked for.
         """
         r2 = self.radius * self.radius
-        gap = np.maximum(gap, 1e-12 * r2)
-        out = np.empty((top + 1,) + gap.shape)
+        out = np.empty((top + 1,) + np.shape(gap))
         g = out[0]
-        np.multiply(self.amplitude * np.e, np.exp(-r2 / gap), out=g)
+        clamped = np.maximum(gap, 1e-12 * r2, out=g if top == 0 else None)
+        np.divide(-r2, clamped, out=g)
+        np.exp(g, out=g)
+        g *= self.amplitude * np.e
         if top >= 1:
-            inv = 1.0 / gap
-            out[1] = -g * r2 * inv * inv
+            inv = np.divide(1.0, clamped, out=clamped)
+            slope = np.negative(g, out=out[1])
+            slope *= r2
+            slope *= inv
+            slope *= inv
         if top >= 2:
             out[2] = g * (r2 * r2 * inv**4 - 2.0 * r2 * inv**3)
         if top >= 3:
@@ -242,7 +251,9 @@ def load_datum(source: Union[str, Path, dict]) -> InitialDatum:
     """Datum from a JSON document {"dimension": n, "bumps": [...]}.
 
     The dimension is 1, 2 or 3, and each centre coordinate, radius and
-    amplitude a number: a bool or a string is refused, not converted.
+    amplitude a number: a bool or a string is refused, not converted. A
+    centre is a list of numbers, or one number in 1D; null or an object is
+    refused.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -264,9 +275,8 @@ def load_datum(source: Union[str, Path, dict]) -> InitialDatum:
     for i, raw in enumerate(raw_bumps):
         try:
             center = raw["center"]
-            if np.isscalar(center):
-                center = [center]
-            center = tuple(_bump_number(v, "center") for v in center)
+            coords = center if isinstance(center, (list, tuple)) else [center]
+            center = tuple(_bump_number(v, "center") for v in coords)
             bumps.append(SmoothBump(center=center,
                                     radius=_bump_number(raw["radius"], "radius"),
                                     amplitude=_bump_number(raw["amplitude"], "amplitude")))

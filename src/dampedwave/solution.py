@@ -29,9 +29,13 @@ pass and one kernel call per bump, not one per point. The 2D wave terms run
 the same way on the clipped-ball chords of all the rows, written in per-node
 scalars (r, s = theta . (c - x), theta) with no node point. Blocks go through
 in chunks of rows that hold a fixed number of nodes (`_CHUNK_NODES`, and
-`_CHORD_NODES` for the chords), which bounds the memory of a pass. Every row
-equals its single-point value bit for bit (see `_row_dots`). All of them,
-and `heat_eval`, share one front end (`_evaluate`).
+`_CHORD_NODES` for the chords), which bounds the memory of a pass: 16 rows
+a radial pass and 8 a chord pass at order 64, with a high-water of about
+3 MiB for u on a 289-point grid. The node passes of u form their arrays in
+place, in the order the formulas are written, so a pass holds few
+node-sized arrays and rounds as the formulas do. Every row equals its
+single-point value bit for bit (see `_row_dots`). All of them, and
+`heat_eval`, share one front end (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -159,17 +163,21 @@ def _row_dots(a: Array, b: Array) -> Array:
 
 # Rows of a block per pass of the radial rule. A pass holds arrays of up to
 # about this many nodes: 16 points of 2D at order 64, where two radial
-# panels of 64 nodes and 64 angular nodes make 8,192 nodes a point. Larger
-# passes gain nothing: the 289-point grid of two_bump_2d at t = 3200 took
-# 0.138 s in chunks of 16 rows, 0.135 s in chunks of 32 and 0.159 s in one
-# pass, which holds 18 times the memory (one row at a time: 0.31 s).
+# panels of 64 nodes and 64 angular nodes make 8,192 nodes a point. On the
+# 289-point grid of two_bump_2d at t = 3200 the tracemalloc high-water of
+# eval_u is 2.71 MiB in passes of 16 rows, 5.24 MiB in passes of 32 and
+# 46 MiB in one pass, and the larger passes are not measurably faster.
 _CHUNK_NODES = 1 << 17
 # Rows of a chunk per pass of the 2D clipped-ball chords, by the same count:
-# 4 points at order 64, where up to 128 chords of 64 nodes make 8,192 nodes
-# a point. A chord pass holds about twice the node arrays of a radial pass
-# (radii, weights, the profile table and the terms), and at this size it
-# holds no more memory than the radial pass of 16 points.
-_CHORD_NODES = 1 << 15
+# 8 points at order 64, where up to 128 chords of 64 nodes make 8,192 nodes
+# a point. A u pass holds the radii, the weights, the gap, its clamped copy
+# and the two rows of the profile table (`_disc_u`); on the same grid at
+# t = 10 the high-water of eval_u is 3.06 MiB in chord passes of 8 rows,
+# 2.39 MiB in passes of 4 and 5.07 MiB in passes of 16. Passes of 4 rows
+# nonetheless raised the peak RSS of the grid-2d benchmark run from 36.6
+# to 38.4 MB: how glibc's malloc serves arrays of this size decides more
+# of the RSS than their count.
+_CHORD_NODES = 1 << 16
 
 
 def _in_chunks(parts, order: int, x: Array, *per_row: Array) -> Tuple[Array, ...]:
@@ -318,20 +326,23 @@ def _cap_rule(n: int, radius: float, d: Array, r: Array,
         # and rho2 is linear in mu, so nodes in mu resolve the steep
         # edge of the profile's derivatives as finely as nodes in rho2.
         half = 0.5 * (cos_cut + 1.0)
-        mu = -1.0 + half[:, None] * (base[None, :] + 1.0)
-        wmu = _sphere_area(n - 1) * half[:, None] * wbase[None, :]
+        mu = half[:, None] * (base + 1.0)
+        mu -= 1.0
+        wmu = (_sphere_area(n - 1) * half)[:, None] * wbase
         if n > 3:
-            wmu = wmu * (1.0 - mu * mu) ** ((n - 3) // 2)
+            wmu *= (1.0 - mu * mu) ** ((n - 3) // 2)
     else:
         # In even n that measure is singular at mu = -1; use theta. Its
-        # factor sin(theta)**(n - 2) is 1 in 2D.
+        # factor sin(theta)**(n - 2) is 1 in 2D, and is taken before the
+        # cosine overwrites theta.
         theta_lo = np.arccos(cos_cut)
         half = 0.5 * (math.pi - theta_lo)
-        theta = theta_lo[:, None] + half[:, None] * (base[None, :] + 1.0)
-        mu = np.cos(theta)
-        wmu = _sphere_area(n - 1) * half[:, None] * wbase[None, :]
+        theta = half[:, None] * (base + 1.0)
+        theta += theta_lo[:, None]
+        wmu = (_sphere_area(n - 1) * half)[:, None] * wbase
         if n > 2:
-            wmu = wmu * np.sin(theta) ** (n - 2)
+            wmu *= np.sin(theta) ** (n - 2)
+        mu = np.cos(theta, out=theta)
     return mu, wmu
 
 
@@ -401,8 +412,9 @@ def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
             mu[away], wmu[away] = _cap_rule(n, radius, d[away], r[away], order)
         else:
             mu, wmu = _cap_rule(n, radius, d, r, order)
-        dc = d[:, None]
-        rho2 = np.maximum(dc * dc + r[:, None] ** 2 + 2.0 * dc * r[:, None] * mu, 0.0)
+        rho2 = (2.0 * d * r)[:, None] * mu
+        rho2 += (d * d + r ** 2)[:, None]
+        np.maximum(rho2, 0.0, out=rho2)
     start = [0]
     for count in counts:
         start.append(start[-1] + count)
@@ -418,7 +430,9 @@ def _segment_dots(sh: _Shells, a: Array, b: Array) -> Array:
 def _profile(bump: SmoothBump, sh: _Shells, top: int) -> Array:
     """g and its first `top` derivatives in w = |y - c|**2 at the nodes,
     times the angular weights; zero off the support."""
-    return bump._g_table(bump.radius * bump.radius - sh.rho2, top) * sh.wmu
+    table = bump._g_table(bump.radius * bump.radius - sh.rho2, top)
+    table *= sh.wmu
+    return table
 
 
 def _projections(sh: _Shells, omega: Array) -> Tuple[Array, Array, Array]:
@@ -517,11 +531,12 @@ def _chord_profile(bump: SmoothBump, ch: _Chords, top: int) -> Array:
     # expanding it as d**2 - 2rs + r**2 would cancel where d is near t.
     gap = ch.r * ch.theta[:, :1]
     gap += ch.xc[:, :1]
+    gap *= gap
     second = ch.r * ch.theta[:, 1:]
     second += ch.xc[:, 1:]
-    gap *= gap
     second *= second
     gap += second
+    del second
     np.subtract(bump.radius * bump.radius, gap, out=gap)
     return bump._g_table(gap, top)
 
@@ -550,9 +565,14 @@ def _sphere_u(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
 
 def _disc_u(bump: SmoothBump, ch: _Chords, t: float) -> Terms:
     # (y - x) . grad f = 2 g' r theta . (y - c) = 2 g' r (r - s).
+    # The weights are folded into the rows of the profile table.
     g0, g1 = _chord_profile(bump, ch, 1)
-    wr = ch.w * ch.r
-    return (), _per_row(ch, ch.w * g0), _per_row(ch, 2.0 * g1 * wr * (ch.r - ch.s))
+    g0 *= ch.w
+    g1 *= 2.0
+    scratch = ch.w * ch.r
+    g1 *= scratch
+    g1 *= np.subtract(ch.r, ch.s, out=scratch)
+    return (), _per_row(ch, g0), _per_row(ch, g1)
 
 
 def _sphere_grad(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
@@ -697,6 +717,8 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
                 principal[nodes.rows] += term
             mean[nodes.rows] += m
             rate[nodes.rows] += dm
+            # Free the chords before the next pass builds its own.
+            del nodes
     if wave and n % 2 == 0:
         mean /= t * t
         rate /= t ** 3

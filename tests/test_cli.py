@@ -303,6 +303,9 @@ NULL_FIELDS = [
     (UNIT_DATUM, "evaluate",
      {"datum": {"dimension": 1, "bumps": [{"center": [0.0], "radius": "0.7", "amplitude": 1}]}},
      "bad datum: bump 0 is malformed: bump radius must be a number, got '0.7'"),
+    (UNIT_DATUM, "evaluate",
+     {"datum": {"dimension": 1, "bumps": [{"center": None, "radius": 0.7, "amplitude": 1}]}},
+     "bad datum: bump 0 is malformed: bump center must be a number, got None"),
     (UNIT_DATUM, "asymptotics", {"asymptotics": {"parity": None}},
      "parity must be a string, got None"),
     (UNIT_DATUM, "asymptotics", {"asymptotics": {"parity": 1}},

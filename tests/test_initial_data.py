@@ -58,7 +58,12 @@ def test_g_table_zero_off_support_and_finite(radius):
     gap = r2 * np.concatenate([-np.geomspace(1e-14, 1e6, 40),
                                [0.0, 5e-13, 1e-12],
                                np.geomspace(1.01e-12, 1.0, 85)])
-    table = bump._g_table(gap.reshape(8, 16), 3).reshape(4, -1)
+    given = gap.reshape(8, 16).copy()
+    table = bump._g_table(given, 3).reshape(4, -1)
+    # The clamp and 1/gap are formed in arrays of _g_table's own: the
+    # caller's gap is unchanged, and g alone is row 0 of the full table.
+    assert bump._g_table(given, 0).tobytes() == table[0].tobytes()
+    assert given.tobytes() == gap.tobytes()
     off = gap <= 1e-12 * r2
     assert np.all(np.isfinite(table))
     assert np.all(table[:, off] == 0.0)
@@ -154,8 +159,10 @@ def test_load_datum_rejects_malformed():
         with pytest.raises(ValueError, match=f"^dimension must be 1, 2, or 3, got {dimension!r}$"):
             load_datum({"dimension": dimension, "bumps": [
                 {"center": [0.0], "radius": 1, "amplitude": 1}]})
+    # A centre is a list of numbers or one number; null or an object is
+    # refused by name, not iterated.
     for field, value in (("radius", "0.7"), ("amplitude", True), ("center", True),
-                         ("center", "0")):
+                         ("center", "0"), ("center", None), ("center", {})):
         bump = {"center": [0.0], "radius": 1, "amplitude": 1, field: value}
         with pytest.raises(ValueError, match=(f"^bump 0 is malformed: bump {field} "
                                               f"must be a number, got {value!r}$")):

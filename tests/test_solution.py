@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -883,3 +884,140 @@ def test_one_kernel_call_per_bump_order_and_chunk(two_3d, monkeypatch):
         assert all(count == orders for count, _ in calls)
         # Three rows a chunk, each with one or two radial panels.
         assert all(3 * order <= nodes <= 6 * order for _, nodes in calls)
+
+
+# float.hex of the direct evaluators on small blocks, recorded before their
+# node passes were rewritten to work in place. The frozen values above allow
+# 1e-12 relative; these hold every bit. The 2D blocks run the radial rule
+# and, at t = 10, the clipped-ball chords; the 3D block includes a bump
+# centre (the two-point rule); the 4D principal part takes the sin(theta)
+# factor of the even-n angular rule.
+PIN_BLOCKS = {
+    "2d-t10": ("two_2d", [[0.3, -0.2], [1.7, 0.8], [-4.0, 6.5]], 10.0, 64),
+    "2d-t3200": ("two_2d", [[0.3, -0.2], [1.7, 0.8], [-4.0, 6.5]], 3200.0, 64),
+    "1d": ("two_1d", [[-0.5], [0.2], [2.1]], 2.5, 32),
+    "3d": ("two_3d", [[0.0, 0.0, 0.0], [0.4, -0.3, 0.2], [2.5, 1.0, 1.0]], 2.5, 32),
+}
+BIT_PINS = {
+    "2d-t10": {
+        "value": [
+            "-0x1.3eac2d6fd1ec4p-10", "-0x1.26fc8ba3f1d96p-10", "0x1.c5f25f1fbb9a4p-14",
+        ],
+        "principal": [
+            "-0x1.5b8abbc4e2ecap-10", "-0x1.4413c9fc592bap-10", "-0x1.992b163ea92dep-16",
+        ],
+        "wave": [
+            "0x1.cde8e55110067p-14", "0x1.d173e5867523cp-14", "0x1.161e9257b2f2ep-13",
+        ],
+        "grad": [
+            "0x1.9aab7bea37944p-24", "-0x1.0863057f55962p-15", "0x1.d45425e4b6fb6p-14",
+            "0x1.a3c832b9f4429p-15", "-0x1.0f25de0866eedp-14", "0x1.950165cf4ab62p-14",
+        ],
+        "dir2": [
+            "0x1.64eaf6e00ff4fp-14", "0x1.560d4c66558dcp-14", "-0x1.44f021a3bac57p-14",
+        ],
+    },
+    "2d-t3200": {
+        "value": [
+            "-0x1.a47e2955c0c60p-27", "-0x1.a4599885607bcp-27", "-0x1.a0ab4b95a2e42p-27",
+        ],
+        "principal": [
+            "-0x1.a47e2955c0c60p-27", "-0x1.a4599885607bcp-27", "-0x1.a0ab4b95a2e42p-27",
+        ],
+        "wave": [
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        ],
+        "grad": [
+            "-0x1.921f602d4dd40p-45", "-0x1.93a52223721fcp-40", "0x1.7520196730c44p-38",
+            "0x1.4fc45abfb2400p-39", "-0x1.1fd61a9608086p-36", "0x1.a6399d0355500p-36",
+        ],
+        "dir2": [
+            "0x1.0cdb3dce63b8dp-38", "0x1.0ccb5660093d6p-38", "0x1.07a3e583072f6p-38",
+        ],
+    },
+    "1d": {
+        "value": [
+            "-0x1.ae083d10e986ap-5", "-0x1.ae0a2934e8356p-5", "0x1.e473d825499c4p-4",
+        ],
+        "principal": [
+            "-0x1.ae083d10e986ap-5", "-0x1.ae0a2934e8356p-5", "-0x1.68d8a2b72ad96p-6",
+        ],
+        "wave": [
+            "0x0.0p+0", "0x0.0p+0", "0x1.1f5500698a295p-3",
+        ],
+        "grad": [
+            "-0x1.7b2ffd68effb6p-9", "0x1.7ad6414af2513p-9", "-0x1.abbe6971abe5cp-6",
+        ],
+        "dir2": [
+            "0x1.0c87de5ec0cc3p-7", "0x1.0c83f80e2b627p-7", "-0x1.49d38032ff992p-1",
+        ],
+    },
+    "3d": {
+        "value": [
+            "-0x1.6162cff812ed9p-7", "-0x1.834c11a68321fp-7", "0x1.d12e5a0630ab0p-7",
+        ],
+        "principal": [
+            "-0x1.9dafd3212cdf8p-10", "-0x1.9facb9bbb4406p-10", "-0x1.5505da869123bp-12",
+        ],
+        "wave": [
+            "-0x1.2dacd593ed51ap-7", "-0x1.4f567a6f0c99ep-7", "0x1.dbd688da65342p-7",
+        ],
+        "grad": [
+            "-0x1.9428ba4c2fe04p-6", "-0x1.9428ba4c2fe04p-7", "0x1.9428ba4c2fe04p-8",
+            "0x1.7eecaa205355dp-7", "0x1.352d85f0dc84ap-7", "-0x1.4cb88fb766b01p-8",
+            "0x1.684d6f645128ep-6", "0x1.20298633439c0p-7", "0x1.20c2b40caf7fcp-7",
+        ],
+        "dir2": [
+            "0x1.31ae3738aeb9cp-5", "0x1.c0454c589a049p-5", "0x1.3979445c78cb1p-8",
+        ],
+    },
+    "4d-principal": [
+        "-0x1.1e2aeadabb833p-14", "-0x1.11fe85ed5a512p-14", "-0x1.0f1123837f6a1p-15",
+    ],
+}
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("case", sorted(PIN_BLOCKS))
+def test_direct_evaluators_keep_every_bit(case, request):
+    name, pts, t, order = PIN_BLOCKS[case]
+    datum = request.getfixturevalue(name)
+    pts = np.array(pts)
+    omega = np.linspace(0.3, -0.9, datum.dimension)
+    sample = eval_u(datum, pts, t, order=order)
+    got = {"value": _hexes(sample.value), "principal": _hexes(sample.principal),
+           "wave": _hexes(sample.wave_remainder),
+           "grad": _hexes(eval_grad_u(datum, pts, t, order=order)),
+           "dir2": _hexes(eval_dir2_u(datum, pts, t, omega, order=order))}
+    assert got == BIT_PINS[case]
+
+
+def test_principal_4d_keeps_every_bit():
+    datum = InitialDatum((SmoothBump((0.0,) * 4, 1.0, 1.0),
+                          SmoothBump((0.8, -0.3, 0.5, 0.2), 0.6, 0.7)), 4, None)
+    pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.2, -0.1, 0.4], [1.5, -0.5, 0.5, 0.0]])
+    assert _hexes(eval_principal_general_n(datum, pts, 2.0, order=32)) == BIT_PINS["4d-principal"]
+
+
+# tracemalloc high-water of eval_u at order 64 on the 17 x 17 lattice of
+# half-width 12 around the centroid that the grid-2d benchmark workload
+# evaluates (without its seeded shift), in MiB, before the node passes
+# worked in place: 3.43 at t = 10 and 3.78 at t = 3200, rounded up (3.08
+# and 2.71 after).
+@pytest.mark.parametrize("t, before", [(10.0, 3.43), (3200.0, 3.78)])
+def test_eval_u_working_set_on_grid_2d(two_2d, t, before):
+    axis = np.linspace(-12.0, 12.0, 17)
+    mesh = np.meshgrid(two_2d.centroid[0] + axis, two_2d.centroid[1] + axis, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    # Warm the cached Gauss rules outside the measurement.
+    eval_u(two_2d, pts[:3], 10.0, order=64)
+    tracemalloc.start()
+    try:
+        eval_u(two_2d, pts, t, order=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= before * 2 ** 20
