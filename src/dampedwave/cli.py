@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -203,8 +204,9 @@ def _mode_evaluate(datum: InitialDatum, config: Dict, out: Path, seed: int,
         _write_csv(out / f"field_t{_t_tag(t)}.csv", header, rows)
 
 
-def _ray_table(datum: InitialDatum, config: Dict, ts: List[float], out: Path,
-               kind: str) -> None:
+def _ray_table(kind: str, datum: InitialDatum, config: Dict, out: Path, seed: int,
+               ts: List[float]) -> None:
+    """The null or critical radius along each ray of the normal bundle."""
     order = _integer(config, "order", DEFAULT_ORDER)
     n = datum.dimension
     rays = sample_normal_bundle(
@@ -224,38 +226,31 @@ def _ray_table(datum: InitialDatum, config: Dict, ts: List[float], out: Path,
         _write_csv(out / f"{kind}_t{_t_tag(t)}.csv", header, rows)
 
 
-def _mode_null(datum, config, out, seed, ts):
-    _ray_table(datum, config, ts, out, "null")
-
-
-def _mode_critical(datum, config, out, seed, ts):
-    _ray_table(datum, config, ts, out, "critical")
+def _feature_options(config: Dict, seed: int) -> Dict:
+    """The options of the spot report and the certificates, read in this
+    order: order, directions, psi_coefficient."""
+    return {"order": _integer(config, "order", DEFAULT_ORDER),
+            "direction_count": _integer(config, "directions", None),
+            "psi_coefficient": _positive_number(config, "psi_coefficient", None),
+            "seed": seed}
 
 
 def _mode_spots(datum: InitialDatum, config: Dict, out: Path, seed: int,
                 ts: List[float]) -> None:
-    order = _integer(config, "order", DEFAULT_ORDER)
-    count = _integer(config, "directions", None)
-    psi_coefficient = _positive_number(config, "psi_coefficient", None)
+    options = _feature_options(config, seed)
     for t in ts:
-        report = build_spot_report(
-            datum, t, psi_coefficient=psi_coefficient, order=order, seed=seed,
-            direction_count=count)
+        report = build_spot_report(datum, t, **options)
         _write_json(out / f"spots_t{_t_tag(t)}.json", report.to_dict())
 
 
 def _mode_certify(datum: InitialDatum, config: Dict, out: Path, seed: int,
                   ts: List[float]) -> None:
-    order = _integer(config, "order", DEFAULT_ORDER)
-    count = _integer(config, "directions", None)
-    psi_coefficient = _positive_number(config, "psi_coefficient", None)
+    options = _feature_options(config, seed)
     for t in ts:
-        certs = certify_signs(
-            datum, t, psi_coefficient=psi_coefficient, order=order, seed=seed,
-            direction_count=count)
+        certs = certify_signs(datum, t, **options)
         payload = {
             "t": t,
-            "psi": default_psi(datum.dimension, t, psi_coefficient),
+            "psi": default_psi(datum.dimension, t, options["psi_coefficient"]),
             "certificates": {k: v.to_dict() for k, v in certs.items()},
         }
         _write_json(out / f"certify_t{_t_tag(t)}.json", payload)
@@ -263,16 +258,12 @@ def _mode_certify(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 def _mode_sweep(datum: InitialDatum, config: Dict, out: Path, seed: int,
                 ts: List[float]) -> None:
-    order = _integer(config, "order", DEFAULT_ORDER)
-    count = _integer(config, "directions", None)
-    psi_coefficient = _positive_number(config, "psi_coefficient", None)
+    options = _feature_options(config, seed)
     header = (["t", "rho_null", "rho_crit", "cold_centroid_gap", "hot_value",
                "cold_value"] + [f"cert_{name}" for name in PROPOSITIONS])
     rows = []
     for t in ts:
-        report = build_spot_report(
-            datum, t, psi_coefficient=psi_coefficient, order=order, seed=seed,
-            direction_count=count)
+        report = build_spot_report(datum, t, **options)
         nulls = [r["rho_null"] for r in report.rays if r["rho_null"] is not None]
         crits = [r["rho_crit"] for r in report.rays if r["rho_crit"] is not None]
         hot = max((v for _, v in report.hot_spots), default=float("nan"))
@@ -355,8 +346,8 @@ def _mode_asymptotics(datum: InitialDatum, config: Dict, out: Path, seed: int,
 
 _HANDLERS = {
     "evaluate": _mode_evaluate,
-    "null": _mode_null,
-    "critical": _mode_critical,
+    "null": partial(_ray_table, "null"),
+    "critical": partial(_ray_table, "critical"),
     "spots": _mode_spots,
     "certify": _mode_certify,
     "sweep": _mode_sweep,

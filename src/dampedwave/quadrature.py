@@ -1,11 +1,11 @@
-"""Gauss-Legendre rules on intervals, the clipped-ball rule for the 2D wave
-terms, and the order-doubling check.
+"""Gauss-Legendre rules on intervals, the clipped-ball rule for u's 2D
+wave-weighted integrals, and the order-doubling check.
 
 Every integrand handled here is smooth and supported on finitely many closed
 balls, and every bump is radial, so `solution` and `initial_data` reduce
 their integrals to rules in one distance built from `interval_nodes`. The
-clipped-ball rule serves only the wave-weighted and damped interior terms of
-the two-dimensional evaluator, for a block of points at once: angular nodes
+clipped-ball rule serves only the two wave-weighted integrals of u in the
+two-dimensional evaluator, for a block of points at once: angular nodes
 restricted to the cone of rays from each point that meet the disc, and
 radial nodes on each clipped chord. The radial variable is mapped through
 r = t*sin(phi), which keeps factors analytic in sqrt(t**2 - r**2) well
@@ -57,9 +57,9 @@ def clipped_ball_nodes(x: Array, t: float, center: Array, radius: float,
     """Chords and nodes for the regions B_t(x) intersected with the disc
     (center, radius), for each row x of an (m, 2) block (or one point).
 
-    Two dimensions only, and there only for the wave-weighted and damped
-    interior terms; the principal ball integrals, and every term in odd
-    dimensions, reduce each bump to a radial and an angular rule of its own.
+    Two dimensions only, and there for u's wave-weighted integrals only;
+    every other term reduces each bump to a radial and an angular rule of
+    its own.
 
     The directions from x are a Gauss rule of 2 * order nodes on the cone of
     rays that meet the disc, or the 2 * order-point trapezoid on the full

@@ -14,24 +14,27 @@ kernel derivative carries a 1/sqrt(t^2 - r^2) factor).
 Every bump is radial, so u and each of its derivatives is a sum of per-bump
 terms. One core (`_parts`) runs the loop over the bumps for each kind of
 evaluation (`_Kind`: the principal part alone, u, grad u or dir2 u). A kind
-has a principal ball term per bump and, where exp(-t/2) > 0, wave terms: on
-the sphere of radius t in odd n, and on the chords of
-`quadrature.clipped_ball_nodes` in 2D. Ball and sphere integrals reduce to a
-radial rule in r and an angular rule in the angle to the bump centre
-(spherical means; F. John, Plane Waves and Spherical Means, 1955). In one
-dimension the sphere is the two points x +- r, and the sphere terms at r = t
-are the d'Alembert values at x +- t.
+has a principal ball term per bump and, where exp(-t/2) > 0, wave terms. Ball
+and sphere integrals reduce to a radial rule in r and an angular rule in the
+angle to the bump centre (spherical means; F. John, Plane Waves and
+Spherical Means, 1955). One set of per-node wave formulas gives the sphere
+integrals of radius r: at r = t they are the wave terms in odd n, and in 2D
+the wave-weighted ball integrals weigh them at each radial node of the
+ball. In one dimension the sphere is the two points x +- r, and the sphere
+terms at r = t are the d'Alembert values at x +- t. u's two 2D wave-weighted
+integrals alone run on the chords of `quadrature.clipped_ball_nodes`.
 
 The evaluators take one point or an (m, n) block of points at one t, and a
 point is a one-row block. For each bump the radial rule lays the nodes of all
 the rows it reaches end to end, so a block costs one node build, one profile
-pass and one kernel call per bump, not one per point. The 2D wave terms run
+pass and one kernel call per bump, not one per point. u's 2D wave terms run
 the same way on the clipped-ball chords of all the rows, written in per-node
 scalars (r, s = theta . (c - x), theta) with no node point. Blocks go through
 in chunks of rows that hold a fixed number of nodes (`_CHUNK_NODES`, and
 `_CHORD_NODES` for the chords), which bounds the memory of a pass: 16 rows
-a radial pass and 8 a chord pass at order 64, with a high-water of about
-3 MiB for u on a 289-point grid. The node passes of u form their arrays in
+a radial pass, 4 a pass of the 2D wave rule at twice the order and 8 a
+chord pass at order 64, with a high-water of about 3 MiB for u on a
+289-point grid. The node passes of u form their arrays in
 place, in the order the formulas are written, so a pass holds few
 node-sized arrays and rounds as the formulas do. Every row equals its
 single-point value bit for bit (see `_row_dots`). All of them, and
@@ -163,10 +166,11 @@ def _row_dots(a: Array, b: Array) -> Array:
 
 # Rows of a block per pass of the radial rule. A pass holds arrays of up to
 # about this many nodes: 16 points of 2D at order 64, where two radial
-# panels of 64 nodes and 64 angular nodes make 8,192 nodes a point. On the
-# 289-point grid of two_bump_2d at t = 3200 the tracemalloc high-water of
-# eval_u is 2.71 MiB in passes of 16 rows, 5.24 MiB in passes of 32 and
-# 46 MiB in one pass, and the larger passes are not measurably faster.
+# panels of 64 nodes and 64 angular nodes make 8,192 nodes a point, and 4
+# points of the 2D wave rule at twice the order. On the 289-point grid of
+# two_bump_2d at t = 3200 the tracemalloc high-water of eval_u is 2.71 MiB
+# in passes of 16 rows, 5.24 MiB in passes of 32 and 46 MiB in one pass,
+# and the larger passes are not measurably faster.
 _CHUNK_NODES = 1 << 17
 # Rows of a chunk per pass of the 2D clipped-ball chords, by the same count:
 # 8 points at order 64, where up to 128 chords of 64 nodes make 8,192 nodes
@@ -238,18 +242,18 @@ def _evaluate(datum: InitialDatum, x: Union[Array, float], t: float, order: int,
     return pts, p, wave, total
 
 
-def _rim_coef(ell: int, t: float) -> float:
-    """t k_(ell+1)(0) - 2 k_ell(0) of the odd family: e^(t/2) times the
-    kernel ktilde_ell on the sphere r = t, which weighs the boundary terms."""
-    return t * kernel_at_zero("odd", ell + 1) - 2.0 * kernel_at_zero("odd", ell)
+def _rim_coef(n: int, k: int, t: float) -> float:
+    """The factor of the damped terms of kernel order ell + k (k = 0 or 1).
 
-
-def _beta(ell: int, t: float) -> float:
-    """t k_(ell+1)'(0) - 2 k_ell'(0) of the even family: the even kernel is 0
-    on the rim r = t, and its radial derivative there weighs the damped
-    terms inside the 2D ball."""
-    return (t * kernel_deriv_at_zero("even", ell + 1)
-            - 2.0 * kernel_deriv_at_zero("even", ell))
+    In odd n it is t k_(ell+k+1)(0) - 2 k_(ell+k)(0): e^(t/2) times the
+    kernel ktilde_(ell+k) on the sphere r = t, which weighs the boundary
+    terms. In 2D the even kernel is 0 on the rim r = t, and half its radial
+    derivative there, t k_(ell+k+1)'(0) - 2 k_(ell+k)'(0), over t weighs the
+    damped terms inside the ball (the node weights of `_wave_terms`)."""
+    dc = dimension_constants(n)
+    at_zero = kernel_at_zero if n % 2 else kernel_deriv_at_zero
+    edge = t * at_zero(dc.parity, dc.ell + k + 1) - 2.0 * at_zero(dc.parity, dc.ell + k)
+    return edge if n % 2 else 0.5 * edge / t
 
 
 def _wave_pair(n: int, t: float) -> Tuple[float, float]:
@@ -276,25 +280,28 @@ class _Shells(NamedTuple):
     around each point.
 
     rows picks the points (rows of the block) whose region reaches the
-    bump's ball, as a slice when that is every row; axis and dist are
-    theirs. Their radial nodes lie end to end: point i owns counts[i] nodes,
-    start[i] to start[i + 1], of r and wr. On the sphere of radius t each
-    point owns one. mu is the cosine of the angle between a direction and
-    the axis e = (x - c) / d, so the node x + r*theta lies at squared
-    distance rho2 = d**2 + r**2 + 2*d*r*mu from the bump centre c. wr
-    integrates dr; each row of wmu integrates over the unit sphere S^{n-1},
-    restricted to the directions that land in the bump's ball.
+    bump's ball, as a slice when that is every row; axis is theirs. Their
+    radial nodes lie end to end: point i owns counts[i] nodes, start[i] to
+    start[i + 1], of d (its distance |x - c|), r, wphi and wr. On the sphere
+    of radius t each point owns one. mu is the cosine of the angle between
+    a direction and the axis e = (x - c) / d, so the node x + r*theta lies
+    at squared distance rho2 = d**2 + r**2 + 2*d*r*mu from the bump centre
+    c, and gap is R**2 - rho2. In the ball r = t sin(phi): wphi integrates
+    dphi and wr = wphi t cos(phi) integrates dr; on the sphere both are 1.
+    Each row of wmu integrates over the unit sphere S^{n-1}, restricted to
+    the directions that land in the bump's ball.
     """
     rows: Union[slice, Array]
     axis: Array
-    dist: Array
     counts: List[int]
     start: List[int]
+    d: Array
     r: Array
+    wphi: Array
     wr: Array
     mu: Array
     wmu: Array
-    rho2: Array
+    gap: Array
 
 
 def _two_point_rule(n: int, count: int, width: int) -> Tuple[Array, Array]:
@@ -384,14 +391,15 @@ def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
         rows = slice(None)
     if on_sphere:
         r = np.full(len(counts), float(t))
-        wr = np.ones(len(counts))
+        wphi = wr = np.ones(len(counts))
     else:
         base, wbase = gauss_legendre(order)
         a_phi, b_phi = np.reshape(ends, (-1, 2)).T
         half = 0.5 * (b_phi - a_phi)
         phi = (a_phi[:, None] + half[:, None] * (base + 1.0)).ravel()
         r = t * np.sin(phi)
-        wr = (half[:, None] * wbase).ravel() * t * np.cos(phi)
+        wphi = (half[:, None] * wbase).ravel()
+        wr = wphi * t * np.cos(phi)
     d = np.repeat(dist, counts)
     centre = dist < 1e-14
     any_centre = bool(centre.any())
@@ -404,7 +412,7 @@ def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
     if n == 1:
         mu, wmu = _two_point_rule(1, r.size, 2)
         # mu = +-1, so the square needs no expanding, which would cancel.
-        rho2 = (d[:, None] + r[:, None] * mu) ** 2
+        gap = (d[:, None] + r[:, None] * mu) ** 2
     else:
         if any_centre:
             away = ~np.repeat(centre, counts)
@@ -412,13 +420,15 @@ def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
             mu[away], wmu[away] = _cap_rule(n, radius, d[away], r[away], order)
         else:
             mu, wmu = _cap_rule(n, radius, d, r, order)
-        rho2 = (2.0 * d * r)[:, None] * mu
-        rho2 += (d * d + r ** 2)[:, None]
-        np.maximum(rho2, 0.0, out=rho2)
+        gap = (2.0 * d * r)[:, None] * mu
+        gap += (d * d + r ** 2)[:, None]
+        np.maximum(gap, 0.0, out=gap)
+    # The squared distance rho2, in place, becomes R**2 - rho2.
+    np.subtract(radius * radius, gap, out=gap)
     start = [0]
     for count in counts:
         start.append(start[-1] + count)
-    return _Shells(rows, axis, dist, counts, start, r, wr, mu, wmu, rho2)
+    return _Shells(rows, axis, counts, start, d, r, wphi, wr, mu, wmu, gap)
 
 
 def _segment_dots(sh: _Shells, a: Array, b: Array) -> Array:
@@ -430,7 +440,7 @@ def _segment_dots(sh: _Shells, a: Array, b: Array) -> Array:
 def _profile(bump: SmoothBump, sh: _Shells, top: int) -> Array:
     """g and its first `top` derivatives in w = |y - c|**2 at the nodes,
     times the angular weights; zero off the support."""
-    table = bump._g_table(bump.radius * bump.radius - sh.rho2, top)
+    table = bump._g_table(sh.gap, top)
     table *= sh.wmu
     return table
 
@@ -493,7 +503,8 @@ def _ball_dir2(bump: SmoothBump, ball: _Shells, t: float,
 
 class _Chords(NamedTuple):
     """One bump seen from the rows of a block along the chords of the 2D
-    clipped-ball rule (`quadrature.clipped_ball_nodes`).
+    clipped-ball rule (`quadrature.clipped_ball_nodes`), for the two
+    wave-weighted integrals of u.
 
     rows are the rows of the block that own a chord, ascending, and starts
     the index of each one's first chord. Per chord: theta, x - c of its row
@@ -512,16 +523,16 @@ class _Chords(NamedTuple):
     w: Array
 
 
-def _chords(bump: SmoothBump, x: Array, offset: Array, t: float, order: int,
-            first: int) -> Optional[_Chords]:
-    """The bump's chords from each row x of a block that starts at row
-    `first`, given x - c by row; None when no row has one."""
+def _chords(bump: SmoothBump, x: Array, offset: Array, t: float,
+            order: int) -> Optional[_Chords]:
+    """The bump's chords from each row x of a block, given x - c by row;
+    None when no row has one."""
     r, w, theta, s, owner = clipped_ball_nodes(x, t, bump.center_array, bump.radius,
                                                order)
     if not r.size:
         return None
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    return _Chords(owner[starts] + first, starts, theta, offset[owner], s[:, None],
+    return _Chords(owner[starts], starts, theta, offset[owner], s[:, None],
                    r.reshape(-1, order), w.reshape(-1, order))
 
 
@@ -546,21 +557,8 @@ def _per_row(ch: _Chords, a: Array) -> Array:
     return np.add.reduceat(a.sum(axis=1), ch.starts)
 
 
-def _along_theta(ch: _Chords, a: Array) -> Array:
-    """Per row, the sum over its chords of theta times the chord's sum of a."""
-    return np.add.reduceat(ch.theta * a.sum(axis=1)[:, None], ch.starts, axis=0)
-
-
-# The wave terms of one bump: (damped principal terms, M, dM), on the radius-t
-# sphere around each point of a block in odd n, and on the clipped-ball chords
-# in 2D; see _Kind.
+# The wave terms of one bump: (damped principal terms, M, dM); see _Kind.
 Terms = Tuple[Tuple[Array, ...], Array, Array]
-
-
-def _sphere_u(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
-    g0, g1 = _profile(bump, sphere, 1)
-    d = sphere.dist[:, None]
-    return (), g0.sum(axis=1), (2.0 * g1 * (d * sphere.mu + t)).sum(axis=1)
 
 
 def _disc_u(bump: SmoothBump, ch: _Chords, t: float) -> Terms:
@@ -575,98 +573,87 @@ def _disc_u(bump: SmoothBump, ch: _Chords, t: float) -> Terms:
     return (), _per_row(ch, g0), _per_row(ch, g1)
 
 
-def _sphere_grad(bump: SmoothBump, sphere: _Shells, t: float) -> Terms:
+# The wave formulas below give their terms at each node of a `_Shells` set,
+# on the sphere of radius r around the node's point: r is the float t on the
+# odd sphere, and the array of node radii in the 2D ball. M is the integral
+# of f (or of one of its derivatives) over that sphere in unit-sphere
+# measure, and dM its rate d/dr.
+
+def _wave_u(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
+    g0, g1 = _profile(bump, nodes, 1)
+    d, rc = nodes.d[:, None], np.reshape(r, (-1, 1))
+    return (), g0.sum(axis=1), (2.0 * g1 * (d * nodes.mu + rc)).sum(axis=1)
+
+
+def _wave_grad(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
     # Every term is a multiple of the axis e: the integrals of theta and of
-    # y - c = d*e + r*theta over a circle of fixed mu lie along it.
-    n = sphere.axis.shape[1]
+    # y - c = d*e + r*theta over a circle of fixed mu lie along it. The terms
+    # are their components along e.
+    n = nodes.axis.shape[1]
     dc = dimension_constants(n)
-    g0, g1, g2 = _profile(bump, sphere, 2)
-    d, mu, e = sphere.dist[:, None], sphere.mu, sphere.axis
-    boundary = t ** (n - 1) * (g0 * mu).sum(axis=1)
-    mean_grad = (2.0 * g1 * (d + t * mu)).sum(axis=1)
-    mean_hvp = (2.0 * g1 * mu + 4.0 * g2 * (d * mu + t) * (d + t * mu)).sum(axis=1)
-    damped = 0.25 * dc.gamma * wave_factor(t) * _rim_coef(dc.ell, t) * boundary[:, None] * e
-    return (damped,), mean_grad[:, None] * e, mean_hvp[:, None] * e
+    g0, g1, g2 = _profile(bump, nodes, 2)
+    d, mu, rc = nodes.d[:, None], nodes.mu, np.reshape(r, (-1, 1))
+    boundary = r ** (n - 1) * (g0 * mu).sum(axis=1)
+    mean_grad = (2.0 * g1 * (d + rc * mu)).sum(axis=1)
+    mean_hvp = (2.0 * g1 * mu + 4.0 * g2 * (d * mu + rc) * (d + rc * mu)).sum(axis=1)
+    return ((0.25 * dc.gamma * wave_factor(t) * _rim_coef(n, 0, t) * boundary,),
+            mean_grad, mean_hvp)
 
 
-def _disc_grad(bump: SmoothBump, ch: _Chords, t: float) -> Terms:
-    # With y - c = (x - c) + r*theta, each vector sum is (x - c) times a
-    # scalar sum plus theta times one per chord. The Hessian H = 2 g' I +
-    # 4 g'' (y - c)(y - c)^T takes y - x = r*theta, and theta . (y - c) is
-    # r - s.
-    dc = dimension_constants(2)
-    g0, g1, g2 = _chord_profile(bump, ch, 2)
-    wr = ch.w * ch.r
-    xc = ch.xc[ch.starts]
-    bend = 4.0 * g2 * wr * (ch.r - ch.s)
-    coef = (dc.gamma / 8.0) * wave_factor(t) * _beta(dc.ell, t) / t
-    return ((coef * _along_theta(ch, wr * g0),),
-            2.0 * (xc * _per_row(ch, ch.w * g1)[:, None] + _along_theta(ch, wr * g1)),
-            xc * _per_row(ch, bend)[:, None]
-            + _along_theta(ch, 2.0 * g1 * wr + bend * ch.r))
-
-
-def _sphere_dir2(bump: SmoothBump, sphere: _Shells, t: float, omega: Array) -> Terms:
-    n = sphere.axis.shape[1]
+def _wave_dir2(bump: SmoothBump, nodes: _Shells, t: float, r: Value,
+               omega: Array) -> Terms:
+    n = nodes.axis.shape[1]
     dc = dimension_constants(n)
     damp = wave_factor(t)
-    g0, g1, g2, g3 = _profile(bump, sphere, 3)
-    d = sphere.dist[:, None]
-    cw, p1, p2 = _projections(sphere, omega)
+    g0, g1, g2, g3 = _profile(bump, nodes, 3)
+    d, rc = nodes.d[:, None], np.reshape(r, (-1, 1))
+    cw, p1, p2 = _projections(nodes, omega)
     # Circle means of ((y - c) . omega)**2 and of
-    # (theta . omega) ((y - c) . omega), with y - c = d*e + t*theta.
-    along2 = d * d * cw * cw + 2.0 * d * cw * t * p1 + t * t * p2
-    mixed = d * cw * p1 + t * p2
-    rate = d * sphere.mu + t
-    return (((dc.gamma / 16.0) * damp * _rim_coef(dc.ell + 1, t) * t ** n
+    # (theta . omega) ((y - c) . omega), with y - c = d*e + r*theta.
+    along2 = d * d * cw * cw + 2.0 * d * cw * rc * p1 + rc * rc * p2
+    mixed = d * cw * p1 + rc * p2
+    rate = d * nodes.mu + rc
+    return (((dc.gamma / 16.0) * damp * _rim_coef(n, 1, t) * r ** n
              * (g0 * p2).sum(axis=1),
-             0.25 * dc.gamma * damp * _rim_coef(dc.ell, t) * t ** (n - 1)
+             0.25 * dc.gamma * damp * _rim_coef(n, 0, t) * r ** (n - 1)
              * (2.0 * g1 * mixed).sum(axis=1)),
             (2.0 * g1 + 4.0 * g2 * along2).sum(axis=1),
             (4.0 * g2 * rate + 8.0 * g3 * rate * along2 + 8.0 * g2 * mixed).sum(axis=1))
 
 
-def _disc_dir2(bump: SmoothBump, ch: _Chords, t: float, omega: Array) -> Terms:
-    # omega projects through p = theta . omega per chord and q = (x - c) .
-    # omega per row: (y - c) . omega = q + r*p, (y - x) . omega = r*p. dM
-    # is t times the third derivative along (omega, omega, (y - x) / t).
-    dc = dimension_constants(2)
-    damp = wave_factor(t)
-    g0, g1, g2, g3 = _chord_profile(bump, ch, 3)
-    om = np.repeat(omega, np.diff(ch.starts, append=len(ch.s)), axis=0)
-    p = (ch.theta[:, 0] * om[:, 0] + ch.theta[:, 1] * om[:, 1])[:, None]
-    q = (ch.xc[:, 0] * om[:, 0] + ch.xc[:, 1] * om[:, 1])[:, None]
-    wr = ch.w * ch.r
-    rp = ch.r * p
-    along = q + rp
-    along2 = along * along
-    rise = ch.r * (ch.r - ch.s)
-    return (((dc.gamma / 32.0) * damp * _beta(dc.ell + 1, t) / t
-             * _per_row(ch, wr * g0 * rp * p),
-             (dc.gamma / 4.0) * damp * _beta(dc.ell, t) / t
-             * _per_row(ch, wr * g1 * p * along)),
-            _per_row(ch, ch.w * (2.0 * g1 + 4.0 * g2 * along2)),
-            _per_row(ch, ch.w * (4.0 * g2 * (rise + 2.0 * rp * along)
-                                 + 8.0 * g3 * rise * along2)))
+def _wave_terms(wave: Callable[..., Terms], bump: SmoothBump, nodes: _Shells,
+                t: float, *omega: Array) -> Terms:
+    """The wave terms at each point of `nodes`: on the odd sphere its one
+    node's, and in 2D the ball integral of its nodes' with weights t r dphi
+    (times the angular weights, t dy / sqrt(t**2 - |y - x|**2)), and one
+    more factor r in dM, which takes y - x = r*theta."""
+    if nodes.axis.shape[1] % 2:
+        return wave(bump, nodes, t, t, *omega)
+    damped, m, dm = wave(bump, nodes, t, nodes.r, *omega)
+    weight = nodes.wphi * t * nodes.r
+    return (tuple(_segment_dots(nodes, weight, term) for term in damped),
+            _segment_dots(nodes, weight, m), _segment_dots(nodes, weight * nodes.r, dm))
 
 
 class _Kind(NamedTuple):
     """The per-bump terms of one kind of evaluation: its principal ball term
     and |kernel| mass, and, but for the principal part alone, its wave
-    terms: sphere in odd n and disc in 2D. The raw wave is
-    gamma * (a * M + b * dM) (`_wave_pair`), M and dM summed over the bumps,
-    and in 2D divided by t**2 and t**3. A dir2 term also takes the direction
-    of its point or points, last."""
+    terms (`_wave_terms`): on the sphere of radius t in odd n, and over the
+    ball in 2D, but for u's, which run on the clipped-ball chords (disc).
+    The raw wave is gamma * (a * M + b * dM) (`_wave_pair`), M and dM
+    summed over the bumps, and in 2D divided by t**2 and t**3; the wave and
+    damped terms of a vector kind lie along each point's axis. A dir2 term
+    also takes the direction of its point or points, last."""
     vector: bool
     ball: Callable[..., Tuple[Array, Array]]
-    sphere: Optional[Callable[..., Terms]] = None
+    wave: Optional[Callable[..., Terms]] = None
     disc: Optional[Callable[..., Terms]] = None
 
 
 _PRINCIPAL = _Kind(False, _ball_principal)
-_FIELD = _Kind(False, _ball_principal, _sphere_u, _disc_u)
-_GRAD = _Kind(True, _ball_grad, _sphere_grad, _disc_grad)
-_DIR2 = _Kind(False, _ball_dir2, _sphere_dir2, _disc_dir2)
+_FIELD = _Kind(False, _ball_principal, _wave_u, _disc_u)
+_GRAD = _Kind(True, _ball_grad, _wave_grad)
+_DIR2 = _Kind(False, _ball_dir2, _wave_dir2)
 
 
 def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
@@ -675,14 +662,15 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
     per_row holds dir2's unit direction for each row.
 
     Per bump: one pass of the radial rule for the principal ball term and,
-    with wave, the wave terms: one pass over the radius-t sphere in odd n,
-    and in 2D one pass over the clipped-ball chords of each `_CHORD_NODES`
-    worth of rows. Without wave the wave terms and the damped principal
-    terms are not computed, and the raw wave is 0.
+    with wave, one for the wave terms: over the radius-t sphere in odd n,
+    over the ball in 2D, and for u in 2D one pass over the clipped-ball
+    chords of each `_CHORD_NODES` worth of rows. Without wave the wave
+    terms and the damped principal terms are not computed, and the raw
+    wave is 0.
     """
     n = datum.dimension
-    wave = wave and kind.sphere is not None
-    a, b = _wave_pair(n, t) if kind.sphere else (0.0, 0.0)
+    wave = wave and kind.wave is not None
+    a, b = _wave_pair(n, t) if kind.wave else (0.0, 0.0)
     principal, mean, rate = np.zeros((3, len(x), n) if kind.vector else (3, len(x)))
     mass = np.zeros(len(x))
     for bump in datum.bumps:
@@ -697,27 +685,39 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
         del ball
         if not wave:
             continue
-        # The sphere terms integrate up to the third derivative of the
-        # profile, whose edge is much steeper than the profile's, so the
-        # sphere rule takes twice the angular nodes; at one radius they cost
-        # next to nothing.
-        if n % 2:
-            passes = [_shells(bump, offset, dist, t, 2 * order, on_sphere=True)]
-            terms = kind.sphere
+        if n % 2 == 0 and kind.disc is not None:
+            step, terms = max(1, _CHORD_NODES // (2 * order * order)), kind.disc
+
+            def build(rows: slice) -> Optional[_Chords]:
+                return _chords(bump, x[rows], offset[rows], t, order)
         else:
-            step = max(1, _CHORD_NODES // (2 * order * order))
-            passes = (_chords(bump, x[i:i + step], offset[i:i + step], t, order, i)
-                      for i in range(0, len(x), step))
-            terms = kind.disc
-        for nodes in passes:
+            # The wave terms integrate up to the third derivative of the
+            # profile, whose edge is much steeper than the profile's, so
+            # their rule takes twice the order of the principal one: in
+            # angle on the sphere, and in radius and angle in the 2D ball,
+            # a quarter of the rows a pass. There, at order 64, two_bump_2d's
+            # dir2 is within 3e-10 of order 512 at t = 1.5 and 10; doubling
+            # only the radius left it 6e-8 off, only the angle 2.3e-4.
+            sphere = n % 2 == 1
+            step = max(1, len(x) if sphere else _CHUNK_NODES // (8 * order * order))
+            terms = partial(_wave_terms, kind.wave)
+
+            def build(rows: slice) -> Optional[_Shells]:
+                return _shells(bump, offset[rows], dist[rows], t, 2 * order, sphere)
+        for i in range(0, len(x), step):
+            rows = slice(i, i + step)
+            nodes = build(rows)
             if nodes is None:
                 continue
-            damped, m, dm = terms(bump, nodes, t, *(v[nodes.rows] for v in per_row))
+            damped, m, dm = terms(bump, nodes, t, *(v[rows][nodes.rows] for v in per_row))
+            if kind.vector:
+                damped = [term[:, None] * nodes.axis for term in damped]
+                m, dm = m[:, None] * nodes.axis, dm[:, None] * nodes.axis
             for term in damped:
-                principal[nodes.rows] += term
-            mean[nodes.rows] += m
-            rate[nodes.rows] += dm
-            # Free the chords before the next pass builds its own.
+                principal[rows][nodes.rows] += term
+            mean[rows][nodes.rows] += m
+            rate[rows][nodes.rows] += dm
+            # Free the nodes before the next pass builds its own.
             del nodes
     if wave and n % 2 == 0:
         mean /= t * t

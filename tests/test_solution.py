@@ -6,6 +6,7 @@ import pytest
 
 from dampedwave import quadrature, solution
 from dampedwave.initial_data import InitialDatum, SmoothBump, make_datum
+from dampedwave.kernels import kernel_deriv_at_zero
 from dampedwave.oracles import spectral_solve
 from dampedwave.quadrature import QuadratureConvergenceError
 from dampedwave.solution import (_DIR2, _FIELD, _GRAD, FieldSample, _parts,
@@ -384,12 +385,17 @@ def test_2d_principal_runs_on_radial_rule(two_2d, monkeypatch):
         raise AssertionError("built clipped-ball nodes")
 
     monkeypatch.setattr(solution, "clipped_ball_nodes", refuse)
-    sample = eval_u(two_2d, np.array([1.2, 0.4]), 3200.0)
+    x = np.array([1.2, 0.4])
+    sample = eval_u(two_2d, x, 3200.0)
     assert sample.wave_remainder == 0.0
     assert sample.value == pytest.approx(-1.223661744821999e-08, rel=1e-12)
-    # The patch is live: the gradient's damped and wave terms still use it.
+    # The gradient's and dir2's wave and damped terms run on the radial
+    # rule too, where exp(-t/2) > 0.
+    assert np.all(np.isfinite(eval_grad_u(two_2d, x, 1.5)))
+    assert math.isfinite(eval_dir2_u(two_2d, x, 1.5, FROZEN_2D_OMEGA))
+    # The patch is live: u's two wave-weighted integrals still use it.
     with pytest.raises(AssertionError):
-        eval_grad_u(two_2d, np.array([1.2, 0.4]), 1.5)
+        eval_u(two_2d, x, 1.5)
 
 
 # Each public evaluator, called with a point, a time and an order; dir2
@@ -433,15 +439,17 @@ def test_dir2_rejects_bad_direction(two_2d, omega):
 # the second derivative along FROZEN_2D_OMEGA at quadrature order 64. Rows:
 # the centre of a ball, a point inside a ball, a point outside both; t = 1.5
 # reaches part of the data, t = 400 leaves exp(-t/2) tiny but nonzero, and
-# at t = 3200 it underflows to zero, so the remainder is exactly 0.
+# at t = 3200 it underflows to zero, so the remainder is exactly 0. The grad
+# and dir2 entries at t = 1.5 and 10 were recorded once their wave and damped
+# terms ran on the radial rule; each is within 3.3e-11 relative of order 512.
 FROZEN_2D_OMEGA = np.array([0.6, -0.8])
 FROZEN_2D = (
     ((0.0, 0.0), 1.5, -0.03575913907143463, -0.028613679365122734,
-     [0.17275768312196657, 0.09717619675610596],
-     -0.26047406963837777),
+     [0.1727576830362565, 0.09717619670789428],
+     -0.2604736279074086),
     ((0.0, 0.0), 10.0, -0.0012164319820247614, 0.00011012365789868138,
-     [-2.5328009256986432e-05, -1.4247005207054784e-05],
-     8.560796449369897e-05),
+     [-2.5328003052072174e-05, -1.4247001716790595e-05],
+     8.560774540521155e-05),
     ((0.0, 0.0), 400.0, -7.824819524473235e-07, 4.292669816927686e-89,
      [-6.039694302278665e-10, -3.397328045031754e-10],
      1.941625962033437e-09),
@@ -449,11 +457,11 @@ FROZEN_2D = (
      [-1.1908213006293133e-12, -6.698369816039868e-13],
      3.820803224241593e-12),
     ((1.2, 0.4), 1.5, -0.02465373239630285, -0.020012293301147968,
-     [0.26267165626405936, 0.10013402251181548],
-     0.11434411255055169),
+     [0.2626716486546337, 0.10013402068124848],
+     0.1141833557940294),
     ((1.2, 0.4), 10.0, -0.0011857264653938812, 0.00011039569955778682,
-     [7.419230309669391e-05, 1.8541638145124224e-05],
-     8.38480960227681e-05),
+     [7.419229801158032e-05, 1.8541638738828354e-05],
+     8.384735565153315e-05),
     ((1.2, 0.4), 400.0, -7.817909685071751e-07, 4.29267936045402e-89,
      [1.7228374712525038e-09, 4.354896192153013e-10],
      1.939906454234901e-09),
@@ -461,11 +469,11 @@ FROZEN_2D = (
      [3.3933604111903694e-12, 8.581290577521545e-13],
      3.820375547455158e-12),
     ((2.6, -0.4), 1.5, 0.054788516710001865, 0.054937828727506015,
-     [0.03914624282265908, -0.05089011566945701],
-     -0.9554336627543903),
+     [0.03914624263403878, -0.05089011542425042],
+     -0.9554341459284709),
     ((2.6, -0.4), 10.0, -0.0009975628830349423, 0.00011226028266585558,
-     [0.0001720938641282187, -4.489094789547251e-05],
-     6.47207343119655e-05),
+     [0.00017209384967111153, -4.489094113756958e-05],
+     6.47187504619143e-05),
     ((2.6, -0.4), 400.0, -7.772155562105906e-07, 4.292742776247579e-89,
      [4.418623416827288e-09, -1.1127119336295226e-09],
      1.9198541123102295e-09),
@@ -479,24 +487,25 @@ def test_frozen_2d_values(two_2d):
     for x, t, u, wave, grad, d2 in FROZEN_2D:
         x = np.array(x)
         sample = eval_u(two_2d, x, t, order=64)
-        assert sample.value == pytest.approx(u, rel=1e-12)
-        assert sample.wave_remainder == pytest.approx(wave, rel=1e-12)
+        assert sample.value == pytest.approx(u, rel=1e-12, abs=0.0)
+        assert sample.wave_remainder == pytest.approx(wave, rel=1e-12, abs=0.0)
         if t == 3200.0:
             assert sample.wave_remainder == 0.0
         np.testing.assert_allclose(eval_grad_u(two_2d, x, t, order=64), grad,
                                    rtol=1e-12, atol=0.0)
         assert eval_dir2_u(two_2d, x, t, FROZEN_2D_OMEGA, order=64) == pytest.approx(
-            d2, rel=1e-12)
+            d2, rel=1e-12, abs=0.0)
 
 
 def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
     # Each bump reached from a block gets one pass of the profile table over
-    # its radial nodes per chunk of rows and, where the wave or damped terms
-    # are computed, one over its clipped-ball nodes per chord pass. Every
+    # each node set: its radial nodes per chunk of rows and, where the wave
+    # or damped terms are computed, u's clipped-ball nodes per chord pass or
+    # grad's and dir2's ball nodes at twice the order per wave pass. Every
     # term at one node set (value, gradient, Hessian and third derivative of
     # f) comes from that one pass. Every row below reaches both bumps at
-    # t = 10; the block runs in two chunks of three rows, and each chunk in
-    # chord passes of two rows and one.
+    # t = 10; the block runs in two chunks of three rows, each chunk in chord
+    # passes of two rows and one, and in wave passes of one row.
     order = 16
     monkeypatch.setattr(solution, "_CHUNK_NODES", 2 * order * order * 3)
     monkeypatch.setattr(solution, "_CHORD_NODES", 2 * order * order * 2)
@@ -510,16 +519,16 @@ def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
         passes.append(gap.size)
         return g_table(self, gap, top)
 
-    def counted_shells(*args, **kwargs):
-        out = shells(*args, **kwargs)
+    def counted_shells(bump, offset, dist, t, rule_order, *args):
+        out = shells(bump, offset, dist, t, rule_order, *args)
         if out is not None:
-            node_sets.append(out.rho2.size)
+            node_sets.append(("radial" if rule_order == order else "wave", out.gap.size))
         return out
 
     def counted_clipped(*args, **kwargs):
         out = clipped(*args, **kwargs)
         if out[0].shape[0]:
-            node_sets.append(out[0].shape[0])
+            node_sets.append(("chords", out[0].shape[0]))
         return out
 
     monkeypatch.setattr(SmoothBump, "_g_table", counted_table)
@@ -527,115 +536,215 @@ def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
     monkeypatch.setattr(solution, "clipped_ball_nodes", counted_clipped)
     pts = np.array([[0.9, 0.5], [0.2, -0.3], [1.4, 1.2], [-0.6, 0.4], [2.0, 0.1],
                     [0.5, 1.5]])
-    evaluators = (lambda t: eval_u(two_2d, pts, t, order=order),
-                  lambda t: eval_grad_u(two_2d, pts, t, order=order),
-                  lambda t: eval_dir2_u(two_2d, pts, t, FROZEN_2D_OMEGA, order=order))
+    evaluators = {"u": lambda t: eval_u(two_2d, pts, t, order=order),
+                  "grad": lambda t: eval_grad_u(two_2d, pts, t, order=order),
+                  "dir2": lambda t: eval_dir2_u(two_2d, pts, t, FROZEN_2D_OMEGA,
+                                                order=order)}
+    # Node sets per bump: (radial, chord, wave ball). At t = 3200, where
+    # exp(-t/2) is 0, only the radial sets are built.
+    per_bump = {(10.0, "u"): (2, 4, 0), (10.0, "grad"): (2, 0, 6),
+                (10.0, "dir2"): (2, 0, 6)}
     bumps = len(two_2d.bumps)
-    # At t = 3200, where exp(-t/2) is 0, no evaluator builds clipped-ball
-    # nodes.
-    for t, per_bump in ((10.0, 2 * (1 + 2)), (3200.0, 2)):
-        for evaluate in evaluators:
+    for t in (10.0, 3200.0):
+        for kind, evaluate in evaluators.items():
             passes.clear()
             node_sets.clear()
             evaluate(t)
-            assert len(node_sets) == per_bump * bumps, (t, node_sets)
-            assert passes == node_sets, (t, passes, node_sets)
+            built = [name for name, _ in node_sets]
+            counts = tuple(built.count(name) for name in ("radial", "chords", "wave"))
+            assert counts == tuple(bumps * c for c in per_bump.get((t, kind), (2, 0, 0))), (
+                t, kind, node_sets)
+            assert passes == [size for _, size in node_sets], (t, kind, passes, node_sets)
+    # A wave ball set holds twice the radial and twice the angular nodes of
+    # the radial one of the same rows.
+    node_sets.clear()
+    eval_grad_u(two_2d, pts[:1], 10.0, order=order)
+    assert node_sets[1] == ("wave", 4 * node_sets[0][1])
 
 
-def _point_terms(bump, x, t, order, omega):
-    """The 2D wave terms of one bump at each row of x, from the bump's own
+def _point_terms(bump, x, t, order):
+    """u's 2D wave terms of one bump at each row of x, from the bump's own
     derivatives at the node points y = x + r*theta of the clipped-ball rule,
     and the sum of their absolute node values: {name: (terms, scale)} with
-    one entry per row. omega varies per row, so dir2 and dir3 are formed
-    from the profile table. dir2's dM is t times the third derivative term,
-    as the chord form reports it."""
-    dc = dimension_constants(2)
-    damp = wave_factor(t)
+    one entry per row."""
     r, w, theta, _, owner = quadrature.clipped_ball_nodes(x, t, bump.center_array,
                                                           bump.radius, order)
     row = np.repeat(owner, order)
     y = x[row] + r[:, None] * np.repeat(theta, order, axis=0)
-    offset, gap = bump._shape(y)
-    g0, g1, g2, g3 = bump._g_table(gap, 3)
-    om = omega[row]
-    along = ((x[row] - y) * om).sum(axis=1)
-    grad = bump.gradient(y)
-    grad_om = (grad * om).sum(axis=1)
-    dir2 = 2.0 * g1 + 4.0 * g2 * (offset * om).sum(axis=1) ** 2
-    zeta = (y - x[row]) / t
-    a_ze = (offset * zeta).sum(axis=1)
-    a_om = (offset * om).sum(axis=1)
-    dir3 = (4.0 * g2 * a_ze + 8.0 * g3 * a_ze * a_om * a_om
-            + 8.0 * g2 * (zeta * om).sum(axis=1) * a_om)
-    over = w / (0.5 * t)
-    nodes = {
-        "u M": w * bump.value(y),
-        "u dM": w * ((y - x[row]) * grad).sum(axis=1),
-        "grad damped": (-(dc.gamma / 16.0) * damp * solution._beta(dc.ell, t))
-        * (over * g0)[:, None] * (x[row] - y),
-        "grad M": w[:, None] * grad,
-        "grad dM": w[:, None] * bump.hvp(y, y - x[row]),
-        "dir2 damped 1": (dc.gamma / 64.0) * damp * solution._beta(dc.ell + 1, t)
-        * over * g0 * along * along,
-        "dir2 damped 2": -(dc.gamma / 16.0) * damp * solution._beta(dc.ell, t)
-        * over * along * grad_om,
-        "dir2 M": w * dir2,
-        "dir2 dM": t * w * dir3,
-    }
+    nodes = {"u M": w * bump.value(y),
+             "u dM": w * ((y - x[row]) * bump.gradient(y)).sum(axis=1)}
+    return _per_row_sums(nodes, row, len(x))
+
+
+def _per_row_sums(nodes, row, count, parts=None):
+    """{name: (sum per row, scale per row)} of per-node values (one column
+    or a vector per node) owned by `row`. The scale sums the absolute
+    values, or the nonnegative sizes parts[name] given in their place."""
     out = {}
     for name, values in nodes.items():
         cols = values.reshape(len(row), -1)
-        total = np.stack([np.bincount(row, c, len(x)) for c in cols.T], axis=1)
-        scale = np.stack([np.bincount(row, np.abs(c), len(x)) for c in cols.T], axis=1)
+        sizes = np.abs(cols) if parts is None or name not in parts else np.broadcast_to(
+            np.reshape(parts[name], (len(row), -1)), cols.shape)
+        total = np.stack([np.bincount(row, c, count) for c in cols.T], axis=1)
+        scale = np.stack([np.bincount(row, c, count) for c in sizes.T], axis=1)
         out[name] = (total, scale.max(axis=1))
     return out
 
 
+def _rows_beside_bumps(two_2d, t):
+    """Rows inside each bump, on the first bump's rim, grazing the radius-t
+    circle around the first bump, beyond reach (row 4), and two seeded."""
+    first, second = (b.center_array for b in two_2d.bumps)
+    down = np.array([0.0, -1.0])
+    return np.array([first + [0.3, -0.2], second + [0.1, 0.2], first + [1.0, 0.0],
+                     first + (t + 0.95) * down, first + (t + 1.5) * down,
+                     *np.random.default_rng(7).uniform(-2.0, 3.0, size=(2, 2))])
+
+
+def _assert_terms_match(want, got, rows, count):
+    """Each term of got (one entry per row of `rows`) within 1e-13 of the
+    scale of want's; rows outside `rows` have no node at all."""
+    missing = np.setdiff1d(np.arange(count), rows)
+    for name, (total, scale) in want.items():
+        assert np.all(scale[missing] == 0.0), name
+        assert np.all(scale[rows] > 0.0), name
+        value = np.reshape(got[name], (len(rows), -1))
+        gap = np.abs(value - total[rows]).max(axis=1)
+        assert np.all(gap <= 1e-13 * scale[rows]), (name, gap / scale[rows])
+
+
 @pytest.mark.parametrize("t", [1.5, 10.0, 50.0])
 def test_chord_form_matches_point_formulas(two_2d, t):
-    # The chord-form wave terms (per-node scalars in r, s = theta . (c - x)
+    # u's chord-form wave terms (per-node scalars in r, s = theta . (c - x)
     # and theta, summed per chord and then per row) against the bump's
     # derivatives at the rebuilt node points. Rows: inside each bump, on the
     # first bump's rim (chords that start at x), grazing the radius-t circle
     # (short chords that end at r = t), beyond reach, and two seeded points.
     order = 32
-    first, second = (b.center_array for b in two_2d.bumps)
-    down = np.array([0.0, -1.0])
-    rows = np.array([first + [0.3, -0.2], second + [0.1, 0.2], first + [1.0, 0.0],
-                     first + (t + 0.95) * down, first + (t + 1.5) * down,
-                     *np.random.default_rng(7).uniform(-2.0, 3.0, size=(2, 2))])
-    omega = np.random.default_rng(8).normal(size=rows.shape)
-    omega /= np.linalg.norm(omega, axis=1)[:, None]
+    rows = _rows_beside_bumps(two_2d, t)
     for bump in two_2d.bumps:
-        want = _point_terms(bump, rows, t, order, omega)
-        ch = solution._chords(bump, rows, rows - bump.center_array, t, order, 0)
+        want = _point_terms(bump, rows, t, order)
+        ch = solution._chords(bump, rows, rows - bump.center_array, t, order)
         assert 4 not in ch.rows
         got = {}
         (), got["u M"], got["u dM"] = solution._disc_u(bump, ch, t)
-        (got["grad damped"],), got["grad M"], got["grad dM"] = solution._disc_grad(
-            bump, ch, t)
+        _assert_terms_match(want, got, ch.rows, len(rows))
+
+
+def _shell_point_terms(bump, x, t, nodes, omega):
+    """grad's and dir2's 2D wave terms of one bump at each row of x, from the
+    bump's derivatives at the points y = x + r*theta of a `_Shells` set:
+    each node (r, mu) stands for the two directions theta = mu e +- sqrt(1 -
+    mu**2) e_perp, with half its angular weight each, and its weight is
+    t r dphi dtheta. Every term is a sum over both mirror points.
+
+    The derivatives are formed from y - c and y - x at the rebuilt points and
+    from the profile table at the node's own gap R**2 - |y - c|**2, the one
+    every radial pass uses. The shell form, like the odd-sphere terms it
+    shares, expands |y - c|**2 and ((y - c) . omega)**2 from the parts
+    d e and r theta of y - c, which rounds by up to eps (d + r)**2. At the
+    bump's edge g varies as exp(-R**2/gap), which amplifies that by
+    R**2/gap**2: at the row grazing the radius-t circle, rebuilding the gap
+    from y alone moves the terms by 4e-13 (t = 10) and 8e-12 (t = 50) of the
+    sum of their absolute node values. So the scale of each term is the sum
+    of the sizes of the parts it adds, with (y - c) . omega counted as
+    d |e . omega| + r |theta . omega| and (y - c) . (y - x) as d r |mu| + r**2;
+    where no part cancels, that is the sum of its absolute node values."""
+    dc = dimension_constants(2)
+    damp = wave_factor(t)
+    rows = np.arange(len(x))[nodes.rows]
+    e = nodes.axis
+    perp = np.stack([-e[:, 1], e[:, 0]], axis=1)
+    point = np.repeat(rows, nodes.counts)
+    e_node = np.repeat(e, nodes.counts, axis=0)[:, None, :]
+    p_node = np.repeat(perp, nodes.counts, axis=0)[:, None, :]
+    mu = nodes.mu[:, :, None]
+    pieces = []
+    for side in (1.0, -1.0):
+        theta = mu * e_node + side * np.sqrt(1.0 - mu * mu) * p_node
+        pieces.append(x[point][:, None, :] + nodes.r[:, None, None] * theta)
+    y = np.stack(pieces, axis=2).reshape(-1, 2)
+    row = np.repeat(point, 2 * nodes.mu.shape[1])
+    weight = (nodes.wphi * t * nodes.r)[:, None] * nodes.wmu / 2.0
+    w = np.repeat(weight, 2, axis=1).ravel()
+    g0, g1, g2, g3 = bump._g_table(np.repeat(nodes.gap, 2, axis=1).ravel(), 3)
+    offset = y - bump.center_array
+    step = y - x[row]
+    om = omega[row]
+    a_om = (offset * om).sum(axis=1)
+    s_om = (step * om).sum(axis=1)
+    a_st = (offset * step).sum(axis=1)
+    grad = 2.0 * g1[:, None] * offset
+    hvp = 2.0 * g1[:, None] * step + 4.0 * (g2 * a_st)[:, None] * offset
+    beta = [t * kernel_deriv_at_zero("even", dc.ell + k + 1)
+            - 2.0 * kernel_deriv_at_zero("even", dc.ell + k) for k in (0, 1)]
+    # Sizes of the parts d e = x - c and r theta = y - x of y - c: along
+    # omega, along y - x, and of the vector itself.
+    cen = x[row] - bump.center_array
+    r2 = (step * step).sum(axis=1)
+    size_om = np.abs((cen * om).sum(axis=1)) + np.abs(s_om)
+    size_st = np.abs((cen * step).sum(axis=1)) + r2
+    size_c = np.linalg.norm(cen, axis=1) + np.sqrt(r2)
+    aw, a1, a2, a3 = np.abs(w), np.abs(g1), np.abs(g2), np.abs(g3)
+    parts = {
+        "grad M": 2.0 * aw * a1 * size_c,
+        "grad dM": aw * (2.0 * a1 * np.sqrt(r2) + 4.0 * a2 * size_st * size_c),
+        "dir2 damped 2": ((dc.gamma / 8.0) * damp * abs(beta[0]) / t) * aw * np.abs(s_om)
+        * 2.0 * a1 * size_om,
+        "dir2 M": aw * (2.0 * a1 + 4.0 * a2 * size_om * size_om),
+        "dir2 dM": aw * (4.0 * a2 * size_st + 8.0 * a3 * size_st * size_om * size_om
+                         + 8.0 * a2 * np.abs(s_om) * size_om),
+    }
+    nodes_terms = {
+        "grad damped": ((dc.gamma / 8.0) * damp * beta[0] / t) * (w * g0)[:, None] * step,
+        "grad M": w[:, None] * grad,
+        "grad dM": w[:, None] * hvp,
+        "dir2 damped 1": ((dc.gamma / 32.0) * damp * beta[1] / t) * w * g0 * s_om * s_om,
+        "dir2 damped 2": ((dc.gamma / 8.0) * damp * beta[0] / t) * w * s_om
+        * (grad * om).sum(axis=1),
+        "dir2 M": w * (2.0 * g1 + 4.0 * g2 * a_om * a_om),
+        "dir2 dM": w * (4.0 * g2 * a_st + 8.0 * g3 * a_st * a_om * a_om
+                        + 8.0 * g2 * s_om * a_om),
+    }
+    return _per_row_sums(nodes_terms, row, len(x), parts)
+
+
+@pytest.mark.parametrize("t", [1.5, 10.0, 50.0])
+def test_shell_form_matches_point_formulas(two_2d, t):
+    # grad's and dir2's 2D wave terms (the odd-sphere integrands at the node
+    # radius r, integrated over the ball's radial and angular nodes) against
+    # the bump's derivatives at the rebuilt node points x + r*theta and their
+    # mirrors, on the rows of the chord-form test.
+    order = 24
+    rows = _rows_beside_bumps(two_2d, t)
+    omega = np.random.default_rng(8).normal(size=rows.shape)
+    omega /= np.linalg.norm(omega, axis=1)[:, None]
+    for bump in two_2d.bumps:
+        offset = rows - bump.center_array
+        nodes = solution._shells(bump, offset, np.linalg.norm(offset, axis=1), t, order)
+        reached = np.arange(len(rows))[nodes.rows]
+        assert 4 not in reached
+        want = _shell_point_terms(bump, rows, t, nodes, omega)
+        got = {}
+        (damped,), m, dm = solution._wave_terms(solution._wave_grad, bump, nodes, t)
+        got["grad damped"] = damped[:, None] * nodes.axis
+        got["grad M"], got["grad dM"] = m[:, None] * nodes.axis, dm[:, None] * nodes.axis
         (got["dir2 damped 1"], got["dir2 damped 2"]), got["dir2 M"], got["dir2 dM"] = (
-            solution._disc_dir2(bump, ch, t, omega[ch.rows]))
-        for name, (total, scale) in want.items():
-            missing = np.setdiff1d(np.arange(len(rows)), ch.rows)
-            assert np.all(scale[missing] == 0.0), name
-            assert np.all(scale[ch.rows] > 0.0), name
-            value = np.reshape(got[name], (len(ch.rows), -1))
-            gap = np.abs(value - total[ch.rows]).max(axis=1)
-            assert np.all(gap <= 1e-13 * scale[ch.rows]), (name, gap / scale[ch.rows])
+            solution._wave_terms(solution._wave_dir2, bump, nodes, t, omega[reached]))
+        _assert_terms_match(want, got, reached, len(rows))
 
 
-# Where the radius-t circle cuts a bump, the 2D terms that stay on the
-# clipped-ball rule (wave-weighted and damped) are far from converged at
-# order 64: at x = (1.2, 0.4), against order 512, grad is off by 2.9e-8
-# (t = 1.5) and 6.9e-8 (t = 10) relative, dir2 by 1.4e-3 and 8.8e-6.
-# FROZEN_2D pins the order-64 values.
-@pytest.mark.xfail(strict=True, reason="the 2D wave-weighted and damped terms "
-                   "still run on the clipped-ball rule (ROADMAP item 4)")
+# Where the radius-t circle cuts a bump (x = (1.2, 0.4)), inside a bump and
+# on its rim, order 64 agrees with order 512 to 7.6e-13 relative or better.
+# The clipped-ball chords, which ran the wave and damped terms before, were
+# off at the first point by 2.9e-8 (grad, t = 1.5) and 6.9e-8 (t = 10), and
+# dir2 by 1.4e-3 and 8.8e-6.
+@pytest.mark.parametrize("x", [(1.2, 0.4), (0.3, -0.2), (1.0, 0.0)],
+                         ids=["cut", "inside", "rim"])
 @pytest.mark.parametrize("t", [1.5, 10.0])
 @pytest.mark.parametrize("kind", ["grad", "dir2"])
-def test_2d_order_64_converged_where_circle_cuts_bump(two_2d, kind, t):
-    x = np.array([1.2, 0.4])
+def test_2d_order_64_converged_where_circle_cuts_bump(two_2d, kind, t, x):
+    x = np.array(x)
     if kind == "grad":
         coarse, fine = (eval_grad_u(two_2d, x, t, order=o) for o in (64, 512))
     else:
@@ -648,8 +757,10 @@ def test_2d_order_64_converged_where_circle_cuts_bump(two_2d, kind, t):
 # error_decay_diagnostic at t = 1600, where exp(-t/2) is zero in double
 # precision and eval_u skips the 2D wave integrals: the diagnostic must still
 # compute the raw remainder. Values of the (value, gradient) diagnostics from
-# the evaluators that computed every term at every t.
-DIAGNOSTIC_T1600 = {"two_2d": (4.997479708263065e-07, 3.3676480479324495e-10),
+# the evaluators that computed every term at every t; the 2D gradient's since
+# its wave terms run on the radial rule (order 512 at the same point:
+# 3.3676478684234236e-10).
+DIAGNOSTIC_T1600 = {"two_2d": (4.997479708263065e-07, 3.367647869047113e-10),
                     "unit_1d": (0.0003123048094940662, 3.026749966293563e-07)}
 
 
@@ -660,7 +771,7 @@ def test_diagnostic_reads_raw_remainder_when_damped_to_zero(name, request):
     for gradient, expected in zip((False, True), DIAGNOSTIC_T1600[name]):
         [(t, value)] = error_decay_diagnostic(datum, [1600.0], gradient=gradient)
         assert value > 0.0
-        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_heat_eval_matches_trapezoid(unit_1d):
@@ -887,11 +998,12 @@ def test_one_kernel_call_per_bump_order_and_chunk(two_3d, monkeypatch):
 
 
 # float.hex of the direct evaluators on small blocks, recorded before their
-# node passes were rewritten to work in place. The frozen values above allow
-# 1e-12 relative; these hold every bit. The 2D blocks run the radial rule
-# and, at t = 10, the clipped-ball chords; the 3D block includes a bump
-# centre (the two-point rule); the 4D principal part takes the sin(theta)
-# factor of the even-n angular rule.
+# node passes were rewritten to work in place (the 2D grad and dir2 at t = 10
+# once their wave and damped terms ran on the radial rule). The frozen values
+# above allow 1e-12 relative; these hold every bit. The 2D blocks run the
+# radial rule and, for u at t = 10, the clipped-ball chords; the 3D block
+# includes a bump centre (the two-point rule); the 4D principal part takes
+# the sin(theta) factor of the even-n angular rule.
 PIN_BLOCKS = {
     "2d-t10": ("two_2d", [[0.3, -0.2], [1.7, 0.8], [-4.0, 6.5]], 10.0, 64),
     "2d-t3200": ("two_2d", [[0.3, -0.2], [1.7, 0.8], [-4.0, 6.5]], 3200.0, 64),
@@ -910,11 +1022,11 @@ BIT_PINS = {
             "0x1.cde8e55110067p-14", "0x1.d173e5867523cp-14", "0x1.161e9257b2f2ep-13",
         ],
         "grad": [
-            "0x1.9aab7bea37944p-24", "-0x1.0863057f55962p-15", "0x1.d45425e4b6fb6p-14",
-            "0x1.a3c832b9f4429p-15", "-0x1.0f25de0866eedp-14", "0x1.950165cf4ab62p-14",
+            "0x1.9ab0bc1da9c79p-24", "-0x1.08630300574a2p-15", "0x1.d45423ac4afdep-14",
+            "0x1.a3c830aa52ee5p-15", "-0x1.0f25df766d4b0p-14", "0x1.950169ab3abd7p-14",
         ],
         "dir2": [
-            "0x1.64eaf6e00ff4fp-14", "0x1.560d4c66558dcp-14", "-0x1.44f021a3bac57p-14",
+            "0x1.64eac1bf44ea9p-14", "0x1.560cd8751b62dp-14", "-0x1.4537e6177d67bp-14",
         ],
     },
     "2d-t3200": {
