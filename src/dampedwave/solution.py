@@ -11,34 +11,28 @@ order higher inside the ball integral, plus boundary sphere terms (odd
 dimensions) or wave-weighted moment terms (even dimensions, where the radial
 kernel derivative carries a 1/sqrt(t^2 - r^2) factor).
 
-Every bump is radial, so u and each of its derivatives is a sum of per-bump
-terms. One core (`_parts`) runs the loop over the bumps for each kind of
-evaluation (`_Kind`: the principal part alone, u, grad u or dir2 u). A kind
-has a principal ball term per bump and, where exp(-t/2) > 0, wave terms. Ball
-and sphere integrals reduce to a radial rule in r and an angular rule in the
-angle to the bump centre (spherical means; F. John, Plane Waves and
-Spherical Means, 1955). One set of per-node wave formulas gives the sphere
-integrals of radius r: at r = t they are the wave terms in odd n, and in 2D
-the wave-weighted ball integrals weigh them at each radial node of the
-ball. In one dimension the sphere is the two points x +- r, and the sphere
-terms at r = t are the d'Alembert values at x +- t. u's two 2D wave-weighted
-integrals alone run on the chords of `quadrature.clipped_ball_nodes`.
+Every bump is radial, so u and its derivatives are sums of per-bump terms of
+d = |x - c| alone. One core (`_parts`) runs the loop over the bumps for each
+kind of evaluation (`_Kind`) and gives each bump's radial scalars, with no
+direction in them: h for u, h'/d for grad u, and h'/d and h'' for dir2 u.
+One assembly (`_assemble`), shared with `RadialField`, sums them into u,
+grad u and dir2 u along omega. Ball and sphere integrals reduce to a radial
+rule in r and an angular rule in the angle to the bump centre (spherical
+means; F. John, Plane Waves and Spherical Means, 1955). One set of per-node
+wave formulas gives the sphere integrals of radius r: at r = t they are the
+wave terms in odd n (in 1D the two points x +- t), and in 2D the
+wave-weighted ball integrals weigh them at each radial node of the ball.
+u's two 2D wave-weighted integrals alone run on the chords of
+`quadrature.clipped_ball_nodes`, in per-node scalars with no node point.
 
 The evaluators take one point or an (m, n) block of points at one t, and a
-point is a one-row block. For each bump the radial rule lays the nodes of all
-the rows it reaches end to end, so a block costs one node build, one profile
-pass and one kernel call per bump, not one per point. u's 2D wave terms run
-the same way on the clipped-ball chords of all the rows, written in per-node
-scalars (r, s = theta . (c - x), theta) with no node point. Blocks go through
-in chunks of rows that hold a fixed number of nodes (`_CHUNK_NODES`, and
-`_CHORD_NODES` for the chords), which bounds the memory of a pass: 16 rows
-a radial pass, 4 a pass of the 2D wave rule at twice the order and 8 a
-chord pass at order 64, with a high-water of about 3 MiB for u on a
-289-point grid. The node passes of u form their arrays in
-place, in the order the formulas are written, so a pass holds few
-node-sized arrays and rounds as the formulas do. Every row equals its
-single-point value bit for bit (see `_row_dots`). All of them, and
-`heat_eval`, share one front end (`_evaluate`).
+point is a one-row block. Per bump, a block costs one node build, one
+profile pass and one kernel call per chunk of rows of a fixed node count
+(`_CHUNK_NODES`, `_CHORD_NODES`), which bounds the memory of a pass. The node
+passes of u form their arrays in place, in the order the formulas are
+written. Every row equals its single-point value bit for bit (see
+`_row_dots`). All of them, and `heat_eval`, check their input in one front
+end (`_as_points`) and share one back end (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,12 +111,12 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be finite and positive, got {t}")
 
 
-def _as_points(datum: InitialDatum, x: Union[Array, float],
-               t: float) -> Tuple[Array, bool]:
-    """x as an (m, n) block of points, once (x, t) is checked, and whether x
-    was one point: a point, or a number in 1D, is a one-row block. Every
-    point must be finite with the datum's dimension, and t finite and
-    positive. Every public evaluator starts here."""
+def _as_points(datum: InitialDatum, x: Union[Array, float], t: float,
+               omega: Optional[Array] = None) -> Tuple[Array, bool, Optional[Array]]:
+    """x as an (m, n) block of points (a point, or a number in 1D, is one
+    row), whether x was one point, and omega, if given, as a unit direction
+    per row (`_as_directions`). Every point must be finite with the datum's
+    dimension, and t finite and positive. Every evaluator starts here."""
     _check_time(t)
     n = datum.dimension
     arr = np.asarray(x, dtype=float)
@@ -136,7 +130,7 @@ def _as_points(datum: InitialDatum, x: Union[Array, float],
         row = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
         where = "point" if single else f"row {row}"
         raise ValueError(f"{where} has a non-finite coordinate: {pts[row]}")
-    return pts, single
+    return pts, single, None if omega is None else _as_directions(omega, len(pts), n, single)
 
 
 def _as_directions(omega: Array, m: int, n: int, single: bool) -> Array:
@@ -184,44 +178,32 @@ _CHUNK_NODES = 1 << 17
 _CHORD_NODES = 1 << 16
 
 
-def _in_chunks(parts, order: int, x: Array, *per_row: Array) -> Tuple[Array, ...]:
-    """parts(rows of x, the same rows of each per_row array), a chunk of rows
-    at a time, with each of its results joined back along the rows. The
-    rule order sets the chunk size, and must be at least 1."""
+def _in_chunks(parts: Callable[[Array], Array], order: int, x: Array) -> Array:
+    """parts(rows of x), a chunk of rows at a time, with its results joined
+    back along their last axis, the rows. The rule order sets the chunk
+    size, and must be at least 1."""
     if order < 1:
         raise ValueError(f"quadrature order must be at least 1, got {order}")
     step = max(1, _CHUNK_NODES // (2 * order * order))
     if len(x) <= step:
-        return parts(x, *per_row)
-    pieces = [parts(x[i:i + step], *(a[i:i + step] for a in per_row))
-              for i in range(0, len(x), step)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
+        return parts(x)
+    return np.concatenate([parts(x[i:i + step]) for i in range(0, len(x), step)], axis=-1)
 
 
-def _evaluate(datum: InitialDatum, x: Union[Array, float], t: float, order: int,
-              check: bool, label: str, parts: Callable[..., Tuple[Array, Array, Array]],
-              omega: Optional[Array] = None) -> Tuple[Array, Value, Value, Value]:
-    """The front end of every public evaluator: (x, principal, wave,
-    principal + wave), by row for a block and as one point's for a point.
-
-    It checks x and t (`_as_points`) and omega, runs
-    parts(order, wave, rows of x[, rows of omega]) -> (principal, raw wave,
-    |kernel| mass) a chunk of rows at a time (`_in_chunks`, which checks
-    the order), and damps the wave by exp(-t/2). wave says whether that
-    factor is positive: where it is zero, the wave and damped terms are
-    not computed, and the wave is 0. With check, the principal
-    part, the wave and their sum must each pass the row's order-doubling
-    test, against the larger of |principal| and |wave| (over every
-    component of a gradient) floored at 1e-9 times the mass, so that values
-    which vanish by symmetry pass.
-    """
-    pts, single = _as_points(datum, x, t)
-    per_row = (() if omega is None
-               else (_as_directions(omega, len(pts), datum.dimension, single),))
+def _evaluate(pts: Array, single: bool, t: float, order: int, check: bool, label: str,
+              sums: Callable[[int, bool], Tuple[Array, Array, Array]]
+              ) -> Tuple[Value, Value, Value]:
+    """(principal, wave, principal + wave) by row of pts, or as one point's,
+    from sums(order, wave) -> (principal, raw wave, |kernel| mass) by row;
+    wave is false where exp(-t/2), the raw wave's damping, is 0, and the
+    wave and damped terms are then 0, not computed. With check, each of
+    the three must pass the row's order-doubling test against the larger of
+    |principal| and |wave| (over every component of a gradient) floored at
+    1e-9 times the mass, so that values which vanish by symmetry pass."""
     damp = wave_factor(t)
 
     def terms(o: int) -> Tuple[Array, Array, Array]:
-        p, wave, mass = _in_chunks(partial(parts, o, damp > 0.0), o, pts, *per_row)
+        p, wave, mass = sums(o, damp > 0.0)
         return p, wave * damp, mass
 
     def checked(o: int) -> Tuple[Array, Array]:
@@ -237,9 +219,8 @@ def _evaluate(datum: InitialDatum, x: Union[Array, float], t: float, order: int,
         p, wave, _ = terms(order)
         total = p + wave
     if single:
-        return (pts[0],) + tuple(float(v[0]) if v.ndim == 1 else v[0]
-                                 for v in (p, wave, total))
-    return pts, p, wave, total
+        return tuple(float(v[0]) if v.ndim == 1 else v[0] for v in (p, wave, total))
+    return p, wave, total
 
 
 def _rim_coef(n: int, k: int, t: float) -> float:
@@ -280,8 +261,8 @@ class _Shells(NamedTuple):
     around each point.
 
     rows picks the points (rows of the block) whose region reaches the
-    bump's ball, as a slice when that is every row; axis is theirs. Their
-    radial nodes lie end to end: point i owns counts[i] nodes, start[i] to
+    bump's ball, as a slice when that is every row. Their radial nodes lie
+    end to end: point i owns counts[i] nodes, start[i] to
     start[i + 1], of d (its distance |x - c|), r, wphi and wr. On the sphere
     of radius t each point owns one. mu is the cosine of the angle between
     a direction and the axis e = (x - c) / d, so the node x + r*theta lies
@@ -292,7 +273,6 @@ class _Shells(NamedTuple):
     the directions that land in the bump's ball.
     """
     rows: Union[slice, Array]
-    axis: Array
     counts: List[int]
     start: List[int]
     d: Array
@@ -362,9 +342,7 @@ def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
     """
     n = offset.shape[1]
     radius = bump.radius
-    rows = []
-    counts = []
-    ends = []
+    rows, counts, ends = [], [], []
     for i, d in enumerate(dist.tolist()):
         if on_sphere:
             if abs(d - t) < radius:
@@ -386,7 +364,7 @@ def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
         return None
     if len(rows) < len(dist):
         rows = np.array(rows)
-        offset, dist = offset[rows], dist[rows]
+        dist = dist[rows]
     else:
         rows = slice(None)
     if on_sphere:
@@ -403,12 +381,6 @@ def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
     d = np.repeat(dist, counts)
     centre = dist < 1e-14
     any_centre = bool(centre.any())
-    if any_centre:
-        axis = np.zeros_like(offset)
-        axis[:, 0] = 1.0
-        axis[~centre] = offset[~centre] / dist[~centre, None]
-    else:
-        axis = offset / dist[:, None]
     if n == 1:
         mu, wmu = _two_point_rule(1, r.size, 2)
         # mu = +-1, so the square needs no expanding, which would cancel.
@@ -425,10 +397,8 @@ def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
         np.maximum(gap, 0.0, out=gap)
     # The squared distance rho2, in place, becomes R**2 - rho2.
     np.subtract(radius * radius, gap, out=gap)
-    start = [0]
-    for count in counts:
-        start.append(start[-1] + count)
-    return _Shells(rows, axis, counts, start, d, r, wphi, wr, mu, wmu, gap)
+    start = [0] + np.cumsum(counts).tolist()
+    return _Shells(rows, counts, start, d, r, wphi, wr, mu, wmu, gap)
 
 
 def _segment_dots(sh: _Shells, a: Array, b: Array) -> Array:
@@ -445,22 +415,17 @@ def _profile(bump: SmoothBump, sh: _Shells, top: int) -> Array:
     return table
 
 
-def _projections(sh: _Shells, omega: Array) -> Tuple[Array, Array, Array]:
-    """(cw, p1, p2) at each radial node: cw = e . omega as a column, and p1,
-    p2 the means of theta . omega and (theta . omega)**2 over each circle
-    of directions with fixed mu. omega has one row per point of sh.rows.
-    In one dimension the circle is a point and has no perpendicular part."""
-    n = sh.axis.shape[1]
-    cw = np.repeat(_row_dots(sh.axis, omega), sh.counts)[:, None]
-    mu2 = sh.mu * sh.mu
-    perp = (1.0 - cw * cw) * (1.0 - mu2) / (n - 1) if n > 1 else 0.0
-    return cw, cw * sh.mu, cw * cw * mu2 + perp
+def _squares(mu: Array, n: int) -> Tuple[Array, Array]:
+    """Means of (theta . omega)**2 over the circle theta . e = mu, omega across
+    e (dir2's h'/d) and along e (h''); in 1D none is across, and both are h''."""
+    along = mu * mu
+    return along if n == 1 else (1.0 - along) / (n - 1), along
 
 
 def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]:
     """One bump's principal ball integral at each point, and the same with
     |kernel|."""
-    n = ball.axis.shape[1]
+    n = len(bump.center)
     dc = dimension_constants(n)
     kern = kernel_ktilde_scaled(dc.parity, dc.ell, ball.r, t)
     weight = 0.25 * dc.gamma * ball.wr * kern * ball.r ** (n - 1)
@@ -469,34 +434,35 @@ def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, A
 
 
 def _ball_grad(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]:
-    """One bump's principal ball term of the gradient at each point, and its
-    |kernel| mass.
+    """One bump's principal ball term of the gradient at each point, as its
+    component along e over d (h'/d, and 0 at d = 0), and its |kernel| mass.
 
     The term is the ball integral of k_(ell+1) times f times y - x = r*theta;
-    the integral of theta over a circle of fixed mu lies along the axis e.
+    the integral of theta over a circle of fixed mu lies along e.
     """
-    n = ball.axis.shape[1]
+    n = len(bump.center)
     dc = dimension_constants(n)
     kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
     weight = (dc.gamma / 16.0) * ball.wr * kern * ball.r ** n
     f = _profile(bump, ball, 0)[0]
-    return (_segment_dots(ball, weight, (f * ball.mu).sum(axis=1))[:, None] * ball.axis,
+    return (_segment_dots(ball, weight / np.where(ball.d > 0.0, ball.d, np.inf),
+                          (f * ball.mu).sum(axis=1)),
             _segment_dots(ball, np.abs(weight), f.sum(axis=1)))
 
 
-def _ball_dir2(bump: SmoothBump, ball: _Shells, t: float,
-               omega: Array) -> Tuple[Array, Array]:
+def _ball_dir2(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]:
     """One bump's principal ball terms of dir2 at each point (k_(ell+2)
-    times ((y - x) . omega)**2, less k_(ell+1)), and their |kernel| mass.
-    Both kernel orders come from one call."""
-    n = ball.axis.shape[1]
+    times ((y - x) . omega)**2, less k_(ell+1)), and their |kernel| mass,
+    as (h'/d, h'') pairs: omega across and along e (`_squares`). Both
+    kernel orders come from one call."""
+    n = len(bump.center)
     dc = dimension_constants(n)
     k2, k1 = kernel_ktilde_scaled(dc.parity, (dc.ell + 2, dc.ell + 1), ball.r, t)
     w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** (n + 1)
     w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** (n - 1)
     f = _profile(bump, ball, 0)[0]
-    sq = (f * _projections(ball, omega)[2]).sum(axis=1)
-    mass = f.sum(axis=1)
+    sq = np.stack([(f * p2).sum(axis=1) for p2 in _squares(ball.mu, n)], axis=1)
+    mass = f.sum(axis=1)[:, None]
     return (_segment_dots(ball, w2, sq) - _segment_dots(ball, w1, mass),
             _segment_dots(ball, np.abs(w2), sq) + _segment_dots(ball, np.abs(w1), mass))
 
@@ -588,97 +554,102 @@ def _wave_u(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
 def _wave_grad(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
     # Every term is a multiple of the axis e: the integrals of theta and of
     # y - c = d*e + r*theta over a circle of fixed mu lie along it. The terms
-    # are their components along e.
-    n = nodes.axis.shape[1]
+    # are their components along e over d (h'/d), and 0 at d = 0.
+    n = len(bump.center)
     dc = dimension_constants(n)
     g0, g1, g2 = _profile(bump, nodes, 2)
     d, mu, rc = nodes.d[:, None], nodes.mu, np.reshape(r, (-1, 1))
-    boundary = r ** (n - 1) * (g0 * mu).sum(axis=1)
-    mean_grad = (2.0 * g1 * (d + rc * mu)).sum(axis=1)
-    mean_hvp = (2.0 * g1 * mu + 4.0 * g2 * (d * mu + rc) * (d + rc * mu)).sum(axis=1)
+    over_d = 1.0 / np.where(nodes.d > 0.0, nodes.d, np.inf)
+    boundary = r ** (n - 1) * (g0 * mu).sum(axis=1) * over_d
+    mean_grad = (2.0 * g1 * (d + rc * mu)).sum(axis=1) * over_d
+    mean_hvp = (2.0 * g1 * mu + 4.0 * g2 * (d * mu + rc) * (d + rc * mu)).sum(axis=1) * over_d
     return ((0.25 * dc.gamma * wave_factor(t) * _rim_coef(n, 0, t) * boundary,),
             mean_grad, mean_hvp)
 
 
-def _wave_dir2(bump: SmoothBump, nodes: _Shells, t: float, r: Value,
-               omega: Array) -> Terms:
-    n = nodes.axis.shape[1]
+def _wave_dir2(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
+    # Each term is a pair, omega across e (h'/d) and along e (h''). The circle
+    # means of (theta . omega)**2, (theta . omega) ((y - c) . omega) and
+    # ((y - c) . omega)**2, y - c = d*e + r*theta, are p2, mixed and along2:
+    # mu**2, mu*q and q**2 along e, q = d + r*mu, and p, r*p, r**2*p across.
+    n = len(bump.center)
     dc = dimension_constants(n)
     damp = wave_factor(t)
-    g0, g1, g2, g3 = _profile(bump, nodes, 3)
-    d, rc = nodes.d[:, None], np.reshape(r, (-1, 1))
-    cw, p1, p2 = _projections(nodes, omega)
-    # Circle means of ((y - c) . omega)**2 and of
-    # (theta . omega) ((y - c) . omega), with y - c = d*e + r*theta.
-    along2 = d * d * cw * cw + 2.0 * d * cw * rc * p1 + rc * rc * p2
-    mixed = d * cw * p1 + rc * p2
-    rate = d * nodes.mu + rc
-    return (((dc.gamma / 16.0) * damp * _rim_coef(n, 1, t) * r ** n
-             * (g0 * p2).sum(axis=1),
-             0.25 * dc.gamma * damp * _rim_coef(n, 0, t) * r ** (n - 1)
-             * (2.0 * g1 * mixed).sum(axis=1)),
-            (2.0 * g1 + 4.0 * g2 * along2).sum(axis=1),
-            (4.0 * g2 * rate + 8.0 * g3 * rate * along2 + 8.0 * g2 * mixed).sum(axis=1))
+    g0, g1, g2, g3 = table = _profile(bump, nodes, 3)
+    d, mu, rc = nodes.d[:, None], nodes.mu, np.reshape(r, (-1, 1))
+    rate = d * mu + rc
+    g3 *= rate
+    across, along = _squares(mu, n)
+    q = d + rc * mu
+    triples = [(along, mu * q, q * q)]
+    triples.insert(0, triples[0] if n == 1 else (across, rc * across, rc * rc * across))
+    # The terms are linear in the sums over each circle of g0 p2, of g1 and g2
+    # times mixed, and of g2 and g3 rate times along2; they share m and dm.
+    sums = [(np.einsum("ij,ij->i", g0, p2), *np.einsum("kij,ij->ki", table[1:3], mixed),
+             *np.einsum("kij,ij->ki", table[2:], along2)) for p2, mixed, along2 in triples]
+    m, dm = 2.0 * g1.sum(axis=1), 4.0 * np.einsum("ij,ij->i", g2, rate)
+    terms = [((dc.gamma / 16.0) * damp * _rim_coef(n, 1, t) * r ** n * s0,
+              0.5 * dc.gamma * damp * _rim_coef(n, 0, t) * r ** (n - 1) * s1,
+              m + 4.0 * s2, dm + 8.0 * s3 + 8.0 * s4) for s0, s1, s4, s2, s3 in sums]
+    first, second, m, dm = (np.stack(pair, axis=1) for pair in zip(*terms))
+    return (first, second), m, dm
 
 
 def _wave_terms(wave: Callable[..., Terms], bump: SmoothBump, nodes: _Shells,
-                t: float, *omega: Array) -> Terms:
+                t: float) -> Terms:
     """The wave terms at each point of `nodes`: on the odd sphere its one
     node's, and in 2D the ball integral of its nodes' with weights t r dphi
     (times the angular weights, t dy / sqrt(t**2 - |y - x|**2)), and one
     more factor r in dM, which takes y - x = r*theta."""
-    if nodes.axis.shape[1] % 2:
-        return wave(bump, nodes, t, t, *omega)
-    damped, m, dm = wave(bump, nodes, t, nodes.r, *omega)
+    if len(bump.center) % 2:
+        return wave(bump, nodes, t, t)
+    damped, m, dm = wave(bump, nodes, t, nodes.r)
     weight = nodes.wphi * t * nodes.r
     return (tuple(_segment_dots(nodes, weight, term) for term in damped),
             _segment_dots(nodes, weight, m), _segment_dots(nodes, weight * nodes.r, dm))
 
 
 class _Kind(NamedTuple):
-    """The per-bump terms of one kind of evaluation: its principal ball term
-    and |kernel| mass, and, but for the principal part alone, its wave
-    terms (`_wave_terms`): on the sphere of radius t in odd n, and over the
-    ball in 2D, but for u's, which run on the clipped-ball chords (disc).
-    The raw wave is gamma * (a * M + b * dM) (`_wave_pair`), M and dM
-    summed over the bumps, and in 2D divided by t**2 and t**3; the wave and
-    damped terms of a vector kind lie along each point's axis. A dir2 term
-    also takes the direction of its point or points, last."""
-    vector: bool
+    """The per-bump radial terms of one kind of evaluation, summed by
+    `_assemble` at its top: 0 for the principal part alone and u (h), 1 for
+    grad u (h'/d), 2 for dir2 u (h'/d and h''). Each has a principal ball
+    term and |kernel| mass and, but for the principal part alone, wave terms
+    (`_wave_terms`: on the radius-t sphere in odd n, over the ball in 2D,
+    and on the clipped-ball chords for u in 2D, disc). The raw wave is
+    gamma * (a * M + b * dM) (`_wave_pair`), in 2D over t**2 and t**3."""
+    top: int
     ball: Callable[..., Tuple[Array, Array]]
     wave: Optional[Callable[..., Terms]] = None
     disc: Optional[Callable[..., Terms]] = None
 
 
-_PRINCIPAL = _Kind(False, _ball_principal)
-_FIELD = _Kind(False, _ball_principal, _wave_u, _disc_u)
-_GRAD = _Kind(True, _ball_grad, _wave_grad)
-_DIR2 = _Kind(False, _ball_dir2, _wave_dir2)
+_PRINCIPAL = _Kind(0, _ball_principal)
+_FIELD = _Kind(0, _ball_principal, _wave_u, _disc_u)
+_GRAD = _Kind(1, _ball_grad, _wave_grad)
+_DIR2 = _Kind(2, _ball_dir2, _wave_dir2)
 
 
 def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
-           x: Array, *per_row: Array) -> Tuple[Array, Array, Array]:
-    """(principal, raw wave, |kernel| mass) of one kind at each row of x;
-    per_row holds dir2's unit direction for each row.
+           x: Array) -> Array:
+    """The radial terms of one kind (`_Kind`) at each row of x: an array
+    (bumps, k, 4, rows) of the principal term, M, dM and |kernel| mass of
+    each of its k radial scalars.
 
     Per bump: one pass of the radial rule for the principal ball term and,
     with wave, one for the wave terms: over the radius-t sphere in odd n,
     over the ball in 2D, and for u in 2D one pass over the clipped-ball
     chords of each `_CHORD_NODES` worth of rows. Without wave the wave
-    terms and the damped principal terms are not computed, and the raw
-    wave is 0.
+    terms and the damped principal terms are not computed, and are 0.
     """
     n = datum.dimension
     wave = wave and kind.wave is not None
-    a, b = _wave_pair(n, t) if kind.wave else (0.0, 0.0)
-    principal, mean, rate = np.zeros((3, len(x), n) if kind.vector else (3, len(x)))
-    mass = np.zeros(len(x))
-    for bump in datum.bumps:
+    out = np.zeros((len(datum.bumps), 4, len(x)) + ((2,) if kind.top == 2 else ()))
+    for bump, (principal, mean, rate, mass) in zip(datum.bumps, out):
         offset = x - bump.center_array
         dist = np.sqrt(_row_dots(offset, offset))
         ball = _shells(bump, offset, dist, t, order)
         if ball is not None:
-            term, ref = kind.ball(bump, ball, t, *(v[ball.rows] for v in per_row))
+            term, ref = kind.ball(bump, ball, t)
             principal[ball.rows] += term
             mass[ball.rows] += ref
         # Free the radial nodes before the wave pass builds its own.
@@ -709,19 +680,57 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
             nodes = build(rows)
             if nodes is None:
                 continue
-            damped, m, dm = terms(bump, nodes, t, *(v[rows][nodes.rows] for v in per_row))
-            if kind.vector:
-                damped = [term[:, None] * nodes.axis for term in damped]
-                m, dm = m[:, None] * nodes.axis, dm[:, None] * nodes.axis
+            damped, m, dm = terms(bump, nodes, t)
             for term in damped:
                 principal[rows][nodes.rows] += term
             mean[rows][nodes.rows] += m
             rate[rows][nodes.rows] += dm
             # Free the nodes before the next pass builds its own.
             del nodes
-    if wave and n % 2 == 0:
+    return out[:, None] if kind.top < 2 else np.moveaxis(out, 3, 1)
+
+
+def _assemble(top: int, offsets: List[Array], dists: List[Array],
+              scalars: Iterable[Sequence[Array]], omega: Optional[Array] = None) -> Array:
+    """u (top 0), grad u (1) or dir2 u (2) at each row of a block, from each
+    bump's x - c, d = |x - c| and radial scalars at d (rows last): h, h'/d,
+    or h'/d and h''. With e = (x - c)/d and omega a unit direction per row,
+
+        u = sum h,  grad u = sum (h'/d) (x - c),
+        (omega . grad)^2 u = sum h'/d + (h'' - h'/d) (e . omega)**2,
+
+    with (e . omega)**2 taken as 0 at d = 0, where h'' = h'/d. The direct
+    evaluators and `RadialField` both sum here."""
+    out = 0.0
+    for offset, dist, jet in zip(offsets, dists, scalars):
+        if top == 0:
+            out += jet[0]
+        elif top == 1:
+            out += jet[0][..., None] * offset
+        else:
+            slope, curv = jet
+            along = _row_dots(offset, omega)
+            cos2 = np.divide(along * along, dist * dist, out=np.zeros_like(dist),
+                             where=dist > 0.0)
+            out += slope + (curv - slope) * cos2
+    return out
+
+
+def _sums(kind: _Kind, datum: InitialDatum, t: float, x: Array, order: int, wave: bool,
+          omega: Optional[Array] = None) -> Tuple[Array, Array, Array]:
+    """(principal, raw wave, |kernel| mass) of one kind at each row of x:
+    `_parts` a chunk of rows at a time, summed by `_assemble` with dir2's
+    unit direction per row. A gradient's mass is the sum of its bumps'."""
+    n = datum.dimension
+    jets = _in_chunks(partial(_parts, kind, datum, t, order, wave), order, x)
+    offsets = [x - bump.center_array for bump in datum.bumps]
+    dists = [np.sqrt(_row_dots(offset, offset)) for offset in offsets]
+    principal, mean, rate = _assemble(kind.top, offsets, dists, jets[:, :, :3], omega)
+    mass = _assemble(0 if kind.top == 1 else kind.top, offsets, dists, jets[:, :, 3], omega)
+    if n % 2 == 0:
         mean /= t * t
         rate /= t ** 3
+    a, b = _wave_pair(n, t) if kind.wave else (0.0, 0.0)
     return principal, dimension_constants(n).gamma * (a * mean + b * rate), mass
 
 
@@ -733,17 +742,19 @@ def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
     holds x and one value per row in arrays. With check, each row must pass
     its own order-doubling test.
     """
-    pts, principal, wave, value = _evaluate(datum, x, t, order, check, "field value",
-                                            partial(_parts, _FIELD, datum, t))
-    return FieldSample(x=pts, t=t, value=value, principal=principal,
-                       wave_remainder=wave)
+    pts, single, _ = _as_points(datum, x, t)
+    principal, wave, value = _evaluate(pts, single, t, order, check, "field value",
+                                       partial(_sums, _FIELD, datum, t, pts))
+    return FieldSample(x=pts[0] if single else pts, t=t, value=value,
+                       principal=principal, wave_remainder=wave)
 
 
 def eval_grad_u(datum: InitialDatum, x: Union[Array, float], t: float,
                 order: int = DEFAULT_ORDER, check: bool = False) -> Array:
     """grad u at (x, t): an (n,) array for one point, (m, n) for a block."""
-    return _evaluate(datum, x, t, order, check, "field gradient",
-                     partial(_parts, _GRAD, datum, t))[3]
+    pts, single, _ = _as_points(datum, x, t)
+    return _evaluate(pts, single, t, order, check, "field gradient",
+                     partial(_sums, _GRAD, datum, t, pts))[2]
 
 
 def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float,
@@ -754,8 +765,9 @@ def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float,
     For an (m, n) block of points the result has one value per row, and
     omega is one direction (n,) for every row or one per row (m, n).
     """
-    return _evaluate(datum, x, t, order, check, "directional second derivative",
-                     partial(_parts, _DIR2, datum, t), omega)[3]
+    pts, single, om = _as_points(datum, x, t, omega)
+    return _evaluate(pts, single, t, order, check, "directional second derivative",
+                     partial(_sums, _DIR2, datum, t, pts, omega=om))[2]
 
 
 def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: float,
@@ -763,13 +775,13 @@ def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: flo
                              check: bool = False) -> Union[float, Array]:
     """Principal part alone, valid in any spatial dimension, at one point or
     at each row of an (m, n) block."""
-    return _evaluate(datum, x, t, order, check, "general-n principal",
-                     partial(_parts, _PRINCIPAL, datum, t))[1]
+    pts, single, _ = _as_points(datum, x, t)
+    return _evaluate(pts, single, t, order, check, "general-n principal",
+                     partial(_sums, _PRINCIPAL, datum, t, pts))[0]
 
 
-def _heat_parts(datum: InitialDatum, x: Array, t: float,
-                order: int) -> Tuple[Array, Array, Array]:
-    """(heat smoothing, zero, mass) at each row of x.
+def _heat_parts(datum: InitialDatum, t: float, order: int, x: Array) -> Array:
+    """(heat smoothing, zero, mass) at each row of x, stacked.
 
     Per bump, a Gauss rule in the distance rho from its centre c on [0, R]
     integrates the profile times rho**(n - 1) times the integral of the
@@ -800,7 +812,7 @@ def _heat_parts(datum: InitialDatum, x: Array, t: float,
                                                 out=np.ones_like(two_z), where=two_z > 0.0)
         # A sum along each row, so a row of a block is its single point.
         total += (sphere * weight).sum(axis=1)
-    return total, np.zeros(len(x)), total
+    return np.stack([total, np.zeros(len(x)), total])
 
 
 def heat_eval(datum: InitialDatum, x: Union[Array, float], t: float,
@@ -809,8 +821,9 @@ def heat_eval(datum: InitialDatum, x: Union[Array, float], t: float,
     each row of an (m, n) block; dimensions one to three."""
     if not 1 <= datum.dimension <= 3:
         raise ValueError(f"heat_eval supports dimensions 1-3, got {datum.dimension}")
-    return _evaluate(datum, x, t, order, check, "heat value",
-                     lambda o, wave, xs: _heat_parts(datum, xs, t, o))[1]
+    pts, single, _ = _as_points(datum, x, t)
+    return _evaluate(pts, single, t, order, check, "heat value",
+                     lambda o, wave: _in_chunks(partial(_heat_parts, datum, t, o), o, pts))[0]
 
 
 def _diagnostic_points(datum: InitialDatum, t: float) -> Array:
@@ -847,8 +860,7 @@ def error_decay_diagnostic(datum: InitialDatum, t_values: List[float],
     kind = _GRAD if gradient else _FIELD
     rows: List[Tuple[float, float]] = []
     for t in t_values:
-        pts = _diagnostic_points(datum, t)
-        raw = _in_chunks(partial(_parts, kind, datum, t, order, True), order, pts)[1]
+        raw = _sums(kind, datum, t, _diagnostic_points(datum, t), order, True)[1]
         top = np.abs(raw).max() / (1.0 + t) ** (datum.dimension + gradient)
         rows.append((t, max(0.0, float(top))))
     return rows
@@ -975,13 +987,9 @@ class RadialProfile(NamedTuple):
     errors: Array
     converged: bool
 
-    def jet(self, d: Array, top: int = 2) -> List[Array]:
-        """[h, h'/d, h''][:top + 1] at distances d in [0, D]."""
-        return _series_jet(self.series, self.reach, self.t, d, top)
-
 
 def _radial_profile(bump: SmoothBump, t: float, order: int) -> RadialProfile:
-    """The bump's profile at t: one block call of the full field `_parts` at
+    """The bump's profile at t: one block call of the full field `_sums` at
     the 33 distances at 2*`order`, fitted as h(d) exp(d**2/4t), and one at
     `order` for the error bar.
 
@@ -999,7 +1007,7 @@ def _radial_profile(bump: SmoothBump, t: float, order: int) -> RadialProfile:
     lift = np.exp(dist * dist / (4.0 * t))
 
     def lifted(o: int) -> Tuple[Array, Array]:
-        p, wave, mass = _in_chunks(partial(_parts, _FIELD, one, t, o, damp > 0.0), o, pts)
+        p, wave, mass = _sums(_FIELD, one, t, pts, o, damp > 0.0)
         return (p + wave * damp) * lift, mass
 
     values, mass = lifted(2 * order)
@@ -1088,30 +1096,21 @@ class RadialField:
         """u (top 0), grad u (1) or dir2 u (2)."""
         if self.profiles is None:
             return self._direct(top, x, omega)
-        pts, single = _as_points(self.datum, x, self.t)
-        m, n = pts.shape
-        om = None if omega is None else _as_directions(omega, m, n, single)
+        pts, single, om = _as_points(self.datum, x, self.t, omega)
         offsets = [pts - bump.center_array for bump in self.datum.bumps]
         dists = [np.sqrt(_row_dots(offset, offset)) for offset in offsets]
         near = np.logical_and.reduce([dist <= self.reach for dist in dists])
         rows = slice(None) if near.all() else near
-        out = np.zeros((m, n) if top == 1 else m)
-        for profile, offset, dist in zip(self.profiles, offsets, dists):
-            offset, dist = offset[rows], dist[rows]
-            jet = profile.jet(dist, top)
-            if top == 0:
-                out[rows] += jet[0]
-            elif top == 1:
-                out[rows] += jet[1][:, None] * offset
-            else:
-                _, slope, curv = jet
-                along = _row_dots(offset, om[rows])
-                cos2 = np.divide(along * along, dist * dist, out=np.zeros_like(dist),
-                                 where=dist > 0.0)
-                out[rows] += slope + (curv - slope) * cos2
+        dists = [dist[rows] for dist in dists]
+        out = _assemble(top, [offset[rows] for offset in offsets], dists,
+                        [_series_jet(p.series, p.reach, p.t, d, top)[min(top, 1):]
+                         for p, d in zip(self.profiles, dists)],
+                        None if om is None else om[rows])
         if rows is near:
-            far = ~near
-            out[far] = self._direct(top, pts[far], None if om is None else om[far])
+            full, far = np.zeros((len(pts),) + out.shape[1:]), ~near
+            full[near], full[far] = out, self._direct(top, pts[far],
+                                                      None if om is None else om[far])
+            out = full
         if single:
             return out[0] if top == 1 else float(out[0])
         return out

@@ -9,7 +9,7 @@ from dampedwave.initial_data import InitialDatum, SmoothBump, make_datum
 from dampedwave.kernels import kernel_deriv_at_zero
 from dampedwave.oracles import spectral_solve
 from dampedwave.quadrature import QuadratureConvergenceError
-from dampedwave.solution import (_DIR2, _FIELD, _GRAD, FieldSample, _parts,
+from dampedwave.solution import (_DIR2, _FIELD, _GRAD, FieldSample, _sums,
                                  dimension_constants, error_decay_diagnostic,
                                  eval_dir2_u, eval_grad_u,
                                  eval_principal_general_n, eval_u, heat_eval,
@@ -283,12 +283,13 @@ FROZEN_3D = (
 def test_frozen_3d_values(two_3d):
     for x, t, u, grad, d2 in FROZEN_3D:
         x = np.array(x)
-        assert eval_u(two_3d, x, t).value == pytest.approx(u, rel=1e-10)
+        assert eval_u(two_3d, x, t).value == pytest.approx(u, rel=1e-10, abs=0.0)
         gap = np.linalg.norm(eval_grad_u(two_3d, x, t) - np.array(grad))
         # A gradient that vanishes by symmetry is measured against |u|.
         scale = np.linalg.norm(grad) or abs(u)
         assert gap <= 1e-10 * scale, (x, t, gap)
-        assert eval_dir2_u(two_3d, x, t, FROZEN_OMEGA) == pytest.approx(d2, rel=1e-10)
+        assert eval_dir2_u(two_3d, x, t, FROZEN_OMEGA) == pytest.approx(d2, rel=1e-10,
+                                                                        abs=0.0)
 
 
 # Two-bump 1D datum (the two_1d fixture): u, its wave remainder, grad u and
@@ -326,10 +327,12 @@ def test_frozen_1d_values(two_1d):
     for x, t, u, wave, grad, d2 in FROZEN_1D:
         x = np.array(x)
         sample = eval_u(two_1d, x, t, order=64)
-        assert sample.value == pytest.approx(u, rel=1e-10)
+        assert sample.value == pytest.approx(u, rel=1e-10, abs=0.0)
         assert sample.wave_remainder == pytest.approx(wave, rel=1e-10, abs=0.0)
-        assert eval_grad_u(two_1d, x, t, order=64)[0] == pytest.approx(grad, rel=1e-10)
-        assert eval_dir2_u(two_1d, x, t, omega, order=64) == pytest.approx(d2, rel=1e-10)
+        assert eval_grad_u(two_1d, x, t, order=64)[0] == pytest.approx(grad, rel=1e-10,
+                                                                       abs=0.0)
+        assert eval_dir2_u(two_1d, x, t, omega, order=64) == pytest.approx(d2, rel=1e-10,
+                                                                           abs=0.0)
 
 
 @pytest.mark.parametrize("t", [1.5, 10.0])
@@ -346,9 +349,9 @@ def test_1d_remainder_is_dalembert(two_1d, t):
     for x in xs:
         pt = np.array([x])
         block = pt[None, :]
-        got.append((_parts(_FIELD, two_1d, t, 64, True, block)[1][0],
-                    _parts(_GRAD, two_1d, t, 64, True, block)[1][0, 0],
-                    _parts(_DIR2, two_1d, t, 64, True, block, omega[None, :])[1][0]))
+        got.append((_sums(_FIELD, two_1d, t, block, 64, True)[1][0],
+                    _sums(_GRAD, two_1d, t, block, 64, True)[1][0, 0],
+                    _sums(_DIR2, two_1d, t, block, 64, True, omega[None, :])[1][0]))
         want.append((0.5 * (two_1d.value(pt + t) + two_1d.value(pt - t)),
                      0.5 * (two_1d.gradient(pt + t)[0] + two_1d.gradient(pt - t)[0]),
                      0.5 * (two_1d.dir2(pt + t, omega) + two_1d.dir2(pt - t, omega))))
@@ -631,12 +634,13 @@ def test_chord_form_matches_point_formulas(two_2d, t):
         _assert_terms_match(want, got, ch.rows, len(rows))
 
 
-def _shell_point_terms(bump, x, t, nodes, omega):
+def _shell_point_terms(bump, x, t, nodes, e, omega):
     """grad's and dir2's 2D wave terms of one bump at each row of x, from the
     bump's derivatives at the points y = x + r*theta of a `_Shells` set:
     each node (r, mu) stands for the two directions theta = mu e +- sqrt(1 -
     mu**2) e_perp, with half its angular weight each, and its weight is
-    t r dphi dtheta. Every term is a sum over both mirror points.
+    t r dphi dtheta; e = (x - c)/|x - c| holds a row per point of the set.
+    Every term is a sum over both mirror points.
 
     The derivatives are formed from y - c and y - x at the rebuilt points and
     from the profile table at the node's own gap R**2 - |y - c|**2, the one
@@ -653,7 +657,6 @@ def _shell_point_terms(bump, x, t, nodes, omega):
     dc = dimension_constants(2)
     damp = wave_factor(t)
     rows = np.arange(len(x))[nodes.rows]
-    e = nodes.axis
     perp = np.stack([-e[:, 1], e[:, 0]], axis=1)
     point = np.repeat(rows, nodes.counts)
     e_node = np.repeat(e, nodes.counts, axis=0)[:, None, :]
@@ -714,24 +717,31 @@ def test_shell_form_matches_point_formulas(two_2d, t):
     # grad's and dir2's 2D wave terms (the odd-sphere integrands at the node
     # radius r, integrated over the ball's radial and angular nodes) against
     # the bump's derivatives at the rebuilt node points x + r*theta and their
-    # mirrors, on the rows of the chord-form test.
+    # mirrors, on the rows of the chord-form test. grad's terms are their
+    # components along e over d, times x - c; dir2's are pairs, omega across
+    # e (the h'/d component) and along e (the h'' one).
     order = 24
     rows = _rows_beside_bumps(two_2d, t)
-    omega = np.random.default_rng(8).normal(size=rows.shape)
-    omega /= np.linalg.norm(omega, axis=1)[:, None]
     for bump in two_2d.bumps:
         offset = rows - bump.center_array
-        nodes = solution._shells(bump, offset, np.linalg.norm(offset, axis=1), t, order)
+        dist = np.linalg.norm(offset, axis=1)
+        nodes = solution._shells(bump, offset, dist, t, order)
         reached = np.arange(len(rows))[nodes.rows]
         assert 4 not in reached
-        want = _shell_point_terms(bump, rows, t, nodes, omega)
-        got = {}
+        xc = offset[reached]
+        e = xc / dist[reached, None]
+        omegas = {"across": np.zeros_like(rows), "along": np.zeros_like(rows)}
+        omegas["across"][reached] = np.stack([-e[:, 1], e[:, 0]], axis=1)
+        omegas["along"][reached] = e
         (damped,), m, dm = solution._wave_terms(solution._wave_grad, bump, nodes, t)
-        got["grad damped"] = damped[:, None] * nodes.axis
-        got["grad M"], got["grad dM"] = m[:, None] * nodes.axis, dm[:, None] * nodes.axis
-        (got["dir2 damped 1"], got["dir2 damped 2"]), got["dir2 M"], got["dir2 dM"] = (
-            solution._wave_terms(solution._wave_dir2, bump, nodes, t, omega[reached]))
-        _assert_terms_match(want, got, reached, len(rows))
+        (first, second), m2, dm2 = solution._wave_terms(solution._wave_dir2, bump, nodes, t)
+        for k, side in enumerate(omegas):
+            want = _shell_point_terms(bump, rows, t, nodes, e, omegas[side])
+            got = {"grad damped": damped[:, None] * xc,
+                   "grad M": m[:, None] * xc, "grad dM": dm[:, None] * xc,
+                   "dir2 damped 1": first[:, k], "dir2 damped 2": second[:, k],
+                   "dir2 M": m2[:, k], "dir2 dM": dm2[:, k]}
+            _assert_terms_match(want, got, reached, len(rows))
 
 
 # Where the radius-t circle cuts a bump (x = (1.2, 0.4)), inside a bump and
@@ -851,15 +861,15 @@ def test_outside_light_cone_zero(single_1d):
 
 def _mixed_block(datum, t):
     """Rows that exercise every branch of the radial rule at time t: a bump
-    centre (the two-point rule), points inside each bump (two radial
-    panels), points on and near the radius-t sphere around the first bump
-    (the odd sphere terms), a point out of reach of every bump, and a few
-    seeded points."""
+    centre and a point 1e-15 from it, off every axis (the two-point rule),
+    points inside each bump (two radial panels), points on and near the
+    radius-t sphere around the first bump (the odd sphere terms), a point
+    out of reach of every bump, and a few seeded points."""
     n = datum.dimension
     first, second = (b.center_array for b in datum.bumps[:2])
     e = np.eye(n)[0]
     away = -e if n == 1 else -np.ones(n) / math.sqrt(n)
-    rows = [first, first + 0.3 * e, second + 0.1 * e, first + t * e,
+    rows = [first, first - 1e-15 * away, first + 0.3 * e, second + 0.1 * e, first + t * e,
             first + (t + 0.4) * e, first + (t + 30.0) * away]
     rng = np.random.default_rng(11)
     rows += list(first + rng.uniform(-2.5, 3.0, size=(4, n)))
@@ -897,6 +907,11 @@ def test_block_rows_equal_single_points(name, t, chunk_rows, request, monkeypatc
         assert eval_dir2_u(datum, x, t, omegas[i], order=order) == per_row[i]
         assert eval_dir2_u(datum, x, t, shared, order=order) == one_omega[i]
         assert heat_eval(datum, x, t, order=order) == heat[i]
+    # The row 1e-15 from the bump centre has the centre row's grad and dir2,
+    # to 1e-14 of their scale.
+    for values in (grads, one_omega):
+        gap = np.abs(values[1] - values[0]).max()
+        assert gap <= 1e-14 * np.abs(values).max(), gap
 
 
 @pytest.mark.parametrize("name", ["two_1d", "two_2d", "two_3d"])
@@ -913,14 +928,13 @@ def test_wave_skip_is_exact(name, request):
     omegas = np.random.default_rng(5).normal(size=pts.shape)
     omegas /= np.linalg.norm(omegas, axis=1)[:, None]
     sample = eval_u(datum, pts, t, order=24)
-    for kind, got, per_row in ((_FIELD, sample.value, ()),
-                               (_GRAD, eval_grad_u(datum, pts, t, order=24), ()),
-                               (_DIR2, eval_dir2_u(datum, pts, t, omegas, order=24),
-                                (omegas,))):
-        principal, raw, _ = _parts(kind, datum, t, 24, True, pts, *per_row)
+    for kind, got, omega in ((_FIELD, sample.value, None),
+                             (_GRAD, eval_grad_u(datum, pts, t, order=24), None),
+                             (_DIR2, eval_dir2_u(datum, pts, t, omegas, order=24), omegas)):
+        principal, raw, _ = _sums(kind, datum, t, pts, 24, True, omega)
         assert np.any(raw != 0.0)
         assert got.tobytes() == (principal + raw * damp).tobytes()
-    assert sample.principal.tobytes() == _parts(_FIELD, datum, t, 24, True, pts)[0].tobytes()
+    assert sample.principal.tobytes() == _sums(_FIELD, datum, t, pts, 24, True)[0].tobytes()
 
 
 def test_block_of_principal_parts_equals_single_points(two_2d, two_3d):
@@ -999,8 +1013,10 @@ def test_one_kernel_call_per_bump_order_and_chunk(two_3d, monkeypatch):
 
 # float.hex of the direct evaluators on small blocks, recorded before their
 # node passes were rewritten to work in place (the 2D grad and dir2 at t = 10
-# once their wave and damped terms ran on the radial rule). The frozen values
-# above allow 1e-12 relative; these hold every bit. The 2D blocks run the
+# once their wave and damped terms ran on the radial rule; the grad and dir2
+# entries that moved, by 9.3e-13 relative at most, once each bump gave its
+# radial scalars to one assembly). The frozen values above allow 1e-12
+# relative; these hold every bit. The 2D blocks run the
 # radial rule and, for u at t = 10, the clipped-ball chords; the 3D block
 # includes a bump centre (the two-point rule); the 4D principal part takes
 # the sin(theta) factor of the even-n angular rule.
@@ -1022,11 +1038,11 @@ BIT_PINS = {
             "0x1.cde8e55110067p-14", "0x1.d173e5867523cp-14", "0x1.161e9257b2f2ep-13",
         ],
         "grad": [
-            "0x1.9ab0bc1da9c79p-24", "-0x1.08630300574a2p-15", "0x1.d45423ac4afdep-14",
-            "0x1.a3c830aa52ee5p-15", "-0x1.0f25df766d4b0p-14", "0x1.950169ab3abd7p-14",
+            "0x1.9ab0bc1da9bd6p-24", "-0x1.08630300574a3p-15", "0x1.d45423ac4afdep-14",
+            "0x1.a3c830aa52ee5p-15", "-0x1.0f25df766d4afp-14", "0x1.950169ab3abd6p-14",
         ],
         "dir2": [
-            "0x1.64eac1bf44ea9p-14", "0x1.560cd8751b62dp-14", "-0x1.4537e6177d67bp-14",
+            "0x1.64eac1bf44ea6p-14", "0x1.560cd8751b62ap-14", "-0x1.4537e6177eac5p-14",
         ],
     },
     "2d-t3200": {
@@ -1041,10 +1057,10 @@ BIT_PINS = {
         ],
         "grad": [
             "-0x1.921f602d4dd40p-45", "-0x1.93a52223721fcp-40", "0x1.7520196730c44p-38",
-            "0x1.4fc45abfb2400p-39", "-0x1.1fd61a9608086p-36", "0x1.a6399d0355500p-36",
+            "0x1.4fc45abfb23ffp-39", "-0x1.1fd61a9608087p-36", "0x1.a6399d0355500p-36",
         ],
         "dir2": [
-            "0x1.0cdb3dce63b8dp-38", "0x1.0ccb5660093d6p-38", "0x1.07a3e583072f6p-38",
+            "0x1.0cdb3dce63b8dp-38", "0x1.0ccb5660093d6p-38", "0x1.07a3e583072f7p-38",
         ],
     },
     "1d": {
@@ -1058,10 +1074,10 @@ BIT_PINS = {
             "0x0.0p+0", "0x0.0p+0", "0x1.1f5500698a295p-3",
         ],
         "grad": [
-            "-0x1.7b2ffd68effb6p-9", "0x1.7ad6414af2513p-9", "-0x1.abbe6971abe5cp-6",
+            "-0x1.7b2ffd68effb8p-9", "0x1.7ad6414af2515p-9", "-0x1.abbe6971abe5ep-6",
         ],
         "dir2": [
-            "0x1.0c87de5ec0cc3p-7", "0x1.0c83f80e2b627p-7", "-0x1.49d38032ff992p-1",
+            "0x1.0c87de5ec0cc3p-7", "0x1.0c83f80e2b627p-7", "-0x1.49d38032ff983p-1",
         ],
     },
     "3d": {
@@ -1077,10 +1093,10 @@ BIT_PINS = {
         "grad": [
             "-0x1.9428ba4c2fe04p-6", "-0x1.9428ba4c2fe04p-7", "0x1.9428ba4c2fe04p-8",
             "0x1.7eecaa205355dp-7", "0x1.352d85f0dc84ap-7", "-0x1.4cb88fb766b01p-8",
-            "0x1.684d6f645128ep-6", "0x1.20298633439c0p-7", "0x1.20c2b40caf7fcp-7",
+            "0x1.684d6f6451290p-6", "0x1.20298633439c0p-7", "0x1.20c2b40caf7fcp-7",
         ],
         "dir2": [
-            "0x1.31ae3738aeb9cp-5", "0x1.c0454c589a049p-5", "0x1.3979445c78cb1p-8",
+            "0x1.31ae3738aebb4p-5", "0x1.c0454c589a031p-5", "0x1.3979445c78cb5p-8",
         ],
     },
     "4d-principal": [
