@@ -12,14 +12,15 @@ The 2D hull is Andrew's monotone chain (A. M. Andrew, Inf. Process. Lett. 9,
 1979), so 2D data load no SciPy. The 3D hull is qhull, through
 scipy.spatial, imported at the first 3D hull.
 
-The dense products over the vertices (the support over thousands of probe
-directions, the pairwise vertex distances of the diameter) run in row blocks
-of at most _BLOCK float64 entries, 4 MiB, so neither builds a matrix larger
-than that. The diameter adds its squares in the dense order, and a max is
-exact, so it keeps every bit. A support entry is the same dot product as in
-one dense product, but BLAS may round one that lies on a tile edge in one
-product and inside a tile in the other differently in its last bit; every
-bundled datum keeps its hull_tol bit for bit.
+The dense products over the vertices or facets (the support over thousands
+of probe directions, the pairwise vertex distances of the diameter, the 3D
+membership test against every facet) run in row blocks of at most _BLOCK
+float64 entries, 512 KiB, so none builds a matrix larger than that. The
+diameter adds its squares in the dense order, and a max is exact, so it
+keeps every bit. A support entry is the same dot product as in one dense
+product, but BLAS may round one that lies on a tile edge in one product and
+inside a tile in the other differently in its last bit; every bundled datum
+keeps its hull_tol bit for bit.
 """
 
 from __future__ import annotations
@@ -45,15 +46,12 @@ Array = np.ndarray
 
 CIRCLE_POINTS = 256
 SPHERE_POINTS = 512
-# Entries per row block of the dense vertex products: 4 MiB of float64.
-# Not smaller: glibc's malloc raises its mmap threshold to the largest
-# mmapped block freed so far, and trims the heap above twice that (see
-# mallopt(3)). Until a block of 2 MiB or more has been freed, the
-# evaluators' arrays of about 1 MiB are mapped, and page-faulted, afresh on
-# every pass. A freed 4 MiB block lifts the threshold above them; with 1 MiB
-# blocks the run phase of grid-2d took about 43,300 minor page faults
-# instead of under 900, and ran markedly slower.
-_BLOCK = 1 << 19
+# Entries per row block of the dense vertex and facet products: 512 KiB of
+# float64. A block is the largest array a hull builds, so it bounds the
+# memory of loading a datum: a dense probe product of single_bump_3d would
+# hold 32 MiB. With blocks of 4 MiB a fresh process that loads two_bump_2d
+# peaked at 36.9 MB of RSS instead of 34.0 MB, and was no faster.
+_BLOCK = 1 << 16
 
 
 def fibonacci_sphere(count: int) -> Array:
@@ -147,8 +145,17 @@ class ConvexPolytope:
             # CCW polygon: non-negative cross products for every edge.
             cross = edge[:, 0] * rel[:, :, 1] - edge[:, 1] * rel[:, :, 0]
             return np.all(cross >= -slack, axis=1)
-        eqs = self.equations
-        return np.all(x @ eqs[:, :3].T + eqs[:, 3] <= slack, axis=1)
+        # _BLOCK // F rows at a time against the F facets, in one buffer.
+        normals, offsets = self.equations[:, :3].T, self.equations[:, 3]
+        rows = max(1, _BLOCK // len(offsets))
+        buffer = np.empty((min(rows, len(x)), len(offsets)))
+        out = np.empty(len(x), dtype=bool)
+        for start in range(0, len(x), rows):
+            part = x[start:start + rows]
+            block = np.matmul(part, normals, out=buffer[:len(part)])
+            block += offsets
+            out[start:start + rows] = np.all(block <= slack, axis=1)
+        return out
 
     def distance(self, x: Array) -> Tuple[float, Array, Optional[Array]]:
         """Distance to the body with nearest boundary point and outward unit

@@ -74,10 +74,10 @@ class SmoothBump:
         w = (offset * offset).sum(axis=1)
         return offset, self.radius * self.radius - w
 
-    def _g_table(self, gap: Array, top: int) -> Array:
+    def _g_table(self, gap: Array, top: int, out: Optional[Array] = None) -> Array:
         """g, g', ... up to the `top`-th derivative in w of
         g(w) = a*e*exp(-R^2/(R^2 - w)), stacked to (top + 1,) + gap.shape,
-        from the gap R^2 - w.
+        from the gap R^2 - w; into `out` of that shape, if given.
 
         The gap is clamped below at 1e-12 R^2, where the support ends.
         There exp(-R^2/gap) = exp(-1e12) is exactly 0, so every entry off
@@ -89,7 +89,8 @@ class SmoothBump:
         holds when no derivative is asked for.
         """
         r2 = self.radius * self.radius
-        out = np.empty((top + 1,) + np.shape(gap))
+        if out is None:
+            out = np.empty((top + 1,) + np.shape(gap))
         g = out[0]
         clamped = np.maximum(gap, 1e-12 * r2, out=g if top == 0 else None)
         np.divide(-r2, clamped, out=g)

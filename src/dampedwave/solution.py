@@ -26,13 +26,16 @@ u's two 2D wave-weighted integrals alone run on the chords of
 `quadrature.clipped_ball_nodes`, in per-node scalars with no node point.
 
 The evaluators take one point or an (m, n) block of points at one t, and a
-point is a one-row block. Per bump, a block costs one node build, one
-profile pass and one kernel call per chunk of rows of a fixed node count
-(`_CHUNK_NODES`, `_CHORD_NODES`), which bounds the memory of a pass. The node
-passes of u form their arrays in place, in the order the formulas are
-written. Every row equals its single-point value bit for bit (see
-`_row_dots`). All of them, and `heat_eval`, check their input in one front
-end (`_as_points`) and share one back end (`_evaluate`).
+point is a one-row block. Per bump, a chunk of rows costs one radial rule
+and one kernel call. The angular rules at its radial nodes, their gaps and
+the profile table then go through in slices of a fixed count of angular
+nodes (`_SLICE_NODES`), each slice into buffers made once, and each row's
+dot products over its radial nodes follow the last slice; so the memory of
+a pass is bounded whatever the block. The node passes form their arrays in
+place, in the order the formulas are written. Every row equals its
+single-point value bit for bit (see `_row_dots`), whatever the chunk and
+slice. All of them, and `heat_eval`, check their input in one front end
+(`_as_points`) and share one back end (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -158,24 +161,20 @@ def _row_dots(a: Array, b: Array) -> Array:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-# Rows of a block per pass of the radial rule. A pass holds arrays of up to
-# about this many nodes: 16 points of 2D at order 64, where two radial
-# panels of 64 nodes and 64 angular nodes make 8,192 nodes a point, and 4
-# points of the 2D wave rule at twice the order. On the 289-point grid of
-# two_bump_2d at t = 3200 the tracemalloc high-water of eval_u is 2.71 MiB
-# in passes of 16 rows, 5.24 MiB in passes of 32 and 46 MiB in one pass,
-# and the larger passes are not measurably faster.
-_CHUNK_NODES = 1 << 17
-# Rows of a chunk per pass of the 2D clipped-ball chords, by the same count:
-# 8 points at order 64, where up to 128 chords of 64 nodes make 8,192 nodes
-# a point. A u pass holds the radii, the weights, the gap, its clamped copy
-# and the two rows of the profile table (`_disc_u`); on the same grid at
-# t = 10 the high-water of eval_u is 3.06 MiB in chord passes of 8 rows,
-# 2.39 MiB in passes of 4 and 5.07 MiB in passes of 16. Passes of 4 rows
-# nonetheless raised the peak RSS of the grid-2d benchmark run from 36.6
-# to 38.4 MB: how glibc's malloc serves arrays of this size decides more
-# of the RSS than their count.
-_CHORD_NODES = 1 << 16
+# Angular nodes per pass of the node passes: 128 KiB of float64 an array.
+# A row chunk holds the rows whose radial rules have at most this many
+# nodes, the 2D wave ball's at twice the order included (two panels of
+# 2 * order nodes a row): 64 points of 2D at order 64. The angular rules at
+# a rule's nodes go through in slices of this many angular nodes (256
+# radial nodes of 64 angular ones), each slice into the same buffers. u's
+# 2D clipped-ball chords take as many rows a pass as fill it: 2 points at
+# order 64, where up to 128 chords of 64 nodes make 8,192 nodes a point.
+# On the 289-point grid of two_bump_2d at order 64, the tracemalloc
+# high-water of eval_u is 0.87 MiB at t = 10 and 0.89 MiB at t = 3200. In
+# a fresh process the two calls took about 420 minor page faults; in
+# slices of 32,768 nodes the live set of a pass outgrows glibc's heap trim
+# threshold, and they took about 23,000.
+_SLICE_NODES = 1 << 14
 
 
 def _in_chunks(parts: Callable[[Array], Array], order: int, x: Array) -> Array:
@@ -184,7 +183,7 @@ def _in_chunks(parts: Callable[[Array], Array], order: int, x: Array) -> Array:
     size, and must be at least 1."""
     if order < 1:
         raise ValueError(f"quadrature order must be at least 1, got {order}")
-    step = max(1, _CHUNK_NODES // (2 * order * order))
+    step = max(1, _SLICE_NODES // (4 * order))
     if len(x) <= step:
         return parts(x)
     return np.concatenate([parts(x[i:i + step]) for i in range(0, len(x), step)], axis=-1)
@@ -256,54 +255,63 @@ def _sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-class _Shells(NamedTuple):
-    """One bump seen from the points of a block, on the spheres of radius r
-    around each point.
+class _Radial(NamedTuple):
+    """One bump's radial rule seen from the rows of a block: the radii r of
+    the spheres around each point that meet the bump's ball.
 
     rows picks the points (rows of the block) whose region reaches the
     bump's ball, as a slice when that is every row. Their radial nodes lie
-    end to end: point i owns counts[i] nodes, start[i] to
-    start[i + 1], of d (its distance |x - c|), r, wphi and wr. On the sphere
-    of radius t each point owns one. mu is the cosine of the angle between
-    a direction and the axis e = (x - c) / d, so the node x + r*theta lies
-    at squared distance rho2 = d**2 + r**2 + 2*d*r*mu from the bump centre
-    c, and gap is R**2 - rho2. In the ball r = t sin(phi): wphi integrates
-    dphi and wr = wphi t cos(phi) integrates dr; on the sphere both are 1.
-    Each row of wmu integrates over the unit sphere S^{n-1}, restricted to
-    the directions that land in the bump's ball.
+    end to end: point i owns nodes start[i] to start[i + 1] of d (its
+    distance |x - c|), r, wphi and wr. On the sphere of radius t each point
+    owns one. In the ball r = t sin(phi): wphi integrates dphi and
+    wr = wphi t cos(phi) integrates dr; on the sphere both are 1.
     """
     rows: Union[slice, Array]
-    counts: List[int]
     start: List[int]
     d: Array
     r: Array
     wphi: Array
     wr: Array
+
+
+class _Nodes(NamedTuple):
+    """A slice of the nodes of a `_Radial` rule, d and r, with the angular
+    rule on each one's sphere (`_angular_rule`).
+
+    mu is the cosine of the angle between a direction theta and the axis
+    e = (x - c) / d, so the node x + r*theta lies at squared distance
+    rho2 = d**2 + r**2 + 2*d*r*mu from the bump centre c, and gap is
+    R**2 - rho2. Each row of wmu integrates over the unit sphere S^{n-1},
+    restricted to the directions that land in the bump's ball.
+    """
+    d: Array
+    r: Array
     mu: Array
     wmu: Array
     gap: Array
 
 
-def _two_point_rule(n: int, count: int, width: int) -> Tuple[Array, Array]:
-    """The rule mu = +-1/sqrt(n), for `count` radii, padded with zero weights
-    to `width` columns.
+def _two_point_rule(n: int, width: int) -> Tuple[Array, Array]:
+    """One row of the rule mu = +-1/sqrt(n), padded with zero weights to
+    `width` columns.
 
     At d = 0 every integrand is a function of r times a polynomial of degree
     three at most in mu, and the rule has the sphere's moments 1, 0, 1/n, 0
     through that degree. In one dimension it is the 0-sphere {-1, 1}
     itself, exact for any integrand.
     """
-    mu = np.zeros((count, width))
-    wmu = np.zeros((count, width))
-    mu[:, :2] = [-1.0 / math.sqrt(n), 1.0 / math.sqrt(n)]
-    wmu[:, :2] = 0.5 * _sphere_area(n)
+    mu = np.zeros(width)
+    wmu = np.zeros(width)
+    mu[:2] = [-1.0 / math.sqrt(n), 1.0 / math.sqrt(n)]
+    wmu[:2] = 0.5 * _sphere_area(n)
     return mu, wmu
 
 
-def _cap_rule(n: int, radius: float, d: Array, r: Array,
-              order: int) -> Tuple[Array, Array]:
-    """Angular nodes and weights in mu for the directions, from distance d > 0
-    to the bump centre at radius r, that land in the ball."""
+def _cap_rule(n: int, radius: float, d: Array, r: Array, order: int,
+              mu: Array, wmu: Array) -> None:
+    """Angular nodes and weights in mu, into mu and wmu, for the directions,
+    from distance d > 0 to the bump centre at radius r, that land in the
+    ball."""
     base, wbase = gauss_legendre(order)
     # Directions with mu below the cut land in the ball.
     cos_cut = np.minimum(np.maximum((radius * radius - d * d - r * r) / (2.0 * d * r),
@@ -313,9 +321,9 @@ def _cap_rule(n: int, radius: float, d: Array, r: Array,
         # and rho2 is linear in mu, so nodes in mu resolve the steep
         # edge of the profile's derivatives as finely as nodes in rho2.
         half = 0.5 * (cos_cut + 1.0)
-        mu = half[:, None] * (base + 1.0)
+        np.multiply(half[:, None], base + 1.0, out=mu)
         mu -= 1.0
-        wmu = (_sphere_area(n - 1) * half)[:, None] * wbase
+        np.multiply((_sphere_area(n - 1) * half)[:, None], wbase, out=wmu)
         if n > 3:
             wmu *= (1.0 - mu * mu) ** ((n - 3) // 2)
     else:
@@ -324,23 +332,21 @@ def _cap_rule(n: int, radius: float, d: Array, r: Array,
         # cosine overwrites theta.
         theta_lo = np.arccos(cos_cut)
         half = 0.5 * (math.pi - theta_lo)
-        theta = half[:, None] * (base + 1.0)
+        theta = np.multiply(half[:, None], base + 1.0, out=mu)
         theta += theta_lo[:, None]
-        wmu = (_sphere_area(n - 1) * half)[:, None] * wbase
+        np.multiply((_sphere_area(n - 1) * half)[:, None], wbase, out=wmu)
         if n > 2:
             wmu *= np.sin(theta) ** (n - 2)
-        mu = np.cos(theta, out=theta)
-    return mu, wmu
+        np.cos(theta, out=theta)
 
 
-def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
-            on_sphere: bool = False) -> Optional[_Shells]:
-    """Nodes for the bump's part of B_t(x), or of the sphere of radius t,
-    for each row x of a block, given x - c and |x - c| by row.
+def _radial_rule(bump: SmoothBump, dist: Array, t: float, order: int,
+                 on_sphere: bool = False) -> Optional[_Radial]:
+    """Radial nodes for the bump's part of B_t(x), or of the sphere of
+    radius t, for each row x of a block, given |x - c| by row.
 
     None when the region misses the bump's ball from every row.
     """
-    n = offset.shape[1]
     radius = bump.radius
     rows, counts, ends = [], [], []
     for i, d in enumerate(dist.tolist()):
@@ -378,41 +384,71 @@ def _shells(bump: SmoothBump, offset: Array, dist: Array, t: float, order: int,
         r = t * np.sin(phi)
         wphi = (half[:, None] * wbase).ravel()
         wr = wphi * t * np.cos(phi)
-    d = np.repeat(dist, counts)
-    centre = dist < 1e-14
-    any_centre = bool(centre.any())
+    start = [0] + np.cumsum(counts).tolist()
+    return _Radial(rows, start, np.repeat(dist, counts), r, wphi, wr)
+
+
+def _angular_rule(n: int, radius: float, nodes: _Nodes, order: int) -> None:
+    """The angular rule of `order` nodes (two in 1D) at each radial node of
+    `nodes`, and the gap there, into its mu, wmu and gap. A node at the bump
+    centre (d below 1e-14) takes the two-point rule."""
+    d, r, mu, wmu, gap = nodes
     if n == 1:
-        mu, wmu = _two_point_rule(1, r.size, 2)
+        mu[:], wmu[:] = _two_point_rule(1, 2)
         # mu = +-1, so the square needs no expanding, which would cancel.
-        gap = (d[:, None] + r[:, None] * mu) ** 2
+        np.multiply(r[:, None], mu, out=gap)
+        gap += d[:, None]
+        np.square(gap, out=gap)
     else:
-        if any_centre:
-            away = ~np.repeat(centre, counts)
-            mu, wmu = _two_point_rule(n, r.size, order)
-            mu[away], wmu[away] = _cap_rule(n, radius, d[away], r[away], order)
+        centre = d < 1e-14
+        if centre.any():
+            # Elementwise, so the other nodes keep their bits.
+            _cap_rule(n, radius, np.where(centre, 1.0, d), r, order, mu, wmu)
+            mu[centre], wmu[centre] = _two_point_rule(n, order)
         else:
-            mu, wmu = _cap_rule(n, radius, d, r, order)
-        gap = (2.0 * d * r)[:, None] * mu
+            _cap_rule(n, radius, d, r, order, mu, wmu)
+        np.multiply((2.0 * d * r)[:, None], mu, out=gap)
         gap += (d * d + r ** 2)[:, None]
         np.maximum(gap, 0.0, out=gap)
     # The squared distance rho2, in place, becomes R**2 - rho2.
     np.subtract(radius * radius, gap, out=gap)
-    start = [0] + np.cumsum(counts).tolist()
-    return _Shells(rows, counts, start, d, r, wphi, wr, mu, wmu, gap)
 
 
-def _segment_dots(sh: _Shells, a: Array, b: Array) -> Array:
+def _angular_sums(bump: SmoothBump, rule: _Radial, order: int, top: int,
+                  sums: Callable[[_Nodes, Array], Sequence[Array]]) -> List[Array]:
+    """sums(nodes, table) at every radial node of the rule, joined along
+    the nodes: each node's angular rule of `order` nodes (`_angular_rule`)
+    and its profile table, g and its first `top` derivatives in
+    w = |y - c|**2 times the angular weights, zero off the support.
+
+    The nodes go through in slices of at most `_SLICE_NODES` angular nodes,
+    which bounds the memory of a pass; every slice writes its rule and table
+    into the same buffers, and sums sees whole nodes, so each node's sums
+    are the same whatever the slice."""
+    n = len(bump.center)
+    width = 2 if n == 1 else order
+    count = len(rule.r)
+    step = max(1, min(count, _SLICE_NODES // width))
+    buffers = np.empty((3, step * width))
+    table = np.empty((top + 1) * step * width)
+    parts = []
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        shape = (hi - lo, width)
+        size = shape[0] * width
+        nodes = _Nodes(rule.d[lo:hi], rule.r[lo:hi],
+                       *(buffer[:size].reshape(shape) for buffer in buffers))
+        _angular_rule(n, bump.radius, nodes, order)
+        f = bump._g_table(nodes.gap, top, out=table[:(top + 1) * size].reshape(-1, *shape))
+        f *= nodes.wmu
+        parts.append(sums(nodes, f))
+    return list(parts[0]) if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+
+
+def _segment_dots(rule: _Radial, a: Array, b: Array) -> Array:
     """Per point, the dot product of a and b over its own radial nodes."""
-    bounds = sh.start
+    bounds = rule.start
     return np.array([a[i:j] @ b[i:j] for i, j in zip(bounds, bounds[1:])])
-
-
-def _profile(bump: SmoothBump, sh: _Shells, top: int) -> Array:
-    """g and its first `top` derivatives in w = |y - c|**2 at the nodes,
-    times the angular weights; zero off the support."""
-    table = bump._g_table(sh.gap, top)
-    table *= sh.wmu
-    return table
 
 
 def _squares(mu: Array, n: int) -> Tuple[Array, Array]:
@@ -422,18 +458,20 @@ def _squares(mu: Array, n: int) -> Tuple[Array, Array]:
     return along if n == 1 else (1.0 - along) / (n - 1), along
 
 
-def _ball_principal(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]:
+def _ball_principal(bump: SmoothBump, ball: _Radial, t: float,
+                    order: int) -> Tuple[Array, Array]:
     """One bump's principal ball integral at each point, and the same with
     |kernel|."""
     n = len(bump.center)
     dc = dimension_constants(n)
     kern = kernel_ktilde_scaled(dc.parity, dc.ell, ball.r, t)
     weight = 0.25 * dc.gamma * ball.wr * kern * ball.r ** (n - 1)
-    mean = _profile(bump, ball, 0)[0].sum(axis=1)
+    mean, = _angular_sums(bump, ball, order, 0, lambda nodes, f: (f[0].sum(axis=1),))
     return _segment_dots(ball, weight, mean), _segment_dots(ball, np.abs(weight), mean)
 
 
-def _ball_grad(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]:
+def _ball_grad(bump: SmoothBump, ball: _Radial, t: float,
+               order: int) -> Tuple[Array, Array]:
     """One bump's principal ball term of the gradient at each point, as its
     component along e over d (h'/d, and 0 at d = 0), and its |kernel| mass.
 
@@ -444,13 +482,14 @@ def _ball_grad(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]
     dc = dimension_constants(n)
     kern = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
     weight = (dc.gamma / 16.0) * ball.wr * kern * ball.r ** n
-    f = _profile(bump, ball, 0)[0]
-    return (_segment_dots(ball, weight / np.where(ball.d > 0.0, ball.d, np.inf),
-                          (f * ball.mu).sum(axis=1)),
-            _segment_dots(ball, np.abs(weight), f.sum(axis=1)))
+    along, mean = _angular_sums(bump, ball, order, 0, lambda nodes, f: (
+        (f[0] * nodes.mu).sum(axis=1), f[0].sum(axis=1)))
+    return (_segment_dots(ball, weight / np.where(ball.d > 0.0, ball.d, np.inf), along),
+            _segment_dots(ball, np.abs(weight), mean))
 
 
-def _ball_dir2(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]:
+def _ball_dir2(bump: SmoothBump, ball: _Radial, t: float,
+               order: int) -> Tuple[Array, Array]:
     """One bump's principal ball terms of dir2 at each point (k_(ell+2)
     times ((y - x) . omega)**2, less k_(ell+1)), and their |kernel| mass,
     as (h'/d, h'') pairs: omega across and along e (`_squares`). Both
@@ -460,9 +499,9 @@ def _ball_dir2(bump: SmoothBump, ball: _Shells, t: float) -> Tuple[Array, Array]
     k2, k1 = kernel_ktilde_scaled(dc.parity, (dc.ell + 2, dc.ell + 1), ball.r, t)
     w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** (n + 1)
     w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** (n - 1)
-    f = _profile(bump, ball, 0)[0]
-    sq = np.stack([(f * p2).sum(axis=1) for p2 in _squares(ball.mu, n)], axis=1)
-    mass = f.sum(axis=1)[:, None]
+    sq, mass = _angular_sums(bump, ball, order, 0, lambda nodes, f: (
+        np.stack([(f[0] * p2).sum(axis=1) for p2 in _squares(nodes.mu, n)], axis=1),
+        f[0].sum(axis=1)[:, None]))
     return (_segment_dots(ball, w2, sq) - _segment_dots(ball, w1, mass),
             _segment_dots(ball, np.abs(w2), sq) + _segment_dots(ball, np.abs(w1), mass))
 
@@ -539,25 +578,27 @@ def _disc_u(bump: SmoothBump, ch: _Chords, t: float) -> Terms:
     return (), _per_row(ch, g0), _per_row(ch, g1)
 
 
-# The wave formulas below give their terms at each node of a `_Shells` set,
-# on the sphere of radius r around the node's point: r is the float t on the
-# odd sphere, and the array of node radii in the 2D ball. M is the integral
-# of f (or of one of its derivatives) over that sphere in unit-sphere
-# measure, and dM its rate d/dr.
+# The wave formulas below give their terms at each node of a `_Nodes`
+# slice, on the sphere of radius r around the node's point, from the
+# slice's profile table up to one derivative more than their kind's top: r
+# is the float t on the odd sphere, and the array of node radii in the 2D
+# ball. M is the integral of f (or of one of its derivatives) over that
+# sphere in unit-sphere measure, and dM its rate d/dr.
 
-def _wave_u(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
-    g0, g1 = _profile(bump, nodes, 1)
+def _wave_u(bump: SmoothBump, nodes: _Nodes, table: Array, t: float, r: Value) -> Terms:
+    g0, g1 = table
     d, rc = nodes.d[:, None], np.reshape(r, (-1, 1))
     return (), g0.sum(axis=1), (2.0 * g1 * (d * nodes.mu + rc)).sum(axis=1)
 
 
-def _wave_grad(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
+def _wave_grad(bump: SmoothBump, nodes: _Nodes, table: Array, t: float,
+               r: Value) -> Terms:
     # Every term is a multiple of the axis e: the integrals of theta and of
     # y - c = d*e + r*theta over a circle of fixed mu lie along it. The terms
     # are their components along e over d (h'/d), and 0 at d = 0.
     n = len(bump.center)
     dc = dimension_constants(n)
-    g0, g1, g2 = _profile(bump, nodes, 2)
+    g0, g1, g2 = table
     d, mu, rc = nodes.d[:, None], nodes.mu, np.reshape(r, (-1, 1))
     over_d = 1.0 / np.where(nodes.d > 0.0, nodes.d, np.inf)
     boundary = r ** (n - 1) * (g0 * mu).sum(axis=1) * over_d
@@ -567,7 +608,8 @@ def _wave_grad(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
             mean_grad, mean_hvp)
 
 
-def _wave_dir2(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
+def _wave_dir2(bump: SmoothBump, nodes: _Nodes, table: Array, t: float,
+               r: Value) -> Terms:
     # Each term is a pair, omega across e (h'/d) and along e (h''). The circle
     # means of (theta . omega)**2, (theta . omega) ((y - c) . omega) and
     # ((y - c) . omega)**2, y - c = d*e + r*theta, are p2, mixed and along2:
@@ -575,7 +617,7 @@ def _wave_dir2(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
     n = len(bump.center)
     dc = dimension_constants(n)
     damp = wave_factor(t)
-    g0, g1, g2, g3 = table = _profile(bump, nodes, 3)
+    g0, g1, g2, g3 = table
     d, mu, rc = nodes.d[:, None], nodes.mu, np.reshape(r, (-1, 1))
     rate = d * mu + rc
     g3 *= rate
@@ -595,18 +637,24 @@ def _wave_dir2(bump: SmoothBump, nodes: _Shells, t: float, r: Value) -> Terms:
     return (first, second), m, dm
 
 
-def _wave_terms(wave: Callable[..., Terms], bump: SmoothBump, nodes: _Shells,
-                t: float) -> Terms:
-    """The wave terms at each point of `nodes`: on the odd sphere its one
-    node's, and in 2D the ball integral of its nodes' with weights t r dphi
-    (times the angular weights, t dy / sqrt(t**2 - |y - x|**2)), and one
-    more factor r in dM, which takes y - x = r*theta."""
-    if len(bump.center) % 2:
-        return wave(bump, nodes, t, t)
-    damped, m, dm = wave(bump, nodes, t, nodes.r)
-    weight = nodes.wphi * t * nodes.r
-    return (tuple(_segment_dots(nodes, weight, term) for term in damped),
-            _segment_dots(nodes, weight, m), _segment_dots(nodes, weight * nodes.r, dm))
+def _wave_terms(kind: _Kind, bump: SmoothBump, rule: _Radial, t: float,
+                order: int) -> Terms:
+    """The wave terms of one kind at each point of the rule: on the odd
+    sphere its one node's, and in 2D the ball integral of its nodes' with
+    weights t r dphi (times the angular weights, t dy / sqrt(t**2 -
+    |y - x|**2)), and one more factor r in dM, which takes y - x = r*theta."""
+    odd = len(bump.center) % 2 == 1
+
+    def sums(nodes: _Nodes, table: Array) -> Tuple[Array, ...]:
+        damped, m, dm = kind.wave(bump, nodes, table, t, t if odd else nodes.r)
+        return (*damped, m, dm)
+
+    *damped, m, dm = _angular_sums(bump, rule, order, kind.top + 1, sums)
+    if odd:
+        return tuple(damped), m, dm
+    weight = rule.wphi * t * rule.r
+    return (tuple(_segment_dots(rule, weight, term) for term in damped),
+            _segment_dots(rule, weight, m), _segment_dots(rule, weight * rule.r, dm))
 
 
 class _Kind(NamedTuple):
@@ -635,11 +683,12 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
     (bumps, k, 4, rows) of the principal term, M, dM and |kernel| mass of
     each of its k radial scalars.
 
-    Per bump: one pass of the radial rule for the principal ball term and,
-    with wave, one for the wave terms: over the radius-t sphere in odd n,
-    over the ball in 2D, and for u in 2D one pass over the clipped-ball
-    chords of each `_CHORD_NODES` worth of rows. Without wave the wave
-    terms and the damped principal terms are not computed, and are 0.
+    Per bump: one radial rule for the principal ball term, with one kernel
+    call, and, with wave, one for the wave terms: over the radius-t sphere
+    in odd n, over the ball in 2D, and for u in 2D one pass over the
+    clipped-ball chords of each `_SLICE_NODES` worth of rows. Without wave
+    the wave terms and the damped principal terms are not computed, and
+    are 0.
     """
     n = datum.dimension
     wave = wave and kind.wave is not None
@@ -647,9 +696,9 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
     for bump, (principal, mean, rate, mass) in zip(datum.bumps, out):
         offset = x - bump.center_array
         dist = np.sqrt(_row_dots(offset, offset))
-        ball = _shells(bump, offset, dist, t, order)
+        ball = _radial_rule(bump, dist, t, order)
         if ball is not None:
-            term, ref = kind.ball(bump, ball, t)
+            term, ref = kind.ball(bump, ball, t, order)
             principal[ball.rows] += term
             mass[ball.rows] += ref
         # Free the radial nodes before the wave pass builds its own.
@@ -657,36 +706,32 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
         if not wave:
             continue
         if n % 2 == 0 and kind.disc is not None:
-            step, terms = max(1, _CHORD_NODES // (2 * order * order)), kind.disc
-
-            def build(rows: slice) -> Optional[_Chords]:
-                return _chords(bump, x[rows], offset[rows], t, order)
-        else:
-            # The wave terms integrate up to the third derivative of the
-            # profile, whose edge is much steeper than the profile's, so
-            # their rule takes twice the order of the principal one: in
-            # angle on the sphere, and in radius and angle in the 2D ball,
-            # a quarter of the rows a pass. There, at order 64, two_bump_2d's
-            # dir2 is within 3e-10 of order 512 at t = 1.5 and 10; doubling
-            # only the radius left it 6e-8 off, only the angle 2.3e-4.
-            sphere = n % 2 == 1
-            step = max(1, len(x) if sphere else _CHUNK_NODES // (8 * order * order))
-            terms = partial(_wave_terms, kind.wave)
-
-            def build(rows: slice) -> Optional[_Shells]:
-                return _shells(bump, offset[rows], dist[rows], t, 2 * order, sphere)
-        for i in range(0, len(x), step):
-            rows = slice(i, i + step)
-            nodes = build(rows)
-            if nodes is None:
-                continue
-            damped, m, dm = terms(bump, nodes, t)
-            for term in damped:
-                principal[rows][nodes.rows] += term
-            mean[rows][nodes.rows] += m
-            rate[rows][nodes.rows] += dm
-            # Free the nodes before the next pass builds its own.
-            del nodes
+            step = max(1, _SLICE_NODES // (2 * order * order))
+            for i in range(0, len(x), step):
+                rows = slice(i, i + step)
+                chords = _chords(bump, x[rows], offset[rows], t, order)
+                if chords is None:
+                    continue
+                _, m, dm = kind.disc(bump, chords, t)
+                mean[rows][chords.rows] += m
+                rate[rows][chords.rows] += dm
+                # Free the chords before the next pass builds its own.
+                del chords
+            continue
+        # The wave terms integrate up to the third derivative of the
+        # profile, whose edge is much steeper than the profile's, so their
+        # rule takes twice the order of the principal one: in angle on the
+        # sphere, and in radius and angle in the 2D ball. There, at order 64,
+        # two_bump_2d's dir2 is within 3e-10 of order 512 at t = 1.5 and 10;
+        # doubling only the radius left it 6e-8 off, only the angle 2.3e-4.
+        nodes = _radial_rule(bump, dist, t, 2 * order, on_sphere=n % 2 == 1)
+        if nodes is None:
+            continue
+        damped, m, dm = _wave_terms(kind, bump, nodes, t, 2 * order)
+        for term in damped:
+            principal[nodes.rows] += term
+        mean[nodes.rows] += m
+        rate[nodes.rows] += dm
     return out[:, None] if kind.top < 2 else np.moveaxis(out, 3, 1)
 
 
@@ -720,13 +765,18 @@ def _sums(kind: _Kind, datum: InitialDatum, t: float, x: Array, order: int, wave
           omega: Optional[Array] = None) -> Tuple[Array, Array, Array]:
     """(principal, raw wave, |kernel| mass) of one kind at each row of x:
     `_parts` a chunk of rows at a time, summed by `_assemble` with dir2's
-    unit direction per row. A gradient's mass is the sum of its bumps'."""
+    unit direction per row, the mass in the same pass as the values. A
+    gradient's mass is the sum of its bumps', in the order `_assemble`
+    sums u."""
     n = datum.dimension
     jets = _in_chunks(partial(_parts, kind, datum, t, order, wave), order, x)
     offsets = [x - bump.center_array for bump in datum.bumps]
     dists = [np.sqrt(_row_dots(offset, offset)) for offset in offsets]
-    principal, mean, rate = _assemble(kind.top, offsets, dists, jets[:, :, :3], omega)
-    mass = _assemble(0 if kind.top == 1 else kind.top, offsets, dists, jets[:, :, 3], omega)
+    if kind.top == 1:
+        principal, mean, rate = _assemble(1, offsets, dists, jets[:, :, :3])
+        mass = sum(jets[:, 0, 3])
+    else:
+        principal, mean, rate, mass = _assemble(kind.top, offsets, dists, jets, omega)
     if n % 2 == 0:
         mean /= t * t
         rate /= t ** 3

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from dampedwave.solution import (_DIR2, _FIELD, _GRAD, FieldSample, _sums,
                                  eval_dir2_u, eval_grad_u,
                                  eval_principal_general_n, eval_u, heat_eval,
                                  wave_factor)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_dimension_constants():
@@ -501,32 +507,38 @@ def test_frozen_2d_values(two_2d):
 
 
 def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
-    # Each bump reached from a block gets one pass of the profile table over
-    # each node set: its radial nodes per chunk of rows and, where the wave
-    # or damped terms are computed, u's clipped-ball nodes per chord pass or
-    # grad's and dir2's ball nodes at twice the order per wave pass. Every
-    # term at one node set (value, gradient, Hessian and third derivative of
-    # f) comes from that one pass. Every row below reaches both bumps at
-    # t = 10; the block runs in two chunks of three rows, each chunk in chord
-    # passes of two rows and one, and in wave passes of one row.
+    # Each bump reached from a chunk of rows gets one radial rule and, where
+    # the wave or damped terms are computed, u's clipped-ball nodes per chord
+    # pass or grad's and dir2's ball rule at twice the order. Each rule's
+    # nodes go through in slices of at most _SLICE_NODES angular nodes, with
+    # one pass of the profile table a slice. Every term at one node set
+    # (value, gradient, Hessian and third derivative of f) comes from that
+    # one pass. Every row below reaches both bumps at t = 10; the block runs
+    # in two chunks of three rows, in chord passes of one row, and in slices
+    # of 12 radial nodes at order 16 and 6 at order 32, which cut every
+    # row's radial nodes.
     order = 16
-    monkeypatch.setattr(solution, "_CHUNK_NODES", 2 * order * order * 3)
-    monkeypatch.setattr(solution, "_CHORD_NODES", 2 * order * order * 2)
+    monkeypatch.setattr(solution, "_SLICE_NODES", 4 * order * 3)
     passes = []
     node_sets = []
     g_table = SmoothBump._g_table
-    shells = solution._shells
+    radial_rule = solution._radial_rule
+    angular_rule = solution._angular_rule
     clipped = solution.clipped_ball_nodes
 
-    def counted_table(self, gap, top):
+    def counted_table(self, gap, top, out=None):
         passes.append(gap.size)
-        return g_table(self, gap, top)
+        return g_table(self, gap, top, out)
 
-    def counted_shells(bump, offset, dist, t, rule_order, *args):
-        out = shells(bump, offset, dist, t, rule_order, *args)
+    def counted_radial(bump, dist, t, rule_order, **kwargs):
+        out = radial_rule(bump, dist, t, rule_order, **kwargs)
         if out is not None:
-            node_sets.append(("radial" if rule_order == order else "wave", out.gap.size))
+            node_sets.append(("radial" if rule_order == order else "wave", out.r.size))
         return out
+
+    def counted_angular(n, radius, nodes, rule_order):
+        angular_rule(n, radius, nodes, rule_order)
+        node_sets.append(("slice", nodes.gap.size))
 
     def counted_clipped(*args, **kwargs):
         out = clipped(*args, **kwargs)
@@ -535,7 +547,8 @@ def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
         return out
 
     monkeypatch.setattr(SmoothBump, "_g_table", counted_table)
-    monkeypatch.setattr(solution, "_shells", counted_shells)
+    monkeypatch.setattr(solution, "_radial_rule", counted_radial)
+    monkeypatch.setattr(solution, "_angular_rule", counted_angular)
     monkeypatch.setattr(solution, "clipped_ball_nodes", counted_clipped)
     pts = np.array([[0.9, 0.5], [0.2, -0.3], [1.4, 1.2], [-0.6, 0.4], [2.0, 0.1],
                     [0.5, 1.5]])
@@ -545,8 +558,8 @@ def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
                                                 order=order)}
     # Node sets per bump: (radial, chord, wave ball). At t = 3200, where
     # exp(-t/2) is 0, only the radial sets are built.
-    per_bump = {(10.0, "u"): (2, 4, 0), (10.0, "grad"): (2, 0, 6),
-                (10.0, "dir2"): (2, 0, 6)}
+    per_bump = {(10.0, "u"): (2, 6, 0), (10.0, "grad"): (2, 0, 2),
+                (10.0, "dir2"): (2, 0, 2)}
     bumps = len(two_2d.bumps)
     for t in (10.0, 3200.0):
         for kind, evaluate in evaluators.items():
@@ -557,12 +570,27 @@ def test_one_profile_pass_per_bump_2d(two_2d, monkeypatch):
             counts = tuple(built.count(name) for name in ("radial", "chords", "wave"))
             assert counts == tuple(bumps * c for c in per_bump.get((t, kind), (2, 0, 0))), (
                 t, kind, node_sets)
-            assert passes == [size for _, size in node_sets], (t, kind, passes, node_sets)
-    # A wave ball set holds twice the radial and twice the angular nodes of
-    # the radial one of the same rows.
+            # One table pass a slice and a chord pass, in the order they are
+            # built; the slices of a rule cover its nodes, and none holds
+            # more than _SLICE_NODES angular nodes.
+            assert passes == [size for name, size in node_sets if name in ("slice", "chords")]
+            rule_nodes, slice_nodes = [], []
+            for name, size in node_sets:
+                if name in ("radial", "wave"):
+                    width = order if name == "radial" else 2 * order
+                    rule_nodes.append(size * width)
+                    slice_nodes.append(0)
+                elif name == "slice":
+                    assert size <= solution._SLICE_NODES
+                    slice_nodes[-1] += size
+            assert slice_nodes == rule_nodes, (t, kind, node_sets)
+            assert built.count("slice") > len(rule_nodes)
+    # A wave ball rule holds twice the radial nodes of the radial one of the
+    # same rows, each with twice the angular nodes (width above).
     node_sets.clear()
     eval_grad_u(two_2d, pts[:1], 10.0, order=order)
-    assert node_sets[1] == ("wave", 4 * node_sets[0][1])
+    rules = [node_set for node_set in node_sets if node_set[0] != "slice"]
+    assert rules[1] == ("wave", 2 * rules[0][1])
 
 
 def _point_terms(bump, x, t, order):
@@ -634,9 +662,10 @@ def test_chord_form_matches_point_formulas(two_2d, t):
         _assert_terms_match(want, got, ch.rows, len(rows))
 
 
-def _shell_point_terms(bump, x, t, nodes, e, omega):
+def _shell_point_terms(bump, x, t, rule, nodes, e, omega):
     """grad's and dir2's 2D wave terms of one bump at each row of x, from the
-    bump's derivatives at the points y = x + r*theta of a `_Shells` set:
+    bump's derivatives at the points y = x + r*theta of a radial rule and
+    the angular rule at all its nodes:
     each node (r, mu) stands for the two directions theta = mu e +- sqrt(1 -
     mu**2) e_perp, with half its angular weight each, and its weight is
     t r dphi dtheta; e = (x - c)/|x - c| holds a row per point of the set.
@@ -656,19 +685,20 @@ def _shell_point_terms(bump, x, t, nodes, e, omega):
     where no part cancels, that is the sum of its absolute node values."""
     dc = dimension_constants(2)
     damp = wave_factor(t)
-    rows = np.arange(len(x))[nodes.rows]
+    rows = np.arange(len(x))[rule.rows]
+    counts = np.diff(rule.start)
     perp = np.stack([-e[:, 1], e[:, 0]], axis=1)
-    point = np.repeat(rows, nodes.counts)
-    e_node = np.repeat(e, nodes.counts, axis=0)[:, None, :]
-    p_node = np.repeat(perp, nodes.counts, axis=0)[:, None, :]
+    point = np.repeat(rows, counts)
+    e_node = np.repeat(e, counts, axis=0)[:, None, :]
+    p_node = np.repeat(perp, counts, axis=0)[:, None, :]
     mu = nodes.mu[:, :, None]
     pieces = []
     for side in (1.0, -1.0):
         theta = mu * e_node + side * np.sqrt(1.0 - mu * mu) * p_node
-        pieces.append(x[point][:, None, :] + nodes.r[:, None, None] * theta)
+        pieces.append(x[point][:, None, :] + rule.r[:, None, None] * theta)
     y = np.stack(pieces, axis=2).reshape(-1, 2)
     row = np.repeat(point, 2 * nodes.mu.shape[1])
-    weight = (nodes.wphi * t * nodes.r)[:, None] * nodes.wmu / 2.0
+    weight = (rule.wphi * t * rule.r)[:, None] * nodes.wmu / 2.0
     w = np.repeat(weight, 2, axis=1).ravel()
     g0, g1, g2, g3 = bump._g_table(np.repeat(nodes.gap, 2, axis=1).ravel(), 3)
     offset = y - bump.center_array
@@ -725,18 +755,20 @@ def test_shell_form_matches_point_formulas(two_2d, t):
     for bump in two_2d.bumps:
         offset = rows - bump.center_array
         dist = np.linalg.norm(offset, axis=1)
-        nodes = solution._shells(bump, offset, dist, t, order)
-        reached = np.arange(len(rows))[nodes.rows]
+        rule = solution._radial_rule(bump, dist, t, order)
+        nodes = solution._Nodes(rule.d, rule.r, *np.empty((3, rule.r.size, order)))
+        solution._angular_rule(2, bump.radius, nodes, order)
+        reached = np.arange(len(rows))[rule.rows]
         assert 4 not in reached
         xc = offset[reached]
         e = xc / dist[reached, None]
         omegas = {"across": np.zeros_like(rows), "along": np.zeros_like(rows)}
         omegas["across"][reached] = np.stack([-e[:, 1], e[:, 0]], axis=1)
         omegas["along"][reached] = e
-        (damped,), m, dm = solution._wave_terms(solution._wave_grad, bump, nodes, t)
-        (first, second), m2, dm2 = solution._wave_terms(solution._wave_dir2, bump, nodes, t)
+        (damped,), m, dm = solution._wave_terms(_GRAD, bump, rule, t, order)
+        (first, second), m2, dm2 = solution._wave_terms(_DIR2, bump, rule, t, order)
         for k, side in enumerate(omegas):
-            want = _shell_point_terms(bump, rows, t, nodes, e, omegas[side])
+            want = _shell_point_terms(bump, rows, t, rule, nodes, e, omegas[side])
             got = {"grad damped": damped[:, None] * xc,
                    "grad M": m[:, None] * xc, "grad dM": dm[:, None] * xc,
                    "dir2 damped 1": first[:, k], "dir2 damped 2": second[:, k],
@@ -878,14 +910,21 @@ def _mixed_block(datum, t):
 
 @pytest.mark.parametrize("t", [1.5, 10.0, 1600.0])
 @pytest.mark.parametrize("name", ["two_1d", "two_2d", "two_3d"])
-@pytest.mark.parametrize("chunk_rows", [None, 3])
-def test_block_rows_equal_single_points(name, t, chunk_rows, request, monkeypatch):
+@pytest.mark.parametrize("slice_nodes", [
+    pytest.param(None, id="None"),
+    # Chunks of three rows, at most 4 * 24 radial nodes a row.
+    pytest.param(4 * 24 * 3, id="3"),
+    # Slices of 31 radial nodes of 24 angular ones, which straddle rows.
+    pytest.param(24 * 31, id="cut")])
+def test_block_rows_equal_single_points(name, t, slice_nodes, request, monkeypatch):
     # Every row of a block is bit for bit the single-point value, whether the
-    # block runs in one pass or in chunks of three rows.
+    # block runs in one chunk or in chunks of three rows, and whether a
+    # slice of the angular passes ends on a row's last radial node or
+    # inside a row.
     datum = request.getfixturevalue(name)
     order = 24
-    if chunk_rows is not None:
-        monkeypatch.setattr(solution, "_CHUNK_NODES", 2 * order * order * chunk_rows)
+    if slice_nodes is not None:
+        monkeypatch.setattr(solution, "_SLICE_NODES", slice_nodes)
     pts = _mixed_block(datum, t)
     rng = np.random.default_rng(3)
     omegas = rng.normal(size=pts.shape)
@@ -983,19 +1022,36 @@ def test_block_check_holds_each_row_to_its_own_test(two_2d):
 
 
 def test_one_kernel_call_per_bump_order_and_chunk(two_3d, monkeypatch):
-    # Every row below reaches both bumps, and the block runs in two chunks:
-    # each bump then costs one kernel call per chunk, and dir2 asks for both
-    # of its kernel orders in that one call.
+    # Every row below reaches both bumps, and the block runs in two chunks
+    # of three rows, whose angular passes run in slices of 12 radial nodes:
+    # each bump then costs one kernel call per chunk, on all the chunk's
+    # radial nodes, and dir2 asks for both of its kernel orders in that one
+    # call.
     order = 16
-    monkeypatch.setattr(solution, "_CHUNK_NODES", 2 * order * order * 3)
-    calls = []
+    monkeypatch.setattr(solution, "_SLICE_NODES", 4 * order * 3)
+    calls, rules, slices = [], [], []
     kernel = solution.kernel_ktilde_scaled
+    radial_rule = solution._radial_rule
+    angular_rule = solution._angular_rule
 
     def counted(parity, ell, r, t):
         calls.append((np.size(ell), r.size))
         return kernel(parity, ell, r, t)
 
+    def counted_radial(bump, dist, t, rule_order, **kwargs):
+        out = radial_rule(bump, dist, t, rule_order, **kwargs)
+        if rule_order == order:
+            rules.append(out.r.size)
+        return out
+
+    def counted_angular(n, radius, nodes, rule_order):
+        angular_rule(n, radius, nodes, rule_order)
+        if rule_order == order:
+            slices.append(nodes.r.size)
+
     monkeypatch.setattr(solution, "kernel_ktilde_scaled", counted)
+    monkeypatch.setattr(solution, "_radial_rule", counted_radial)
+    monkeypatch.setattr(solution, "_angular_rule", counted_angular)
     pts = np.array([[0.5, 0.2, 0.1], [1.0, 0.5, 0.0], [1.5, 0.8, -0.3],
                     [0.2, 0.4, 0.6], [2.2, 1.1, -0.2], [-0.5, 0.0, 0.3]])
     chunks, bumps = 2, len(two_3d.bumps)
@@ -1004,11 +1060,18 @@ def test_one_kernel_call_per_bump_order_and_chunk(two_3d, monkeypatch):
                              (lambda: eval_dir2_u(two_3d, pts, 200.0, np.ones(3),
                                                   order=order), 2)):
         calls.clear()
+        rules.clear()
+        slices.clear()
         evaluate()
         assert len(calls) == bumps * chunks
         assert all(count == orders for count, _ in calls)
-        # Three rows a chunk, each with one or two radial panels.
-        assert all(3 * order <= nodes <= 6 * order for _, nodes in calls)
+        # Each call takes all the radial nodes of its chunk's rule: three
+        # rows, each with one or two radial panels.
+        assert [nodes for _, nodes in calls] == rules
+        assert all(3 * order <= nodes <= 6 * order for nodes in rules)
+        # The angular passes of a rule take it 12 radial nodes at a time.
+        assert sum(slices) == sum(rules)
+        assert len(slices) == sum(-(-nodes // 12) for nodes in rules)
 
 
 # float.hex of the direct evaluators on small blocks, recorded before their
@@ -1132,11 +1195,11 @@ def test_principal_4d_keeps_every_bit():
 
 # tracemalloc high-water of eval_u at order 64 on the 17 x 17 lattice of
 # half-width 12 around the centroid that the grid-2d benchmark workload
-# evaluates (without its seeded shift), in MiB, before the node passes
-# worked in place: 3.43 at t = 10 and 3.78 at t = 3200, rounded up (3.08
-# and 2.71 after).
-@pytest.mark.parametrize("t, before", [(10.0, 3.43), (3200.0, 3.78)])
-def test_eval_u_working_set_on_grid_2d(two_2d, t, before):
+# evaluates (without its seeded shift), in MiB, rounded up: 0.87 at t = 10
+# and 0.89 at t = 3200 with the angular passes in fixed-size slices. With
+# the passes of 16 rows whole, in place, they were 3.08 and 2.71.
+@pytest.mark.parametrize("t, ceiling", [(10.0, 0.87), (3200.0, 0.89)])
+def test_eval_u_working_set_on_grid_2d(two_2d, t, ceiling):
     axis = np.linspace(-12.0, 12.0, 17)
     mesh = np.meshgrid(two_2d.centroid[0] + axis, two_2d.centroid[1] + axis, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -1148,4 +1211,33 @@ def test_eval_u_working_set_on_grid_2d(two_2d, t, before):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= before * 2 ** 20
+    assert peak <= ceiling * 2 ** 20
+
+
+def test_eval_u_minor_faults_on_grid_2d():
+    # In a fresh process, eval_u on the same lattice at t = 10 and 3200 took
+    # about 420 minor page faults on a 2-core x86 Linux host: the angular
+    # passes reuse their arrays of 128 KiB on the heap. In slices of 32,768
+    # nodes, whose live set outgrows glibc's heap trim threshold, the same
+    # calls took about 23,000, each pass faulting its pages in afresh.
+    import dampedwave
+    src = str(Path(dampedwave.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = f"""
+import json, resource
+import numpy as np
+from dampedwave import load_datum
+from dampedwave.solution import eval_u
+datum = load_datum(json.load(open({str(CONFIG_DIR / "two_bump_2d.json")!r}))["datum"])
+axis = np.linspace(-12.0, 12.0, 17)
+mesh = np.meshgrid(datum.centroid[0] + axis, datum.centroid[1] + axis, indexing="ij")
+pts = np.stack([m.ravel() for m in mesh], axis=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+eval_u(datum, pts, 10.0, order=64)
+eval_u(datum, pts, 3200.0, order=64)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert int(done.stdout) <= 5000
