@@ -23,7 +23,8 @@ import numpy as np
 
 from .geometry import ConvexPolytope, NormalPoint, phi_map, sample_normal_bundle
 from .initial_data import InitialDatum
-from .solution import DEFAULT_ORDER, RadialField, dimension_constants, radial_field
+from .solution import (DEFAULT_ORDER, RadialField, _row_dots, dimension_constants,
+                       radial_field)
 
 __all__ = [
     "CertificateResult",
@@ -411,18 +412,19 @@ def certify_signs(datum: InitialDatum, t: float,
 
     field = radial_field(datum, t, order)
 
+    xis = np.array([point.xi for point in rays])
+    nus = np.array([point.nu for point in rays])
+
     def grid(lo: float, hi: float) -> Tuple[Array, Array]:
         """Every ray's points at the rho grid on [lo, hi], ray after ray, and
-        the outer normal at each point."""
-        rhos = _rho_grid(lo, hi).tolist()
-        pts = [phi_map(point, rho) for point in rays for rho in rhos]
-        normals = [point.nu for point in rays for _ in rhos]
-        return np.reshape(pts, (-1, n)), np.reshape(normals, (-1, n))
+        the outer normal at each point: `phi_map` of each ray and rho."""
+        rhos = _rho_grid(lo, hi)[None, :, None]
+        pts = (xis[:, None, :] + rhos * nus[:, None, :]).reshape(-1, n)
+        return pts, np.repeat(nus, rhos.size, axis=0)
 
     def slopes(lo: float, hi: float) -> Array:
         pts, normals = grid(lo, hi)
-        grads = field.grad(pts)
-        return np.array([float(g @ nu) for g, nu in zip(grads, normals)])
+        return _row_dots(field.grad(pts), normals)
 
     def result(margins: Array) -> CertificateResult:
         if margins.size == 0:
@@ -455,8 +457,7 @@ def certify_signs(datum: InitialDatum, t: float,
 
     if "lb_CS" in wanted:
         bound = n * dc.gamma * pf / (5.0 * t ** (n / 2.0 + 1.0)) * mass
-        hull_points = np.array([point.xi for point in rays])
-        out["lb_CS"] = result(-field.u(np.concatenate([interior, hull_points])) - bound)
+        out["lb_CS"] = result(-field.u(np.concatenate([interior, xis])) - bound)
 
     if "ub_A" in wanted or "lb_A" in wanted:
         ub = (7.0 * dc.gamma * pf / (10.0 * t ** (n / 2.0 + 1.0))

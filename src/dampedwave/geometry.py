@@ -12,11 +12,18 @@ The 2D hull is Andrew's monotone chain (A. M. Andrew, Inf. Process. Lett. 9,
 1979), so 2D data load no SciPy. The 3D hull is qhull, through
 scipy.spatial, imported at the first 3D hull.
 
-The dense products over the vertices or facets (the support over thousands
-of probe directions, the pairwise vertex distances of the diameter, the 3D
-membership test against every facet) run in row blocks of at most _BLOCK
-float64 entries, 512 KiB, so none builds a matrix larger than that. The
-diameter adds its squares in the dense order, and a max is exact, so it
+The dense products over the vertices or facets run in row blocks, so none
+builds a matrix larger than its block. The support over thousands of probe
+directions, which loading a datum computes, takes blocks of _BLOCK float64
+entries, 512 KiB. The products of a feature run, the pairwise vertex
+distances of the diameter and the 3D membership test against every facet,
+go through one buffer of _BUFFER entries, 64 KiB, made once per call and
+reused for every block. The split is measured: with support blocks of
+64 KiB too, the peak RSS of a process that runs the grid-2d benchmark
+workload, whose peak the load sets, rose by 1.6 MB, and that of the
+spots-3d workload moved within its noise.
+
+The diameter adds its squares in the dense order, and a max is exact, so it
 keeps every bit. A support entry is the same dot product as in one dense
 product, but BLAS may round one that lies on a tile edge in one product and
 inside a tile in the other differently in its last bit; every bundled datum
@@ -46,12 +53,19 @@ Array = np.ndarray
 
 CIRCLE_POINTS = 256
 SPHERE_POINTS = 512
-# Entries per row block of the dense vertex and facet products: 512 KiB of
-# float64. A block is the largest array a hull builds, so it bounds the
-# memory of loading a datum: a dense probe product of single_bump_3d would
-# hold 32 MiB. With blocks of 4 MiB a fresh process that loads two_bump_2d
-# peaked at 36.9 MB of RSS instead of 34.0 MB, and was no faster.
+# Entries per row block of the support's probe product: 512 KiB of float64.
+# A block is the largest array a hull builds, so it bounds the memory of
+# loading a datum: a dense probe product of single_bump_3d would hold
+# 32 MiB. With blocks of 4 MiB a fresh process that loads two_bump_2d
+# peaked at 36.9 MB of RSS instead of 34.0 MB, and was no faster. With
+# blocks of 64 KiB a fresh process that runs the grid-2d benchmark workload
+# peaked at 34.07-34.23 MB instead of 32.35-32.69 MB (ten processes each).
 _BLOCK = 1 << 16
+# Entries of the one buffer that the diameter's pairwise squares and the 3D
+# membership test reuse for every block: 64 KiB of float64. In the spots-3d
+# benchmark the first `inside` of `certify_signs` computes the diameter,
+# and 512 KiB blocks there set the peak RSS of the run.
+_BUFFER = _BLOCK // 8
 
 
 def fibonacci_sphere(count: int) -> Array:
@@ -92,20 +106,21 @@ class ConvexPolytope:
         """Largest distance between two vertices.
 
         The vertices are read-only, so the O(V^2) pairwise scan runs once. It
-        takes _BLOCK // V rows at a time and adds the squared coordinate
-        differences one coordinate after the other, in the order of a sum
-        over the last axis. The square root is taken once, of the largest
-        square: it is monotone and correctly rounded, so that equals the
-        largest root."""
+        takes _BUFFER // 2V rows at a time, into the two halves of one
+        buffer, and adds the squared coordinate differences one coordinate
+        after the other, in the order of a sum over the last axis. The
+        square root is taken once, of the largest square: it is monotone and
+        correctly rounded, so that equals the largest root."""
         v = self.vertices
         if self.dimension == 1:
             return float(v.max() - v.min())
-        rows = max(1, _BLOCK // len(v))
+        rows = max(1, _BUFFER // (2 * len(v)))
+        pair = np.empty((2, min(rows, len(v)), len(v)))
         widest = 0.0
         for start in range(0, len(v), rows):
             block = v[start:start + rows]
-            total = np.zeros((len(block), len(v)))
-            gap = np.empty_like(total)
+            total, gap = pair[:, :len(block)]
+            total.fill(0.0)
             for axis in range(self.dimension):
                 np.subtract.outer(block[:, axis], v[:, axis], out=gap)
                 gap *= gap
@@ -145,9 +160,9 @@ class ConvexPolytope:
             # CCW polygon: non-negative cross products for every edge.
             cross = edge[:, 0] * rel[:, :, 1] - edge[:, 1] * rel[:, :, 0]
             return np.all(cross >= -slack, axis=1)
-        # _BLOCK // F rows at a time against the F facets, in one buffer.
+        # _BUFFER // F rows at a time against the F facets, in one buffer.
         normals, offsets = self.equations[:, :3].T, self.equations[:, 3]
-        rows = max(1, _BLOCK // len(offsets))
+        rows = max(1, _BUFFER // len(offsets))
         buffer = np.empty((min(rows, len(x)), len(offsets)))
         out = np.empty(len(x), dtype=bool)
         for start in range(0, len(x), rows):

@@ -989,6 +989,17 @@ def _series(coef: Array) -> _Series:
     return _Series(coef * sign, first[1::2] * sign[:-1], second[::2] * sign[:-1])
 
 
+@lru_cache(maxsize=None)
+def _jet_degrees(count: int) -> Tuple[Array, Array]:
+    """The degrees 2m of the cosines of a `_Series` with `count` even
+    coefficients, and the degrees 2m + 1 of its sines, as floats."""
+    even = 2.0 * np.arange(count)
+    odd = even[:-1] + 1.0
+    even.setflags(write=False)
+    odd.setflags(write=False)
+    return even, odd
+
+
 def _series_jet(series: _Series, reach: float, t: float, d: Array,
                 top: int = 2) -> List[Array]:
     """[h, h'/d, h''][:top + 1] at distances d in [0, D] of
@@ -999,18 +1010,20 @@ def _series_jet(series: _Series, reach: float, t: float, d: Array,
     h'/d is even and smooth; at d = 0 it is h''(0)."""
     s = np.minimum(d / reach, 1.0)
     phi = np.arcsin(s)
-    m = np.arange(len(series.even))
-    cos = np.cos(np.outer(phi, 2 * m))
+    even, odd = _jet_degrees(len(series.even))
+    cos = np.cos(np.multiply.outer(phi, even))
     q = cos @ series.even
     gauss = np.exp(-d * d / (4.0 * t))
     out = [gauss * q]
     if top == 0:
         return out
-    k = 2 * m[:-1] + 1
-    sin = np.sin(np.outer(phi, k))
-    # sin((2m+1) phi)/s -> 2m + 1 as s -> 0.
-    ratio = np.divide(sin, s[:, None], out=np.broadcast_to(k, sin.shape).astype(float),
-                      where=s[:, None] > 0.0)
+    sin = np.sin(np.multiply.outer(phi, odd))
+    # sin((2m+1) phi)/s -> 2m + 1 as s -> 0. The product with the odd
+    # coefficients reads `ratio` in Fortran order: a C-ordered copy rounds
+    # differently.
+    ratio = np.empty_like(sin, order="F")
+    ratio[...] = odd
+    np.divide(sin, s[:, None], out=ratio, where=s[:, None] > 0.0)
     q1 = (ratio @ series.odd) / (reach * reach)
     out.append(gauss * (q1 - q / (2.0 * t)))
     if top == 2:

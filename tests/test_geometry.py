@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, Delaunay
 
-from dampedwave.geometry import (_BLOCK, ConvexPolytope, NormalPoint,
+from dampedwave.features import _interior_points
+from dampedwave.geometry import (_BLOCK, _BUFFER, ConvexPolytope, NormalPoint,
                                  _ball_cloud, _probe_directions,
                                  fibonacci_sphere, hull_of_balls,
                                  hull_of_points, inscribed_ball_containment,
@@ -235,42 +236,47 @@ def _dot_error_bound(dirs, verts):
     return 1.01 * n * np.finfo(float).eps * (np.abs(dirs) @ np.abs(verts).T).max(axis=1)
 
 
-@pytest.mark.parametrize("dimension,count", [(2, 5), (2, 1000), (3, 700), (3, 1200)])
+@pytest.mark.parametrize("dimension,count", [(2, 5), (2, 1000), (3, 700), (3, 701), (3, 1200)])
 def test_blocked_geometry_matches_dense(dimension, count):
-    # Block rows _BLOCK // V leave a partial last block for every size here,
-    # and every size but the smallest takes several support blocks; the
-    # 1,200-vertex cloud also takes several diameter blocks.
+    # Support rows _BLOCK // V leave a partial last block for every size
+    # here, and every size but the smallest takes several support blocks.
+    # The diameter takes _BUFFER // 2V rows a block: several blocks for all
+    # but the smallest, and 701 vertices leave one remainder row. Each
+    # check runs on the cloud and on the cloud offset by 1e6.
     rng = np.random.default_rng(100 + count)
-    verts = rng.normal(size=(count, dimension)) * rng.uniform(0.5, 5.0, size=dimension)
-    body = ConvexPolytope(verts, dimension)
+    cloud = rng.normal(size=(count, dimension)) * rng.uniform(0.5, 5.0, size=dimension)
     rows = _BLOCK // count
     dirs = rng.normal(size=(3 * rows + 7 if count > 5 else 40, dimension))
-    # The diameter is elementwise arithmetic in the dense order: bit-equal.
-    assert body.diameter == _dense_diameter(body.vertices)
-    # BLAS may round a dot product on a tile edge of one product differently
-    # from the same dot product inside a tile of the other, so a support
-    # value may differ from the dense one in its last bits, never by more
-    # than the rounding bound of the dot product.
-    got = body.support(dirs)
-    want = _dense_support(dirs, body.vertices)
-    assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= _dot_error_bound(dirs, body.vertices))
     centers = rng.normal(size=(3, dimension))
     radii = rng.uniform(0.2, 1.5, size=3)
-    balls = hull_of_balls(centers, radii, dimension)
-    probes = _probe_directions(dimension)
-    assert balls.diameter == _dense_diameter(balls.vertices)
-    assert abs(balls.hull_tol - _dense_hull_tol(balls.vertices, centers, radii)) <= \
-        _dot_error_bound(probes, balls.vertices).max()
-    if dimension == 3:
-        # inside runs _BLOCK // F rows at a time against the F facets; no
-        # point here lies within rounding of a facet.
-        eqs = balls.equations
-        pts = rng.normal(size=(3 * (_BLOCK // len(eqs)) + 7, 3)) * 1.5
-        slack = 1e-12 * max(balls.diameter, 1.0)
-        want = np.all(pts @ eqs[:, :3].T + eqs[:, 3] <= slack, axis=1)
-        assert want.any() and not want.all()
-        np.testing.assert_array_equal(balls.inside(pts), want)
+    pts = rng.normal(size=(3 * _BUFFER // 1000 + 7, dimension)) * 1.5
+    for shift in (0.0, 1e6):
+        body = ConvexPolytope(cloud + shift, dimension)
+        # The diameter is elementwise arithmetic in the dense order: bit-equal.
+        assert body.diameter == _dense_diameter(body.vertices)
+        # BLAS may round a dot product on a tile edge of one product
+        # differently from the same dot product inside a tile of the other,
+        # so a support value may differ from the dense one in its last bits,
+        # never by more than the rounding bound of the dot product.
+        got = body.support(dirs)
+        want = _dense_support(dirs, body.vertices)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= _dot_error_bound(dirs, body.vertices))
+        balls = hull_of_balls(centers + shift, radii, dimension)
+        probes = _probe_directions(dimension)
+        assert balls.diameter == _dense_diameter(balls.vertices)
+        assert abs(balls.hull_tol - _dense_hull_tol(balls.vertices, centers + shift, radii)) <= \
+            _dot_error_bound(probes, balls.vertices).max()
+        if dimension == 3:
+            # inside runs _BUFFER // F rows at a time against the F facets
+            # (about 1,000 here, so 8 rows and a remainder of 7); no point
+            # here lies within rounding of a facet.
+            eqs = balls.equations
+            assert len(pts) % (_BUFFER // len(eqs)) > 0
+            slack = 1e-12 * max(balls.diameter, 1.0)
+            want = np.all((pts + shift) @ eqs[:, :3].T + eqs[:, 3] <= slack, axis=1)
+            assert want.any() and not want.all()
+            np.testing.assert_array_equal(balls.inside(pts + shift), want)
 
 
 def test_support_of_no_directions(two_2d, single_3d):
@@ -294,9 +300,12 @@ def test_bundled_hull_tol_and_diameter_bit_equal_dense(path):
 
 def test_3d_hull_memory_is_bounded():
     # A dense probe product of single_bump_3d would hold 32 MiB and dense
-    # pairwise differences for its diameter 14 MiB; a block holds 512 KiB.
-    # The tracemalloc high-waters of loading it and of its diameter are 0.89
-    # and 1.57 MiB, rounded up (4.39 and 4.20 MiB in blocks of 4 MiB).
+    # pairwise differences for its diameter 14 MiB; a support block holds
+    # 512 KiB, and the diameter and `inside` reuse one 64 KiB buffer. The
+    # tracemalloc high-waters of loading it and of its diameter (the hull
+    # included) are 0.89 and 0.20 MiB, rounded up, and `_interior_points`
+    # peaks 0.14 MiB above what is live before it (in 512 KiB blocks the
+    # diameter's was 1.57 MiB and _interior_points' 0.57 MiB).
     spec = json.loads((CONFIG_DIR / "single_bump_3d.json").read_text(encoding="utf-8"))["datum"]
     load_datum(spec)  # imports and cached rules, outside the measurement
     tracemalloc.start()
@@ -306,10 +315,15 @@ def test_3d_hull_memory_is_bounded():
         tracemalloc.reset_peak()
         body.diameter
         diameter_peak = tracemalloc.get_traced_memory()[1]
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _interior_points(body, 64, 0)
+        interior_peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
     assert datum_peak <= 0.89 * 2**20
-    assert diameter_peak <= 1.57 * 2**20
+    assert diameter_peak <= 0.20 * 2**20
+    assert interior_peak <= 0.14 * 2**20
 
 
 def test_hull_3d_faces_index_the_qhull_simplices():

@@ -183,3 +183,86 @@ def test_zero_amplitude_bump_adds_nothing(two_2d):
     pts = _probes(two_2d, field.reach - 4.0, 12, seed=5)
     assert np.array_equal(field.u(pts), base.u(pts))
     assert np.array_equal(field.errors, base.errors)
+
+
+# RadialField of single_bump_3d at t = 200 and order 32, recorded as hex
+# bits: a block of 14 rows, two directions at seven radii across
+# [r_crit, psi] (as in the negativity_crit grid of certify_signs, with dir2
+# along each row's direction), and two single points, the bump centre,
+# where sin((2m+1) phi)/s takes its limit 2m + 1, and the block's fourth
+# row. The block's grad and dir2 bits move if the odd-series product reads
+# its matrix in C order.
+FIELD_DIRS = [[0.6, 0.0, 0.8], [-0.48, 0.6, 0.64]]
+FIELD_PINS = {
+    "block": {
+        "u": [
+            "0x1.1313ed96cb73fp-28", "0x1.12f91eea4fc37p-28", "0x1.1271581860eebp-28",
+            "0x1.1182b417161e0p-28", "0x1.10332cfc7be8bp-28", "0x1.0e889aabe75a9p-28",
+            "0x1.0c88b1a3a2e61p-28", "0x1.1313ed96cb73fp-28", "0x1.12f91eea4fc37p-28",
+            "0x1.1271581860eebp-28", "0x1.1182b417161e0p-28", "0x1.10332cfc7be8bp-28",
+            "0x1.0e889aabe75a9p-28", "0x1.0c88b1a3a2e60p-28",
+        ],
+        "grad": [
+            "0x1.8e6c76ac48e34p-39", "0x0.0p+0", "0x1.099da472db424p-38",
+            "-0x1.13ad17bef5e31p-37", "0x0.0p+0", "-0x1.6f9174fe9d2ebp-37",
+            "-0x1.3b26de2965051p-36", "0x0.0p+0", "-0x1.a433d2e1dc06cp-36",
+            "-0x1.e2594630eaec0p-36", "0x0.0p+0", "-0x1.4190d975f1f2bp-35",
+            "-0x1.3fd2fa4a8f9afp-35", "0x0.0p+0", "-0x1.aa6ea30e14ceap-35",
+            "-0x1.89a39ae73a417p-35", "0x0.0p+0", "-0x1.066d11ef7c2bbp-34",
+            "-0x1.cebc9e3ccf212p-35", "0x0.0p+0", "-0x1.347dbed334c0dp-34",
+            "-0x1.3ebd2bbd071c4p-39", "0x1.8e6c76ac48e34p-39", "0x1.a8fc3a515ed05p-39",
+            "0x1.b914f2cb2304ep-38", "-0x1.13ad17bef5e31p-37", "-0x1.260df73217589p-37",
+            "0x1.f83e30423b3b6p-37", "-0x1.3b26de2965051p-36", "-0x1.502975817cd24p-36",
+            "0x1.81e104f3ef234p-36", "-0x1.e2594630eaec0p-36", "-0x1.0140adf7f4c23p-35",
+            "0x1.ffb7f6ddb2918p-36", "-0x1.3fd2fa4a8f9afp-35", "-0x1.55254f3e770bbp-35",
+            "0x1.3ae948b8fb67fp-35", "-0x1.89a39ae73a41fp-35", "-0x1.a3e1b64bf9e00p-35",
+            "0x1.72307e970c1a2p-35", "-0x1.cebc9e3ccf20bp-35", "-0x1.ed95fe1ebacd9p-35",
+        ],
+        "dir2": [
+            "-0x1.c08a5819b2fb5p-35", "-0x1.a8494ceb02658p-35", "-0x1.9082a9d414e7ep-35",
+            "-0x1.793c157113dc2p-35", "-0x1.627ab6653c72cp-35", "-0x1.4c43355459e44p-35",
+            "-0x1.3699bf1f0a0b4p-35", "-0x1.c08a5819b2fb1p-35", "-0x1.a8494ceb02658p-35",
+            "-0x1.9082a9d414e7ep-35", "-0x1.793c157113dc2p-35", "-0x1.627ab6653c72cp-35",
+            "-0x1.4c43355459e3dp-35", "-0x1.3699bf1f0a0b6p-35",
+        ],
+    },
+    "origin": {
+        "u": [
+            "-0x1.30675603a0923p-24",
+        ],
+        "grad": [
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        ],
+        "dir2": [
+            "0x1.3e22c017096cbp-32",
+        ],
+    },
+    "row-3": {
+        "u": [
+            "0x1.1182b417161dfp-28",
+        ],
+        "grad": [
+            "-0x1.e2594630eaea0p-36", "0x0.0p+0", "-0x1.4190d975f1f16p-35",
+        ],
+        "dir2": [
+            "-0x1.793c157113dc9p-35",
+        ],
+    },
+}
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_profile_field_keeps_every_bit(single_3d):
+    field = radial_field(single_3d, 200.0, 32)
+    assert field.fallback is None
+    dirs = np.array(FIELD_DIRS)
+    pts = (np.linspace(44.75, 46.9, 7)[None, :, None] * dirs[:, None, :]).reshape(-1, 3)
+    got = {"block": {"u": _hexes(field.u(pts)), "grad": _hexes(field.grad(pts)),
+                     "dir2": _hexes(field.dir2(pts, np.repeat(dirs, 7, axis=0)))}}
+    for name, x in (("origin", np.zeros(3)), ("row-3", pts[3])):
+        got[name] = {"u": _hexes(field.u(x)), "grad": _hexes(field.grad(x)),
+                     "dir2": _hexes(field.dir2(x, dirs[0]))}
+    assert got == FIELD_PINS
