@@ -29,6 +29,7 @@ from .geometry import (
     inscribed_ball_containment,
     phi_map,
     sample_normal_bundle,
+    unit_directions,
 )
 from .initial_data import (
     InitialDatum,
@@ -93,6 +94,7 @@ __all__ = [
     "inscribed_ball_containment",
     "phi_map",
     "sample_normal_bundle",
+    "unit_directions",
     # initial data
     "InitialDatum",
     "SmoothBump",

@@ -1,33 +1,26 @@
 """Convex hulls of ball unions, normal bundles, and annulus parametrization.
 
-Hulls are polytopal: each ball boundary is discretized (256 circle points in
-two dimensions, a 512-point Fibonacci covering in three) and the point cloud
-is hulled. The support deficiency of that approximation is measured against
-the exact ball supports over a dense direction probe and stored as hull_tol,
-so every downstream region test can widen its annuli by a certified amount.
-In one dimension the polytope degenerates to an interval and everything is
-analytic.
+Every hull is a ConvexPolytope in facet form: vertices, boundary faces of n
+vertex indices, and one unit outward facet equation per face, the form of
+qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996). So membership is one
+facet test, and distance one nearest-point search over the faces, in 1D-3D.
 
-The 2D hull is Andrew's monotone chain (A. M. Andrew, Inf. Process. Lett. 9,
-1979), so 2D data load no SciPy. The 3D hull is qhull, through
-scipy.spatial, imported at the first 3D hull.
+A ball hull hulls unit_directions on each ball boundary: the two ends in
+1D, where the hull is exact and hull_tol is 1e-6, 256 circle points in 2D
+and a 512-point Fibonacci covering in 3D. The support deficiency of that
+cloud is measured against the exact ball supports over a dense direction
+probe and stored as hull_tol, so every downstream region test can widen its
+annuli by a certified amount. The 2D hull is Andrew's monotone chain (A. M.
+Andrew, Inf. Process. Lett. 9, 1979), so 2D data load no SciPy; the 3D
+hull is qhull, through scipy.spatial, imported at the first 3D hull.
 
-The dense products over the vertices or facets run in row blocks, so none
-builds a matrix larger than its block. The support over thousands of probe
-directions, which loading a datum computes, takes blocks of _BLOCK float64
-entries, 512 KiB. The products of a feature run, the pairwise vertex
-distances of the diameter and the 3D membership test against every facet,
-go through one buffer of _BUFFER entries, 64 KiB, made once per call and
-reused for every block. The split is measured: with support blocks of
-64 KiB too, the peak RSS of a process that runs the grid-2d benchmark
-workload, whose peak the load sets, rose by 1.6 MB, and that of the
-spots-3d workload moved within its noise.
-
-The diameter adds its squares in the dense order, and a max is exact, so it
-keeps every bit. A support entry is the same dot product as in one dense
-product, but BLAS may round one that lies on a tile edge in one product and
-inside a tile in the other differently in its last bit; every bundled datum
-keeps its hull_tol bit for bit.
+The dense products run in row blocks: the support over the probe in blocks
+of _BLOCK entries, and the diameter's pairwise squares and the membership
+test against the facets through one reused buffer of _BUFFER entries. The
+diameter adds its squares in the dense order, and a max is exact, so it
+keeps every bit. BLAS may round a support entry on a tile edge differently
+from one dense product in its last bit; every bundled datum keeps its
+hull_tol bit for bit.
 """
 
 from __future__ import annotations
@@ -47,12 +40,15 @@ __all__ = [
     "phi_map",
     "sample_normal_bundle",
     "inscribed_ball_containment",
+    "unit_directions",
 ]
 
 Array = np.ndarray
 
-CIRCLE_POINTS = 256
-SPHERE_POINTS = 512
+# Directions per ball of the hulled cloud, and of the probe that measures
+# the cloud hull's support deficiency.
+_CLOUD_DIRECTIONS = {1: 2, 2: 256, 3: 512}
+_PROBE_DIRECTIONS = {1: 2, 2: 4096, 3: 8192}
 # Entries per row block of the support's probe product: 512 KiB of float64.
 # A block is the largest array a hull builds, so it bounds the memory of
 # loading a datum: a dense probe product of single_bump_3d would hold
@@ -61,7 +57,7 @@ SPHERE_POINTS = 512
 # blocks of 64 KiB a fresh process that runs the grid-2d benchmark workload
 # peaked at 34.07-34.23 MB instead of 32.35-32.69 MB (ten processes each).
 _BLOCK = 1 << 16
-# Entries of the one buffer that the diameter's pairwise squares and the 3D
+# Entries of the one buffer that the diameter's pairwise squares and the
 # membership test reuse for every block: 64 KiB of float64. In the spots-3d
 # benchmark the first `inside` of `certify_signs` computes the diameter,
 # and 512 KiB blocks there set the peak RSS of the run.
@@ -78,6 +74,20 @@ def fibonacci_sphere(count: int) -> Array:
     return np.stack([s * np.cos(azimuth), s * np.sin(azimuth), z], axis=1)
 
 
+def unit_directions(n: int, count: int, phase: float = 0.0) -> Array:
+    """Quasi-uniform unit vectors in R^n: the two of 1D whatever the count,
+    count equally spaced angles (k + phase) 2 pi / count in 2D, and the
+    Fibonacci lattice in 3D."""
+    if n == 1:
+        return np.array([[1.0], [-1.0]])
+    if n == 2:
+        ang = (np.arange(count) + phase) * (2.0 * np.pi / count)
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    if n == 3:
+        return fibonacci_sphere(count)
+    raise ValueError(f"unit directions cover dimensions 1-3, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class NormalPoint:
     """Boundary point xi with unit outward normal nu; the half space
@@ -87,8 +97,14 @@ class NormalPoint:
 
 
 class ConvexPolytope:
-    """Immutable convex body: interval (1-D), CCW polygon (2-D), or a
-    triangulated vertex/face hull (3-D)."""
+    """Immutable convex body in facet form: its vertices, boundary `faces`
+    of n vertex indices each, and one unit outward facet equation per face,
+    a row (normal, offset) with normal . x + offset <= 0 inside.
+
+    The faces of an interval are its two ends, and those of a polygon are
+    the edges of its vertex cycle, counterclockwise or clockwise; both are
+    derived from the vertices at their first use. A 3D body carries qhull's
+    triangles and equations, which `hull_of_points` passes in."""
 
     def __init__(self, vertices: Array, dimension: int,
                  faces: Optional[Array] = None,
@@ -96,10 +112,21 @@ class ConvexPolytope:
                  hull_tol: float = 1e-6) -> None:
         self.dimension = int(dimension)
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, dimension)
-        self.faces = None if faces is None else np.asarray(faces, dtype=int)
-        self.equations = None if equations is None else np.asarray(equations, dtype=float)
         self.hull_tol = float(hull_tol)
         self.vertices.setflags(write=False)
+        # Given faces and equations shadow the derived cached_property.
+        if faces is not None:
+            self.faces = np.asarray(faces, dtype=int)
+        if equations is not None:
+            self.equations = np.asarray(equations, dtype=float)
+
+    @cached_property
+    def faces(self) -> Array:
+        return _derived_facets(self.vertices, self.dimension)[0]
+
+    @cached_property
+    def equations(self) -> Array:
+        return _derived_facets(self.vertices, self.dimension)[1]
 
     @cached_property
     def diameter(self) -> float:
@@ -110,10 +137,9 @@ class ConvexPolytope:
         buffer, and adds the squared coordinate differences one coordinate
         after the other, in the order of a sum over the last axis. The
         square root is taken once, of the largest square: it is monotone and
-        correctly rounded, so that equals the largest root."""
+        correctly rounded, so that equals the largest root (in 1D,
+        sqrt(fl(d^2)) = |d|)."""
         v = self.vertices
-        if self.dimension == 1:
-            return float(v.max() - v.min())
         rows = max(1, _BUFFER // (2 * len(v)))
         pair = np.empty((2, min(rows, len(v)), len(v)))
         widest = 0.0
@@ -147,21 +173,13 @@ class ConvexPolytope:
 
     def inside(self, points: Array) -> Array:
         """Row-wise membership of an (m, n) array, without the nearest-point
-        problem: the rows `distance` puts at 0 (boundary slack included).
-        In 3-D it reads the facet `equations`."""
+        problem: the rows `distance` puts at 0. A row is inside when no
+        facet equation exceeds 1e-12 * max(diameter, 1), the boundary slack.
+        The rows go _BUFFER // F at a time against the F facets, in one
+        buffer."""
         x = np.asarray(points, dtype=float).reshape(-1, self.dimension)
-        v = self.vertices
-        if self.dimension == 1:
-            return (x[:, 0] >= v.min()) & (x[:, 0] <= v.max())
+        normals, offsets = self.equations[:, :-1].T, self.equations[:, -1]
         slack = 1e-12 * max(self.diameter, 1.0)
-        if self.dimension == 2:
-            edge = np.roll(v, -1, axis=0) - v
-            rel = x[:, None, :] - v[None, :, :]
-            # CCW polygon: non-negative cross products for every edge.
-            cross = edge[:, 0] * rel[:, :, 1] - edge[:, 1] * rel[:, :, 0]
-            return np.all(cross >= -slack, axis=1)
-        # _BUFFER // F rows at a time against the F facets, in one buffer.
-        normals, offsets = self.equations[:, :3].T, self.equations[:, 3]
         rows = max(1, _BUFFER // len(offsets))
         buffer = np.empty((min(rows, len(x)), len(offsets)))
         out = np.empty(len(x), dtype=bool)
@@ -174,40 +192,15 @@ class ConvexPolytope:
 
     def distance(self, x: Array) -> Tuple[float, Array, Optional[Array]]:
         """Distance to the body with nearest boundary point and outward unit
-        direction; direction is None (and the point is x itself) inside."""
+        direction; direction is None (and the point is x itself) inside.
+        Outside, the nearest point is sought over the faces as triangles, a
+        face of fewer than three vertices repeating its last vertex."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.dimension == 1:
-            lo, hi = float(self.vertices.min()), float(self.vertices.max())
-            pos = float(x[0])
-            if pos < lo:
-                return lo - pos, np.array([lo]), np.array([-1.0])
-            if pos > hi:
-                return pos - hi, np.array([hi]), np.array([1.0])
-            return 0.0, x.copy(), None
-        if self.dimension == 2:
-            return self._distance_polygon(x)
-        return self._distance_polyhedron(x)
-
-    def _distance_polygon(self, x: Array) -> Tuple[float, Array, Optional[Array]]:
         if self.inside(x)[0]:
             return 0.0, x.copy(), None
-        v = self.vertices
-        edge = np.roll(v, -1, axis=0) - v
-        rel = x[None, :] - v
-        seg_len2 = np.maximum((edge * edge).sum(axis=1), 1e-300)
-        frac = np.clip((rel * edge).sum(axis=1) / seg_len2, 0.0, 1.0)
-        candidate = v + frac[:, None] * edge
-        gap = x[None, :] - candidate
-        dist = np.sqrt((gap * gap).sum(axis=1))
-        best = int(np.argmin(dist))
-        rho = float(dist[best])
-        xi = candidate[best]
-        return rho, xi, (x - xi) / rho
-
-    def _distance_polyhedron(self, x: Array) -> Tuple[float, Array, Optional[Array]]:
-        if self.equations is not None and self.inside(x)[0]:
-            return 0.0, x.copy(), None
-        xi = _nearest_on_triangles(x, self.vertices, self.faces)
+        faces = self.faces
+        triangles = np.pad(faces, ((0, 0), (0, 3 - faces.shape[1])), mode="edge")
+        xi = _nearest_on_triangles(x, self.vertices, triangles)
         gap = x - xi
         rho = float(np.linalg.norm(gap))
         if rho == 0.0:
@@ -215,8 +208,36 @@ class ConvexPolytope:
         return rho, xi, gap / rho
 
 
+def _derived_facets(vertices: Array, dimension: int) -> Tuple[Array, Array]:
+    """Faces and unit outward facet equations of an interval or of a
+    polygon's vertex cycle; a 3D body has qhull's."""
+    v = vertices
+    if dimension == 1:
+        faces = np.array([[np.argmin(v[:, 0])], [np.argmax(v[:, 0])]])
+        normals = np.array([[-1.0], [1.0]])
+    elif dimension == 2:
+        after = np.roll(np.arange(len(v)), -1)
+        # Twice the signed area (shoelace): positive for a CCW cycle, whose
+        # outward normals are the edges turned clockwise, negative for a CW one.
+        area = float(np.sum(v[:, 0] * v[after, 1] - v[after, 0] * v[:, 1]))
+        if not abs(area) > 0.0:
+            raise ValueError("a 2D ConvexPolytope needs vertices that enclose "
+                             f"an area, got signed area {0.5 * area}")
+        # A repeated vertex, as in a closed list, makes no face.
+        faces = np.stack([np.arange(len(v)), after], axis=1)[np.any(v[after] != v, axis=1)]
+        edge = v[faces[:, 1]] - v[faces[:, 0]]
+        normals = np.sign(area) * np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+        normals /= np.hypot(edge[:, 0], edge[:, 1])[:, None]
+    else:
+        raise ValueError("a 3D ConvexPolytope needs qhull's faces and "
+                         "equations: build it with hull_of_points")
+    offsets = -(normals * v[faces[:, 0]]).sum(axis=1)
+    return faces, np.column_stack([normals, offsets])
+
+
 def _nearest_on_triangles(x: Array, verts: Array, faces: Array) -> Array:
-    """Closest point to x over a triangle soup (vectorized per-region rules)."""
+    """Closest point to x over a triangle soup (vectorized per-region rules).
+    A segment (a, b, b) or a point (a, a, a) ends in its vertex and edge rules."""
     a = verts[faces[:, 0]]
     b = verts[faces[:, 1]]
     c = verts[faces[:, 2]]
@@ -274,30 +295,20 @@ def _nearest_on_triangles(x: Array, verts: Array, faces: Array) -> Array:
 
 
 def _ball_cloud(centers: Array, radii: Array, dimension: int) -> Array:
-    if dimension == 2:
-        ang = np.arange(CIRCLE_POINTS) * (2.0 * np.pi / CIRCLE_POINTS)
-        ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return (centers[:, None, :] + radii[:, None, None] * ring[None, :, :]).reshape(-1, 2)
-    shell = fibonacci_sphere(SPHERE_POINTS)
-    return (centers[:, None, :] + radii[:, None, None] * shell[None, :, :]).reshape(-1, 3)
+    shell = unit_directions(dimension, _CLOUD_DIRECTIONS[dimension])
+    return (centers[:, None, :] + radii[:, None, None] * shell[None, :, :]).reshape(-1, dimension)
 
 
 def _probe_directions(dimension: int) -> Array:
-    if dimension == 2:
-        ang = (np.arange(4096) + 0.37) * (2.0 * np.pi / 4096)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return fibonacci_sphere(8192)
+    return unit_directions(dimension, _PROBE_DIRECTIONS[dimension], phase=0.37)
 
 
 def hull_of_balls(centers: Array, radii: Sequence[float],
                   dimension: int) -> ConvexPolytope:
-    """Polytopal hull of a union of balls with a measured support deficiency."""
+    """Polytopal hull of a union of balls with a measured support deficiency
+    (none in 1D, whose cloud c +- r is exact: hull_tol is 1e-6)."""
     centers = np.asarray(centers, dtype=float).reshape(-1, dimension)
     radii = np.asarray(radii, dtype=float)
-    if dimension == 1:
-        lo = float((centers[:, 0] - radii).min())
-        hi = float((centers[:, 0] + radii).max())
-        return ConvexPolytope(np.array([[lo], [hi]]), 1, hull_tol=1e-6)
     body = hull_of_points(_ball_cloud(centers, radii, dimension), dimension)
     probes = _probe_directions(dimension)
     exact = ((probes @ centers.T) + radii[None, :]).max(axis=1)
@@ -371,17 +382,8 @@ def sample_normal_bundle(body: ConvexPolytope, count: int) -> List[NormalPoint]:
     """
     if count < 1:
         raise ValueError(f"direction count must be at least 1, got {count}")
-    if body.dimension == 1:
-        lo, hi = float(body.vertices.min()), float(body.vertices.max())
-        return [NormalPoint(np.array([hi]), np.array([1.0])),
-                NormalPoint(np.array([lo]), np.array([-1.0]))]
-    if body.dimension == 2:
-        ang = np.arange(count) * (2.0 * np.pi / count)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        dirs = fibonacci_sphere(count)
-    scores = dirs @ body.vertices.T
-    picks = np.argmax(scores, axis=1)
+    dirs = unit_directions(body.dimension, count)
+    picks = np.argmax(dirs @ body.vertices.T, axis=1)
     return [NormalPoint(body.vertices[int(i)].copy(), d.copy())
             for i, d in zip(picks, dirs)]
 

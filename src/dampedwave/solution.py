@@ -47,7 +47,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .geometry import fibonacci_sphere
+from .geometry import unit_directions
 from .initial_data import InitialDatum, SmoothBump
 from .kernels import kernel_at_zero, kernel_deriv_at_zero, kernel_ktilde_scaled
 from .quadrature import (clipped_ball_nodes, gauss_legendre, interval_nodes,
@@ -879,13 +879,7 @@ def heat_eval(datum: InitialDatum, x: Union[Array, float], t: float,
 def _diagnostic_points(datum: InitialDatum, t: float) -> Array:
     """Rays from the centroid: a coarse cone fill plus a fine light-cone shell."""
     n = datum.dimension
-    if n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif n == 2:
-        ang = np.arange(8) * (math.pi / 4.0)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        dirs = fibonacci_sphere(8)
+    dirs = unit_directions(n, 8)
     span = datum.diameter + 2.0
     radii = np.concatenate([
         np.linspace(0.0, span, 10),

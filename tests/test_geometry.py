@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -39,26 +40,41 @@ def test_phi_roundtrip_random_polygons():
             assert np.linalg.norm(phi_map(NormalPoint(xi, nu), rho_back) - x) <= 1e-9
 
 
+def _face_samples(body, steps):
+    """Points on every face of the body: a barycentric grid of spacing
+    1/steps on each face (the end itself in 1D), and the grid's spacing."""
+    k = body.faces.shape[1]
+    grid = [c for c in itertools.product(range(steps + 1), repeat=k - 1) if sum(c) <= steps]
+    grid = np.array(grid, dtype=float).reshape(len(grid), k - 1) / steps
+    weights = np.column_stack([1.0 - grid.sum(axis=1), grid])
+    corners = body.vertices[body.faces]
+    spacing = float(np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2).max()) / steps
+    return np.einsum("sk,fkn->fsn", weights, corners).reshape(-1, body.dimension), spacing
+
+
 def test_distance_matches_brute_force():
+    # Polygons, intervals and 3D hulls against the nearest of dense samples
+    # on their faces. The sample nearest to the true nearest point lies
+    # within the grid spacing h of it, along the face, so the brute-force
+    # distance lies in [rho, hypot(rho, h)].
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        body = random_polygon(rng)
-        verts = body.vertices
-        edges = np.concatenate([verts, verts[:1]], axis=0)
-        dense = np.concatenate([
-            edges[i] + np.linspace(0.0, 1.0, 400)[:, None]
-            * (edges[i + 1] - edges[i])
-            for i in range(len(verts))])
+    for dimension in (2,) * 5 + (1,) * 3 + (3,) * 3:
+        if dimension == 2:
+            body = random_polygon(rng)
+        else:
+            body = hull_of_points(rng.normal(size=(12, dimension)) * 2.0, dimension)
+        dense, spacing = _face_samples(body, 400 if dimension < 3 else 40)
         for _ in range(20):
-            x = rng.normal(size=2) * 4.0
+            x = rng.normal(size=dimension) * 4.0
             rho, xi, nu = body.distance(x)
             brute = float(np.min(np.linalg.norm(dense - x, axis=1)))
             if rho == 0.0:
                 assert body.contains(x)
                 continue
-            assert rho == pytest.approx(brute, abs=1e-3)
+            assert rho - 1e-12 <= brute <= math.hypot(rho, spacing) + 1e-12
             assert np.linalg.norm(xi - x) == pytest.approx(rho, rel=1e-12)
             assert np.linalg.norm(nu) == pytest.approx(1.0, rel=1e-12)
+            assert body.distance(xi)[0] == 0.0
 
 
 def test_distance_1d_interval():
@@ -109,14 +125,19 @@ def test_hull_of_balls_dimensions(two_1d, two_2d, single_3d):
     assert single_3d.hull.contains(np.array([0.0, 0.0, 0.99]), tol=5e-3)
 
 
-@pytest.mark.parametrize("name", ["two_2d", "two_3d"])
+@pytest.mark.parametrize("name", ["two_1d", "two_2d", "two_3d"])
 def test_inside_matches_delaunay(name, request):
     # Vectorized membership against an independent test: the point lies in
-    # a simplex of the Delaunay triangulation of the hull's vertices.
+    # a simplex of the Delaunay triangulation of the hull's vertices, or in
+    # 1D between the interval's ends. The box around the vertices has a
+    # margin of 0.5, so that some points lie outside the interval.
     hull = request.getfixturevalue(name).hull
-    lo, hi = hull.vertices.min(axis=0), hull.vertices.max(axis=0)
+    lo, hi = hull.vertices.min(axis=0) - 0.5, hull.vertices.max(axis=0) + 0.5
     pts = lo + (hi - lo) * np.random.default_rng(12).random((2000, hull.dimension))
-    want = Delaunay(hull.vertices).find_simplex(pts) >= 0
+    if hull.dimension == 1:
+        want = (pts[:, 0] >= hull.vertices.min()) & (pts[:, 0] <= hull.vertices.max())
+    else:
+        want = Delaunay(hull.vertices).find_simplex(pts) >= 0
     assert 0 < want.sum() < len(pts)
     np.testing.assert_array_equal(hull.inside(pts), want)
 
@@ -305,7 +326,13 @@ def test_3d_hull_memory_is_bounded():
     # tracemalloc high-waters of loading it and of its diameter (the hull
     # included) are 0.89 and 0.20 MiB, rounded up, and `_interior_points`
     # peaks 0.14 MiB above what is live before it (in 512 KiB blocks the
-    # diameter's was 1.57 MiB and _interior_points' 0.57 MiB).
+    # diameter's was 1.57 MiB and _interior_points' 0.57 MiB). The 2D
+    # `inside` goes through the same buffer: on two_bump_2d's 258 edges a
+    # warm `_interior_points` peaks at 0.13 MiB, against 2.09 MiB for the
+    # dense (m, V, 2) product of its edge cross products.
+    spec_2d = json.loads((CONFIG_DIR / "two_bump_2d.json").read_text(encoding="utf-8"))["datum"]
+    hull_2d = load_datum(spec_2d).hull
+    _interior_points(hull_2d, 64, 0)  # facets and diameter, outside the measurement
     spec = json.loads((CONFIG_DIR / "single_bump_3d.json").read_text(encoding="utf-8"))["datum"]
     load_datum(spec)  # imports and cached rules, outside the measurement
     tracemalloc.start()
@@ -319,11 +346,45 @@ def test_3d_hull_memory_is_bounded():
         tracemalloc.reset_peak()
         _interior_points(body, 64, 0)
         interior_peak = tracemalloc.get_traced_memory()[1] - live
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _interior_points(hull_2d, 64, 0)
+        interior_peak_2d = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
     assert datum_peak <= 0.89 * 2**20
     assert diameter_peak <= 0.20 * 2**20
     assert interior_peak <= 0.14 * 2**20
+    assert interior_peak_2d <= 0.20 * 2**20
+
+
+def test_polygon_faces_follow_either_orientation():
+    # The outward normals follow the sign of the area, so a clockwise list
+    # is the same body as its counterclockwise reversal; a closed list,
+    # whose last vertex repeats its first, too. A list that encloses no
+    # area has no outward side.
+    ccw = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    pts = np.random.default_rng(14).uniform(-2.0, 2.0, size=(500, 2))
+    want = np.all(np.abs(pts) <= 1.0, axis=1)
+    for verts in (ccw, ccw[::-1], np.vstack([ccw, ccw[:1]]), np.vstack([ccw[::-1], ccw[-1:]])):
+        body = ConvexPolytope(verts, 2)
+        np.testing.assert_array_equal(body.inside(pts), want)
+        assert body.distance(np.zeros(2))[0] == 0.0
+        rho, xi, nu = body.distance(np.array([3.0, 0.5]))
+        assert (rho, *xi, *nu) == (2.0, 1.0, 0.5, 1.0, 0.0)
+    for flat in ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [[1.0, 2.0]] * 3):
+        with pytest.raises(ValueError, match="enclose an area"):
+            ConvexPolytope(np.array(flat), 2).inside(np.zeros((1, 2)))
+
+
+def test_3d_polytope_without_faces_names_hull_of_points():
+    # A 3D body's facets are qhull's; without them only the vertex
+    # functions work, and membership says where the facets come from.
+    body = ConvexPolytope(fibonacci_sphere(64), 3)
+    assert body.diameter > 1.9
+    for call in (lambda: body.inside(np.zeros((1, 3))), lambda: body.distance(np.zeros(3))):
+        with pytest.raises(ValueError, match="hull_of_points"):
+            call()
 
 
 def test_hull_3d_faces_index_the_qhull_simplices():
