@@ -12,17 +12,19 @@ dimensions) or wave-weighted moment terms (even dimensions, where the radial
 kernel derivative carries a 1/sqrt(t^2 - r^2) factor).
 
 Every bump is radial, so u and its derivatives are sums of per-bump terms of
-d = |x - c| alone. One core (`_parts`) runs the loop over the bumps for each
-kind of evaluation (`_Kind`) and gives each bump's radial scalars, with no
-direction in them: h for u, h'/d for grad u, and h'/d and h'' for dir2 u.
-One assembly (`_assemble`), shared with `RadialField`, sums them into u,
-grad u and dir2 u along omega. Ball and sphere integrals reduce to a radial
-rule in r and an angular rule in the angle to the bump centre (spherical
-means; F. John, Plane Waves and Spherical Means, 1955). One set of per-node
-wave formulas gives the sphere integrals of radius r: at r = t they are the
-wave terms in odd n (in 1D the two points x +- t), and in 2D the
-wave-weighted ball integrals weigh them at each radial node of the ball.
-u's two 2D wave-weighted integrals alone run on the chords of
+d = |x - c| alone. One index, top, names the quantity throughout: 0 for u
+(or its principal part alone), 1 for grad u and 2 for dir2 u. One core
+(`_parts`) runs the loop over the bumps for a chunk of rows and gives each
+bump's radial scalars, with no direction in them: h for u, h'/d for grad u,
+and h'/d and h'' for dir2 u. One assembly (`_assemble`), shared with
+`RadialField`, sums them into u, grad u and dir2 u along omega, from the
+offsets and distances that loop measured. Ball and sphere integrals reduce
+to a radial rule in r and an angular rule in the angle to the bump centre
+(spherical means; F. John, Plane Waves and Spherical Means, 1955). One set
+of per-node wave formulas gives the sphere integrals of radius r: at r = t
+they are the wave terms in odd n (in 1D the two points x +- t), and in 2D
+the wave-weighted ball integrals weigh them at each radial node of the
+ball. u's two 2D wave-weighted integrals alone run on the chords of
 `quadrature.clipped_ball_nodes`, in per-node scalars with no node point.
 
 The evaluators take one point or an (m, n) block of points at one t, and a
@@ -35,7 +37,8 @@ a pass is bounded whatever the block. The node passes form their arrays in
 place, in the order the formulas are written. Every row equals its
 single-point value bit for bit (see `_row_dots`), whatever the chunk and
 slice. All of them, and `heat_eval`, check their input in one front end
-(`_as_points`) and share one back end (`_evaluate`).
+(`_as_points`) and share one back end (`_evaluate`); all but the principal
+part alone refuse a dimension above three first (`_check_full`).
 """
 
 from __future__ import annotations
@@ -114,6 +117,13 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be finite and positive, got {t}")
 
 
+def _check_full(n: int) -> None:
+    """u, its derivatives and the heat smoothing have closed forms in
+    dimensions one to three; only the principal part alone reaches any n."""
+    if not 1 <= n <= 3:
+        raise ValueError(f"full field evaluation supports dimensions 1-3, got {n}")
+
+
 def _as_points(datum: InitialDatum, x: Union[Array, float], t: float,
                omega: Optional[Array] = None) -> Tuple[Array, bool, Optional[Array]]:
     """x as an (m, n) block of points (a point, or a number in 1D, is one
@@ -177,16 +187,19 @@ def _row_dots(a: Array, b: Array) -> Array:
 _SLICE_NODES = 1 << 14
 
 
-def _in_chunks(parts: Callable[[Array], Array], order: int, x: Array) -> Array:
-    """parts(rows of x), a chunk of rows at a time, with its results joined
-    back along their last axis, the rows. The rule order sets the chunk
-    size, and must be at least 1."""
+def _in_chunks(parts: Callable[..., Tuple[Array, ...]], order: int,
+               *blocks: Array) -> Tuple[Array, ...]:
+    """parts(rows of each block), a chunk of rows at a time, with each of
+    its results joined back along the rows: the blocks are the points and,
+    for dir2, their directions. The rule order sets the chunk size, and
+    must be at least 1."""
     if order < 1:
         raise ValueError(f"quadrature order must be at least 1, got {order}")
     step = max(1, _SLICE_NODES // (4 * order))
-    if len(x) <= step:
-        return parts(x)
-    return np.concatenate([parts(x[i:i + step]) for i in range(0, len(x), step)], axis=-1)
+    if len(blocks[0]) <= step:
+        return parts(*blocks)
+    chunks = [parts(*(b[i:i + step] for b in blocks)) for i in range(0, len(blocks[0]), step)]
+    return tuple(np.concatenate(result) for result in zip(*chunks))
 
 
 def _evaluate(pts: Array, single: bool, t: float, order: int, check: bool, label: str,
@@ -208,7 +221,7 @@ def _evaluate(pts: Array, single: bool, t: float, order: int, check: bool, label
     def checked(o: int) -> Tuple[Array, Array]:
         p, wave, mass = terms(o)
         stacked = np.stack([p, wave, p + wave], axis=1)
-        top = np.abs(stacked[:, :2]).reshape(len(pts), -1).max(axis=1)
+        top = np.abs(stacked[:, :2]).max(axis=tuple(range(1, stacked.ndim)))
         return stacked, np.maximum(top, 1e-9 * mass)
 
     if check:
@@ -245,9 +258,7 @@ def _wave_pair(n: int, t: float) -> Tuple[float, float]:
         return 1.0, 0.0
     if n == 2:
         return 0.25 * t * t - t + 2.0, 2.0 * t
-    if n == 3:
-        return 0.5 * t * t - 2.0 * t + 4.0, 4.0 * t
-    raise ValueError(f"full field evaluation supports dimensions 1-3, got {n}")
+    return 0.5 * t * t - 2.0 * t + 4.0, 4.0 * t
 
 
 def _sphere_area(n: int) -> float:
@@ -562,7 +573,7 @@ def _per_row(ch: _Chords, a: Array) -> Array:
     return np.add.reduceat(a.sum(axis=1), ch.starts)
 
 
-# The wave terms of one bump: (damped principal terms, M, dM); see _Kind.
+# The wave terms of one bump: (damped principal terms, M, dM); see _parts.
 Terms = Tuple[Tuple[Array, ...], Array, Array]
 
 
@@ -580,7 +591,7 @@ def _disc_u(bump: SmoothBump, ch: _Chords, t: float) -> Terms:
 
 # The wave formulas below give their terms at each node of a `_Nodes`
 # slice, on the sphere of radius r around the node's point, from the
-# slice's profile table up to one derivative more than their kind's top: r
+# slice's profile table up to one derivative more than their top: r
 # is the float t on the odd sphere, and the array of node radii in the 2D
 # ball. M is the integral of f (or of one of its derivatives) over that
 # sphere in unit-sphere measure, and dM its rate d/dr.
@@ -637,19 +648,21 @@ def _wave_dir2(bump: SmoothBump, nodes: _Nodes, table: Array, t: float,
     return (first, second), m, dm
 
 
-def _wave_terms(kind: _Kind, bump: SmoothBump, rule: _Radial, t: float,
+def _wave_terms(top: int, bump: SmoothBump, rule: _Radial, t: float,
                 order: int) -> Terms:
-    """The wave terms of one kind at each point of the rule: on the odd
-    sphere its one node's, and in 2D the ball integral of its nodes' with
-    weights t r dphi (times the angular weights, t dy / sqrt(t**2 -
-    |y - x|**2)), and one more factor r in dM, which takes y - x = r*theta."""
+    """The wave terms of u (top 0), grad u (1) or dir2 u (2) at each point
+    of the rule: on the odd sphere its one node's, and in 2D the ball
+    integral of its nodes' with weights t r dphi (times the angular weights,
+    t dy / sqrt(t**2 - |y - x|**2)), and one more factor r in dM, which
+    takes y - x = r*theta."""
     odd = len(bump.center) % 2 == 1
+    wave = (_wave_u, _wave_grad, _wave_dir2)[top]
 
     def sums(nodes: _Nodes, table: Array) -> Tuple[Array, ...]:
-        damped, m, dm = kind.wave(bump, nodes, table, t, t if odd else nodes.r)
+        damped, m, dm = wave(bump, nodes, table, t, t if odd else nodes.r)
         return (*damped, m, dm)
 
-    *damped, m, dm = _angular_sums(bump, rule, order, kind.top + 1, sums)
+    *damped, m, dm = _angular_sums(bump, rule, order, top + 1, sums)
     if odd:
         return tuple(damped), m, dm
     weight = rule.wphi * t * rule.r
@@ -657,62 +670,47 @@ def _wave_terms(kind: _Kind, bump: SmoothBump, rule: _Radial, t: float,
             _segment_dots(rule, weight, m), _segment_dots(rule, weight * rule.r, dm))
 
 
-class _Kind(NamedTuple):
-    """The per-bump radial terms of one kind of evaluation, summed by
-    `_assemble` at its top: 0 for the principal part alone and u (h), 1 for
-    grad u (h'/d), 2 for dir2 u (h'/d and h''). Each has a principal ball
-    term and |kernel| mass and, but for the principal part alone, wave terms
-    (`_wave_terms`: on the radius-t sphere in odd n, over the ball in 2D,
-    and on the clipped-ball chords for u in 2D, disc). The raw wave is
-    gamma * (a * M + b * dM) (`_wave_pair`), in 2D over t**2 and t**3."""
-    top: int
-    ball: Callable[..., Tuple[Array, Array]]
-    wave: Optional[Callable[..., Terms]] = None
-    disc: Optional[Callable[..., Terms]] = None
+def _parts(top: int, datum: InitialDatum, t: float, order: int, wave: bool,
+           x: Array, omega: Optional[Array] = None) -> Tuple[Array, Array, Array]:
+    """(principal, raw wave, |kernel| mass) of u (top 0), grad u (1) or
+    dir2 u (2, along a unit direction per row of omega) at each row of x.
 
-
-_PRINCIPAL = _Kind(0, _ball_principal)
-_FIELD = _Kind(0, _ball_principal, _wave_u, _disc_u)
-_GRAD = _Kind(1, _ball_grad, _wave_grad)
-_DIR2 = _Kind(2, _ball_dir2, _wave_dir2)
-
-
-def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
-           x: Array) -> Array:
-    """The radial terms of one kind (`_Kind`) at each row of x: an array
-    (bumps, k, 4, rows) of the principal term, M, dM and |kernel| mass of
-    each of its k radial scalars.
-
-    Per bump: one radial rule for the principal ball term, with one kernel
-    call, and, with wave, one for the wave terms: over the radius-t sphere
-    in odd n, over the ball in 2D, and for u in 2D one pass over the
-    clipped-ball chords of each `_SLICE_NODES` worth of rows. Without wave
-    the wave terms and the damped principal terms are not computed, and
-    are 0.
+    Per bump, the principal term, M, dM and mass of each of its radial
+    scalars (`_assemble`) add up in the four rows of its own array: one
+    radial rule for the principal ball term, with one kernel call, and, with
+    wave, one for the wave terms: over the radius-t sphere in odd n, over
+    the ball in 2D, and for u in 2D one pass over the clipped-ball chords of
+    each `_SLICE_NODES` worth of rows. Without wave (the principal part alone,
+    and every t where exp(-t/2) is 0) the wave terms and the damped
+    principal terms are not computed, and are 0. `_assemble` then sums the
+    bumps' offsets, distances and scalars, a gradient's mass as the sum of
+    its bumps', and the raw wave is gamma * (a * M + b * dM) (`_wave_pair`),
+    in 2D over t**2 and t**3.
     """
     n = datum.dimension
-    wave = wave and kind.wave is not None
-    out = np.zeros((len(datum.bumps), 4, len(x)) + ((2,) if kind.top == 2 else ()))
-    for bump, (principal, mean, rate, mass) in zip(datum.bumps, out):
-        offset = x - bump.center_array
-        dist = np.sqrt(_row_dots(offset, offset))
+    ball_term = (_ball_principal, _ball_grad, _ball_dir2)[top]
+    offsets = [x - bump.center_array for bump in datum.bumps]
+    dists = [np.sqrt(_row_dots(offset, offset)) for offset in offsets]
+    accs = [np.zeros((4, len(x)) + ((2,) if top == 2 else ())) for _ in datum.bumps]
+    for bump, offset, dist, (principal, mean, rate, mass) in zip(datum.bumps, offsets,
+                                                                 dists, accs):
         ball = _radial_rule(bump, dist, t, order)
         if ball is not None:
-            term, ref = kind.ball(bump, ball, t, order)
+            term, ref = ball_term(bump, ball, t, order)
             principal[ball.rows] += term
             mass[ball.rows] += ref
         # Free the radial nodes before the wave pass builds its own.
         del ball
         if not wave:
             continue
-        if n % 2 == 0 and kind.disc is not None:
+        if n % 2 == 0 and top == 0:
             step = max(1, _SLICE_NODES // (2 * order * order))
             for i in range(0, len(x), step):
                 rows = slice(i, i + step)
                 chords = _chords(bump, x[rows], offset[rows], t, order)
                 if chords is None:
                     continue
-                _, m, dm = kind.disc(bump, chords, t)
+                _, m, dm = _disc_u(bump, chords, t)
                 mean[rows][chords.rows] += m
                 rate[rows][chords.rows] += dm
                 # Free the chords before the next pass builds its own.
@@ -727,12 +725,24 @@ def _parts(kind: _Kind, datum: InitialDatum, t: float, order: int, wave: bool,
         nodes = _radial_rule(bump, dist, t, 2 * order, on_sphere=n % 2 == 1)
         if nodes is None:
             continue
-        damped, m, dm = _wave_terms(kind, bump, nodes, t, 2 * order)
+        damped, m, dm = _wave_terms(top, bump, nodes, t, 2 * order)
         for term in damped:
             principal[nodes.rows] += term
         mean[nodes.rows] += m
         rate[nodes.rows] += dm
-    return out[:, None] if kind.top < 2 else np.moveaxis(out, 3, 1)
+    if top == 1:
+        principal, mean, rate = _assemble(1, offsets, dists, [(acc[:3],) for acc in accs])
+        mass = sum(acc[3] for acc in accs)
+    else:
+        jets = [(acc[..., 0], acc[..., 1]) if top == 2 else (acc,) for acc in accs]
+        principal, mean, rate, mass = _assemble(top, offsets, dists, jets, omega)
+    if not wave:
+        return principal, np.zeros_like(principal), mass
+    if n % 2 == 0:
+        mean /= t * t
+        rate /= t ** 3
+    a, b = _wave_pair(n, t)
+    return principal, dimension_constants(n).gamma * (a * mean + b * rate), mass
 
 
 def _assemble(top: int, offsets: List[Array], dists: List[Array],
@@ -761,27 +771,12 @@ def _assemble(top: int, offsets: List[Array], dists: List[Array],
     return out
 
 
-def _sums(kind: _Kind, datum: InitialDatum, t: float, x: Array, order: int, wave: bool,
+def _sums(top: int, datum: InitialDatum, t: float, x: Array, order: int, wave: bool,
           omega: Optional[Array] = None) -> Tuple[Array, Array, Array]:
-    """(principal, raw wave, |kernel| mass) of one kind at each row of x:
-    `_parts` a chunk of rows at a time, summed by `_assemble` with dir2's
-    unit direction per row, the mass in the same pass as the values. A
-    gradient's mass is the sum of its bumps', in the order `_assemble`
-    sums u."""
-    n = datum.dimension
-    jets = _in_chunks(partial(_parts, kind, datum, t, order, wave), order, x)
-    offsets = [x - bump.center_array for bump in datum.bumps]
-    dists = [np.sqrt(_row_dots(offset, offset)) for offset in offsets]
-    if kind.top == 1:
-        principal, mean, rate = _assemble(1, offsets, dists, jets[:, :, :3])
-        mass = sum(jets[:, 0, 3])
-    else:
-        principal, mean, rate, mass = _assemble(kind.top, offsets, dists, jets, omega)
-    if n % 2 == 0:
-        mean /= t * t
-        rate /= t ** 3
-    a, b = _wave_pair(n, t) if kind.wave else (0.0, 0.0)
-    return principal, dimension_constants(n).gamma * (a * mean + b * rate), mass
+    """(principal, raw wave, |kernel| mass) of u (top 0), grad u (1) or
+    dir2 u (2) at each row of x: `_parts` a chunk of rows at a time."""
+    blocks = (x,) if omega is None else (x, omega)
+    return _in_chunks(partial(_parts, top, datum, t, order, wave), order, *blocks)
 
 
 def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
@@ -792,9 +787,10 @@ def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
     holds x and one value per row in arrays. With check, each row must pass
     its own order-doubling test.
     """
+    _check_full(datum.dimension)
     pts, single, _ = _as_points(datum, x, t)
     principal, wave, value = _evaluate(pts, single, t, order, check, "field value",
-                                       partial(_sums, _FIELD, datum, t, pts))
+                                       partial(_sums, 0, datum, t, pts))
     return FieldSample(x=pts[0] if single else pts, t=t, value=value,
                        principal=principal, wave_remainder=wave)
 
@@ -802,9 +798,10 @@ def eval_u(datum: InitialDatum, x: Union[Array, float], t: float,
 def eval_grad_u(datum: InitialDatum, x: Union[Array, float], t: float,
                 order: int = DEFAULT_ORDER, check: bool = False) -> Array:
     """grad u at (x, t): an (n,) array for one point, (m, n) for a block."""
+    _check_full(datum.dimension)
     pts, single, _ = _as_points(datum, x, t)
     return _evaluate(pts, single, t, order, check, "field gradient",
-                     partial(_sums, _GRAD, datum, t, pts))[2]
+                     partial(_sums, 1, datum, t, pts))[2]
 
 
 def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float,
@@ -815,9 +812,10 @@ def eval_dir2_u(datum: InitialDatum, x: Union[Array, float], t: float,
     For an (m, n) block of points the result has one value per row, and
     omega is one direction (n,) for every row or one per row (m, n).
     """
+    _check_full(datum.dimension)
     pts, single, om = _as_points(datum, x, t, omega)
     return _evaluate(pts, single, t, order, check, "directional second derivative",
-                     partial(_sums, _DIR2, datum, t, pts, omega=om))[2]
+                     partial(_sums, 2, datum, t, pts, omega=om))[2]
 
 
 def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: float,
@@ -827,11 +825,11 @@ def eval_principal_general_n(datum: InitialDatum, x: Union[Array, float], t: flo
     at each row of an (m, n) block."""
     pts, single, _ = _as_points(datum, x, t)
     return _evaluate(pts, single, t, order, check, "general-n principal",
-                     partial(_sums, _PRINCIPAL, datum, t, pts))[0]
+                     lambda o, wave: _sums(0, datum, t, pts, o, False))[0]
 
 
-def _heat_parts(datum: InitialDatum, t: float, order: int, x: Array) -> Array:
-    """(heat smoothing, zero, mass) at each row of x, stacked.
+def _heat_parts(datum: InitialDatum, t: float, order: int, x: Array) -> Tuple[Array, ...]:
+    """(heat smoothing, zero, mass) at each row of x.
 
     Per bump, a Gauss rule in the distance rho from its centre c on [0, R]
     integrates the profile times rho**(n - 1) times the integral of the
@@ -862,15 +860,14 @@ def _heat_parts(datum: InitialDatum, t: float, order: int, x: Array) -> Array:
                                                 out=np.ones_like(two_z), where=two_z > 0.0)
         # A sum along each row, so a row of a block is its single point.
         total += (sphere * weight).sum(axis=1)
-    return np.stack([total, np.zeros(len(x)), total])
+    return total, np.zeros(len(x)), total
 
 
 def heat_eval(datum: InitialDatum, x: Union[Array, float], t: float,
               order: int = DEFAULT_ORDER, check: bool = False) -> Union[float, Array]:
     """Gaussian-kernel smoothing of the datum at time t, at one point or at
     each row of an (m, n) block; dimensions one to three."""
-    if not 1 <= datum.dimension <= 3:
-        raise ValueError(f"heat_eval supports dimensions 1-3, got {datum.dimension}")
+    _check_full(datum.dimension)
     pts, single, _ = _as_points(datum, x, t)
     return _evaluate(pts, single, t, order, check, "heat value",
                      lambda o, wave: _in_chunks(partial(_heat_parts, datum, t, o), o, pts))[0]
@@ -899,12 +896,12 @@ def error_decay_diagnostic(datum: InitialDatum, t_values: List[float],
     raw (un-damped) wave part so no large exponentials are ever formed. With
     gradient=True the same for |grad E(u)| and exponent n + 1.
     """
+    _check_full(datum.dimension)
     for t in t_values:
         _check_time(t)
-    kind = _GRAD if gradient else _FIELD
     rows: List[Tuple[float, float]] = []
     for t in t_values:
-        raw = _sums(kind, datum, t, _diagnostic_points(datum, t), order, True)[1]
+        raw = _sums(int(gradient), datum, t, _diagnostic_points(datum, t), order, True)[1]
         top = np.abs(raw).max() / (1.0 + t) ** (datum.dimension + gradient)
         rows.append((t, max(0.0, float(top))))
     return rows
@@ -1064,7 +1061,7 @@ def _radial_profile(bump: SmoothBump, t: float, order: int) -> RadialProfile:
     lift = np.exp(dist * dist / (4.0 * t))
 
     def lifted(o: int) -> Tuple[Array, Array]:
-        p, wave, mass = _sums(_FIELD, one, t, pts, o, damp > 0.0)
+        p, wave, mass = _sums(0, one, t, pts, o, damp > 0.0)
         return (p + wave * damp) * lift, mass
 
     values, mass = lifted(2 * order)
@@ -1113,6 +1110,7 @@ class RadialField:
     """
 
     def __init__(self, datum: InitialDatum, t: float, order: int) -> None:
+        _check_full(datum.dimension)
         _check_time(t)
         self.datum, self.t, self.order = datum, t, order
         self.reach = profile_reach(datum.dimension, t)
@@ -1141,33 +1139,32 @@ class RadialField:
         """(omega . grad)^2 u, omega one direction or one per row."""
         return self._evaluate(2, x, omega)
 
-    def _direct(self, top: int, x: Array, omega: Optional[Array]) -> Value:
-        if top == 0:
-            return eval_u(self.datum, x, self.t, order=self.order).value
-        if top == 1:
-            return eval_grad_u(self.datum, x, self.t, order=self.order)
-        return eval_dir2_u(self.datum, x, self.t, omega, order=self.order)
+    def _direct(self, top: int, pts: Array, om: Optional[Array]) -> Array:
+        """The direct core's value at `order` at each row of pts, unchecked."""
+        return _evaluate(pts, False, self.t, self.order, False, "",
+                         partial(_sums, top, self.datum, self.t, pts, omega=om))[2]
 
     def _evaluate(self, top: int, x: Union[Array, float],
                   omega: Optional[Array] = None) -> Value:
         """u (top 0), grad u (1) or dir2 u (2)."""
-        if self.profiles is None:
-            return self._direct(top, x, omega)
         pts, single, om = _as_points(self.datum, x, self.t, omega)
-        offsets = [pts - bump.center_array for bump in self.datum.bumps]
-        dists = [np.sqrt(_row_dots(offset, offset)) for offset in offsets]
-        near = np.logical_and.reduce([dist <= self.reach for dist in dists])
-        rows = slice(None) if near.all() else near
-        dists = [dist[rows] for dist in dists]
-        out = _assemble(top, [offset[rows] for offset in offsets], dists,
-                        [_series_jet(p.series, p.reach, p.t, d, top)[min(top, 1):]
-                         for p, d in zip(self.profiles, dists)],
-                        None if om is None else om[rows])
-        if rows is near:
-            full, far = np.zeros((len(pts),) + out.shape[1:]), ~near
-            full[near], full[far] = out, self._direct(top, pts[far],
-                                                      None if om is None else om[far])
-            out = full
+        if self.profiles is None:
+            out = self._direct(top, pts, om)
+        else:
+            offsets = [pts - bump.center_array for bump in self.datum.bumps]
+            dists = [np.sqrt(_row_dots(offset, offset)) for offset in offsets]
+            near = np.logical_and.reduce([dist <= self.reach for dist in dists])
+            rows = slice(None) if near.all() else near
+            dists = [dist[rows] for dist in dists]
+            out = _assemble(top, [offset[rows] for offset in offsets], dists,
+                            [_series_jet(p.series, p.reach, p.t, d, top)[min(top, 1):]
+                             for p, d in zip(self.profiles, dists)],
+                            None if om is None else om[rows])
+            if rows is near:
+                full, far = np.zeros((len(pts),) + out.shape[1:]), ~near
+                full[near], full[far] = out, self._direct(top, pts[far],
+                                                          None if om is None else om[far])
+                out = full
         if single:
             return out[0] if top == 1 else float(out[0])
         return out

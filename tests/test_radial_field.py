@@ -69,14 +69,29 @@ def test_profile_field_matches_direct_at_twice_the_order(name, t, order, request
     assert field.u(pts[5]) == pytest.approx(field.u(pts[5:6])[0], rel=1e-15)
 
 
-def test_unresolved_profile_falls_back(two_1d, monkeypatch):
+def test_unresolved_profile_falls_back(two_1d, two_2d, monkeypatch):
     # On 5 nodes the node gap of h is far above the order gap at order 32.
+    # The field then gives what the direct evaluators give, bit for bit:
+    # u, grad and dir2, the last with one omega for every row and one per
+    # row, on a block and at one of its points.
     monkeypatch.setattr(solution, "_PROFILE_DEGREE", 8)
-    field = RadialField(two_1d, 400.0, 32)
-    assert field.profiles is None
-    assert "not converged" in field.fallback
-    x = np.linspace(-30.0, 30.0, 9)[:, None]
-    assert field.u(x).tobytes() == eval_u(two_1d, x, 400.0, order=32).value.tobytes()
+    t, order = 400.0, 32
+    for datum in (two_1d, two_2d):
+        field = RadialField(datum, t, order)
+        assert field.profiles is None
+        assert "not converged" in field.fallback
+        x = np.linspace(-30.0, 30.0, 9)[:, None] * np.array([1.0, 0.6])[:datum.dimension]
+        rows = np.random.default_rng(4).normal(size=x.shape)
+        shared = rows[0]
+        for got, want in ((field.u(x), eval_u(datum, x, t, order=order).value),
+                          (field.grad(x), eval_grad_u(datum, x, t, order=order)),
+                          (field.dir2(x, shared), eval_dir2_u(datum, x, t, shared, order=order)),
+                          (field.dir2(x, rows), eval_dir2_u(datum, x, t, rows, order=order))):
+            assert got.tobytes() == want.tobytes()
+        p = x[4]
+        assert field.u(p) == eval_u(datum, p, t, order=order).value
+        assert field.grad(p).tobytes() == eval_grad_u(datum, p, t, order=order).tobytes()
+        assert field.dir2(p, shared) == eval_dir2_u(datum, p, t, shared, order=order)
 
 
 def test_fields_fall_back_inside_the_light_cone(two_1d, two_2d):

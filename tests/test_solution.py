@@ -13,9 +13,8 @@ from dampedwave.initial_data import InitialDatum, SmoothBump, make_datum
 from dampedwave.kernels import kernel_deriv_at_zero
 from dampedwave.oracles import spectral_solve
 from dampedwave.quadrature import QuadratureConvergenceError
-from dampedwave.solution import (_DIR2, _FIELD, _GRAD, FieldSample, _sums,
-                                 dimension_constants, error_decay_diagnostic,
-                                 eval_dir2_u, eval_grad_u,
+from dampedwave.solution import (FieldSample, _sums, dimension_constants,
+                                 error_decay_diagnostic, eval_dir2_u, eval_grad_u,
                                  eval_principal_general_n, eval_u, heat_eval,
                                  wave_factor)
 
@@ -169,19 +168,30 @@ def test_radial_path_matches_direct(single_3d):
         assert radial == pytest.approx(direct, rel=1e-9, abs=1e-16)
 
 
-def test_radial_path_rejects_unsupported():
-    # The principal part alone reaches any dimension; the full field, its
-    # gradient and dir2 stop at three.
+def test_radial_path_rejects_unsupported(monkeypatch):
+    # The principal part alone reaches any dimension. The full field, its
+    # gradient and dir2, the heat smoothing, the radial field and the decay
+    # diagnostic stop at three, at every t and before any rule is built:
+    # where exp(-t/2) is 0 no wave term is computed, and the principal part
+    # alone would pass for u.
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a rule was built")
+
     for n in (4, 5):
         datum = make_datum([SmoothBump((0.0,) * n, 1.0, 1.0)], n)
         x = np.full(n, 0.2)
-        assert eval_principal_general_n(datum, x, 5.0) != 0.0
-        with pytest.raises(ValueError):
-            eval_u(datum, x, 5.0)
-        with pytest.raises(ValueError):
-            eval_grad_u(datum, x, 5.0)
-        with pytest.raises(ValueError):
-            eval_dir2_u(datum, x, 5.0, np.eye(n)[0])
+        for t in (5.0, 10.0, 1600.0):
+            assert eval_principal_general_n(datum, x, t) != 0.0
+            calls = [lambda: eval_u(datum, x, t), lambda: eval_grad_u(datum, x, t),
+                     lambda: eval_dir2_u(datum, x, t, np.eye(n)[0]),
+                     lambda: heat_eval(datum, x, t), lambda: solution.RadialField(datum, t, 8),
+                     lambda: error_decay_diagnostic(datum, [t])]
+            with monkeypatch.context() as patch:
+                patch.setattr(solution, "_radial_rule", no_rule)
+                patch.setattr(solution, "interval_nodes", no_rule)
+                for call in calls:
+                    with pytest.raises(ValueError, match="full field evaluation supports"):
+                        call()
 
 
 def test_general_n_principal_adds_bumps():
@@ -355,9 +365,9 @@ def test_1d_remainder_is_dalembert(two_1d, t):
     for x in xs:
         pt = np.array([x])
         block = pt[None, :]
-        got.append((_sums(_FIELD, two_1d, t, block, 64, True)[1][0],
-                    _sums(_GRAD, two_1d, t, block, 64, True)[1][0, 0],
-                    _sums(_DIR2, two_1d, t, block, 64, True, omega[None, :])[1][0]))
+        got.append((_sums(0, two_1d, t, block, 64, True)[1][0],
+                    _sums(1, two_1d, t, block, 64, True)[1][0, 0],
+                    _sums(2, two_1d, t, block, 64, True, omega[None, :])[1][0]))
         want.append((0.5 * (two_1d.value(pt + t) + two_1d.value(pt - t)),
                      0.5 * (two_1d.gradient(pt + t)[0] + two_1d.gradient(pt - t)[0]),
                      0.5 * (two_1d.dir2(pt + t, omega) + two_1d.dir2(pt - t, omega))))
@@ -412,8 +422,7 @@ def test_2d_principal_runs_on_radial_rule(two_2d, monkeypatch):
 EVALUATORS = {
     "eval_u": eval_u,
     "eval_grad_u": eval_grad_u,
-    "eval_dir2_u": lambda d, x, t, order: eval_dir2_u(d, x, t, np.eye(d.dimension)[0],
-                                                      order=order),
+    "eval_dir2_u": lambda d, x, t, **kw: eval_dir2_u(d, x, t, np.eye(d.dimension)[0], **kw),
     "eval_principal_general_n": eval_principal_general_n,
     "heat_eval": heat_eval,
 }
@@ -436,6 +445,21 @@ def test_evaluators_reject_bad_inputs(evaluator, bad, request):
     datum = request.getfixturevalue(name)
     with pytest.raises(ValueError):
         EVALUATORS[evaluator](datum, np.array(x), t, order=order)
+
+
+@pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+def test_empty_block_with_check(evaluator, two_1d, two_2d, two_3d):
+    # An empty (0, n) block has nothing to check: with the check each
+    # evaluator gives the empty results it gives without.
+    for datum in (two_1d, two_2d, two_3d):
+        x = np.empty((0, datum.dimension))
+        outs = [EVALUATORS[evaluator](datum, x, 10.0, order=8, check=check)
+                for check in (False, True)]
+        plain, checked = ([out.value, out.principal, out.wave_remainder]
+                          if isinstance(out, FieldSample) else [out] for out in outs)
+        for want, got in zip(plain, checked):
+            assert got.shape == want.shape
+            assert want.shape in ((0,), (0, datum.dimension))
 
 
 @pytest.mark.parametrize("omega", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]])
@@ -765,8 +789,8 @@ def test_shell_form_matches_point_formulas(two_2d, t):
         omegas = {"across": np.zeros_like(rows), "along": np.zeros_like(rows)}
         omegas["across"][reached] = np.stack([-e[:, 1], e[:, 0]], axis=1)
         omegas["along"][reached] = e
-        (damped,), m, dm = solution._wave_terms(_GRAD, bump, rule, t, order)
-        (first, second), m2, dm2 = solution._wave_terms(_DIR2, bump, rule, t, order)
+        (damped,), m, dm = solution._wave_terms(1, bump, rule, t, order)
+        (first, second), m2, dm2 = solution._wave_terms(2, bump, rule, t, order)
         for k, side in enumerate(omegas):
             want = _shell_point_terms(bump, rows, t, rule, nodes, e, omegas[side])
             got = {"grad damped": damped[:, None] * xc,
@@ -967,13 +991,13 @@ def test_wave_skip_is_exact(name, request):
     omegas = np.random.default_rng(5).normal(size=pts.shape)
     omegas /= np.linalg.norm(omegas, axis=1)[:, None]
     sample = eval_u(datum, pts, t, order=24)
-    for kind, got, omega in ((_FIELD, sample.value, None),
-                             (_GRAD, eval_grad_u(datum, pts, t, order=24), None),
-                             (_DIR2, eval_dir2_u(datum, pts, t, omegas, order=24), omegas)):
-        principal, raw, _ = _sums(kind, datum, t, pts, 24, True, omega)
+    for top, got, omega in ((0, sample.value, None),
+                            (1, eval_grad_u(datum, pts, t, order=24), None),
+                            (2, eval_dir2_u(datum, pts, t, omegas, order=24), omegas)):
+        principal, raw, _ = _sums(top, datum, t, pts, 24, True, omega)
         assert np.any(raw != 0.0)
         assert got.tobytes() == (principal + raw * damp).tobytes()
-    assert sample.principal.tobytes() == _sums(_FIELD, datum, t, pts, 24, True)[0].tobytes()
+    assert sample.principal.tobytes() == _sums(0, datum, t, pts, 24, True)[0].tobytes()
 
 
 def test_block_of_principal_parts_equals_single_points(two_2d, two_3d):
