@@ -492,14 +492,16 @@ def certify_signs(datum: InitialDatum, t: float,
 def rate_fit(series: Sequence[Tuple[float, float]]) -> RateFit:
     """Least-squares slope of log(quantity) against log(t).
 
-    Requires at least four samples at (approximately) geometric t spacing and
-    strictly positive quantities; the residual is the worst absolute log-space
-    deviation from the fit.
+    Requires at least four finite samples at (approximately) geometric t
+    spacing and strictly positive quantities; the residual is the worst
+    absolute log-space deviation from the fit.
     """
     if len(series) < 4:
         raise ValueError("rate fit needs at least four samples")
     ts = np.array([t for t, _ in series], dtype=float)
     qs = np.array([q for _, q in series], dtype=float)
+    if not (np.isfinite(ts).all() and np.isfinite(qs).all()):
+        raise ValueError("rate fit samples must be finite")
     if np.any(ts <= 0.0):
         raise ValueError("times must be positive")
     if np.any(qs <= 0.0):

@@ -64,6 +64,27 @@ _BLOCK = 1 << 16
 _BUFFER = _BLOCK // 8
 
 
+def _point_rows(x: Array, n: int, block: bool = True) -> Tuple[Array, bool]:
+    """x as an (m, n) block of finite points, and whether x was one point (a
+    point, or a number in 1D, is one row); without `block`, a block is
+    refused. Every entry that takes query points reads them here, and a
+    contiguous float64 block is not copied."""
+    arr = np.asarray(x, dtype=float)
+    single = arr.ndim <= 1
+    if single and arr.size != n:
+        raise ValueError(f"point has {arr.size} coordinates, expected {n}")
+    if not single and (arr.ndim != 2 or arr.shape[1] != n):
+        raise ValueError(f"a block of points has shape (m, {n}), got {arr.shape}")
+    if not (single or block):
+        raise ValueError(f"expected one point, got a block of shape {arr.shape}")
+    rows = np.ascontiguousarray(arr.reshape(1, n) if single else arr)
+    if not np.isfinite(rows).all():
+        row = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+        where = "point" if single else f"row {row}"
+        raise ValueError(f"{where} has a non-finite coordinate: {rows[row]}")
+    return rows, single
+
+
 def fibonacci_sphere(count: int) -> Array:
     """Quasi-uniform unit vectors from the spherical Fibonacci lattice."""
     k = np.arange(count)
@@ -177,7 +198,7 @@ class ConvexPolytope:
         facet equation exceeds 1e-12 * max(diameter, 1), the boundary slack.
         The rows go _BUFFER // F at a time against the F facets, in one
         buffer."""
-        x = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        x = _point_rows(points, self.dimension)[0]
         normals, offsets = self.equations[:, :-1].T, self.equations[:, -1]
         slack = 1e-12 * max(self.diameter, 1.0)
         rows = max(1, _BUFFER // len(offsets))
@@ -195,7 +216,7 @@ class ConvexPolytope:
         direction; direction is None (and the point is x itself) inside.
         Outside, the nearest point is sought over the faces as triangles, a
         face of fewer than three vertices repeating its last vertex."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = _point_rows(x, self.dimension, block=False)[0][0]
         if self.inside(x)[0]:
             return 0.0, x.copy(), None
         faces = self.faces
@@ -307,6 +328,7 @@ def hull_of_balls(centers: Array, radii: Sequence[float],
                   dimension: int) -> ConvexPolytope:
     """Polytopal hull of a union of balls with a measured support deficiency
     (none in 1D, whose cloud c +- r is exact: hull_tol is 1e-6)."""
+    _check_dimension(dimension)
     centers = np.asarray(centers, dtype=float).reshape(-1, dimension)
     radii = np.asarray(radii, dtype=float)
     body = hull_of_points(_ball_cloud(centers, radii, dimension), dimension)
@@ -341,13 +363,20 @@ def _monotone_chain(points: Array) -> List[int]:
     return lower[:-1] + upper[:-1]
 
 
+def _check_dimension(dimension: int) -> None:
+    if dimension not in (1, 2, 3):
+        raise ValueError(f"hulls cover dimensions 1-3, got {dimension}")
+
+
 def hull_of_points(points: Array, dimension: int) -> ConvexPolytope:
     """Exact polytope of a point cloud (no discretization slack).
 
-    A cloud with a non-finite coordinate raises ValueError. So does a 2D
-    cloud whose hull has fewer than three vertices (all points collinear or
-    equal), and a 3D cloud with no four points off one plane: neither has
+    A dimension outside 1-3 raises ValueError (the faces are searched as
+    triangles), and so does a cloud with a non-finite coordinate. So does a
+    2D cloud whose hull has fewer than three vertices (all points collinear
+    or equal), and a 3D cloud with no four points off one plane: neither has
     a body."""
+    _check_dimension(dimension)
     points = np.asarray(points, dtype=float).reshape(-1, dimension)
     if not np.isfinite(points).all():
         raise ValueError("hull points must be finite")
@@ -396,8 +425,11 @@ def phi_map(point: NormalPoint, rho: float) -> Array:
 def inscribed_ball_containment(body: ConvexPolytope, center: Array, rho: float,
                                count: Optional[int] = None) -> bool:
     """Check that the half-radius ball B_{rho/2}(center) stays rho/2 deep
-    inside every sampled supporting half space."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    inside every sampled supporting half space; rho must be finite and
+    non-negative."""
+    center = _point_rows(center, body.dimension, block=False)[0][0]
+    if not (np.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"containment radius must be finite and non-negative, got {rho}")
     if count is None:
         count = {1: 2, 2: 256, 3: 1024}[body.dimension]
     tol = body.hull_tol + 1e-9 * max(body.diameter, 1.0)

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import ConvexPolytope, hull_of_balls
+from .geometry import ConvexPolytope, _point_rows, hull_of_balls
 from .quadrature import with_refinement
 
 __all__ = [
@@ -34,18 +34,6 @@ __all__ = [
 ]
 
 Array = np.ndarray
-
-
-def _as_batch(x: Union[Array, Sequence[float], float], dimension: int) -> Tuple[Array, bool]:
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-        return pts, True
-    if pts.ndim == 1:
-        if dimension == 1 and pts.size != 1:
-            return pts[:, None], False
-        return pts[None, :], True
-    return pts, False
 
 
 @dataclass(frozen=True)
@@ -70,7 +58,7 @@ class SmoothBump:
 
     def _shape(self, pts: Array) -> Tuple[Array, Array]:
         """Offsets y - c at the points, and the gap R^2 - |y - c|^2."""
-        offset = pts - self.center_array[None, :]
+        offset = _point_rows(pts, len(self.center))[0] - self.center_array
         w = (offset * offset).sum(axis=1)
         return offset, self.radius * self.radius - w
 
@@ -208,7 +196,7 @@ class InitialDatum:
                   *args: Array) -> Union[Array, float]:
         """Sum over the bumps of one `SmoothBump` method, at one point or at
         each row of an (m, n) block; one point gives a float or an (n,) row."""
-        pts, single = _as_batch(x, self.dimension)
+        pts, single = _point_rows(x, self.dimension)
         out = sum(method(bump, pts, *args) for bump in self.bumps)
         if not single:
             return out

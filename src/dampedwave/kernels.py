@@ -7,7 +7,8 @@ Two kernel families, indexed by the parity of the space dimension they serve:
 
 and the combined kernel ktilde_l(r, t) = t k_(l+1)(s) - 2 k_l(s) evaluated at
 s = sqrt(t^2 - r^2)/2.  All large-time consumers need e^(-t/2) ktilde_l, which
-is computed here in scaled form so that nothing overflows for t up to 1e6.
+is computed here in scaled form so that nothing overflows over the checked
+argument range s <= 1e6 (t up to 2e6), where the kernels are held to mpmath.
 
 The odd family is scipy's ive over its whole domain, except below s = 1e-3,
 where ive(l, s) / s^l underflows and a short power series takes over.  The
@@ -39,6 +40,11 @@ _PLAIN_SERIES_MAX = 600.0
 # Factorials are evaluated iteratively in float; orders past this are refused.
 MAX_ORDER = 64
 
+# The checked argument range: every kernel is held to mpmath for s up to
+# this, and a larger or non-finite argument is refused (ive is NaN above
+# 2^30).
+_MAX_ARGUMENT = 1e6
+
 _PARITIES = ("odd", "even")
 
 
@@ -60,6 +66,8 @@ def _as_array(s):
     arr = np.asarray(s, dtype=float)
     if (arr < 0).any():
         raise ValueError("argument must be >= 0")
+    if not (arr <= _MAX_ARGUMENT).all():
+        raise ValueError(f"argument must be finite and at most {_MAX_ARGUMENT:g}")
     return arr
 
 
@@ -74,7 +82,7 @@ def _give_back(value: np.ndarray, template) -> float | np.ndarray:
 
 
 def bessel_i_scaled(ell: int, s):
-    """e^(-s) I_ell(s); never overflows for s up to 1e6."""
+    """e^(-s) I_ell(s) for s in the checked range [0, 1e6]."""
     from scipy.special import ive
     ell = _check_order(ell)
     return _give_back(ive(ell, _as_array(s)), s)
@@ -223,7 +231,8 @@ def kernel_ktilde_scaled(parity: str, ell, r, t):
 
     Uses e^(-t/2) k(s) = e^(s - t/2) [e^(-s) k(s)] with
     s - t/2 = -r^2 / (2 (t + sqrt(t^2 - r^2))), which is exact and free of
-    cancellation at r ~ t; nothing here overflows for t up to 1e6.
+    cancellation at r ~ t; nothing here overflows for s up to 1e6, the
+    checked argument range (t up to 2e6); a larger s is refused.
 
     ell may also be a sequence of orders. The kernels then come back as a
     tuple, in that order, and share s, the exponential factor and each

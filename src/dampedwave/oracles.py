@@ -16,6 +16,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from .geometry import _point_rows
 from .initial_data import InitialDatum
 
 __all__ = ["OracleRun", "fd_solve_1d", "spectral_solve"]
@@ -46,10 +47,7 @@ class OracleRun:
         Periodic runs wrap around the torus; interval runs return the zero
         boundary value outside the domain.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise ValueError(f"points have {pts.shape[1]} coordinates, "
-                             f"expected {self.dimension}")
+        pts = _point_rows(points, self.dimension)[0]
         m = pts.shape[0]
         out = np.zeros(m)
         idx_lo = np.zeros((m, self.dimension), dtype=int)
@@ -112,8 +110,8 @@ def fd_solve_1d(datum: InitialDatum, T: float, dx: float = 1.0 / 512.0,
     steps = int(math.ceil(T / (cfl * dx)))
     dt = T / steps
 
-    f = np.asarray(datum.value(x), dtype=float)
-    fpp = np.asarray(datum.dir2(x, np.array([1.0])), dtype=float)
+    f = datum.value(x[:, None])
+    fpp = datum.dir2(x[:, None], np.array([1.0]))
     prev = f.copy()
     curr = f - dt * f + 0.5 * dt * dt * (fpp + f)
     curr[0] = curr[-1] = 0.0
@@ -182,7 +180,7 @@ def spectral_solve(datum: InitialDatum, T: float, L: float,
     axes = tuple(center[d] + (-L + h * np.arange(modes)) for d in range(n))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    f = np.asarray(datum.value(pts), dtype=float).reshape((modes,) * n)
+    f = datum.value(pts).reshape((modes,) * n)
 
     freqs = 2.0 * math.pi * np.fft.fftfreq(modes, d=h)
     k2 = np.zeros((modes,) * n)

@@ -50,9 +50,10 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .geometry import unit_directions
+from .geometry import _point_rows, unit_directions
 from .initial_data import InitialDatum, SmoothBump
-from .kernels import kernel_at_zero, kernel_deriv_at_zero, kernel_ktilde_scaled
+from .kernels import (_MAX_ARGUMENT, kernel_at_zero, kernel_deriv_at_zero,
+                      kernel_ktilde_scaled)
 from .quadrature import (clipped_ball_nodes, gauss_legendre, interval_nodes,
                          with_refinement)
 
@@ -97,7 +98,10 @@ def dimension_constants(n: int) -> DimensionConstants:
 
 
 def wave_factor(t: float) -> float:
-    """exp(-t/2); underflows to zero for very large t, which is the point."""
+    """exp(-t/2), set to 0 from t = 1400 on. There it is still a normal
+    double (exp(-700) = 9.9e-305; it underflows to 0 only near t = 1490),
+    but far below the last bit of any principal part, so the damped terms
+    it multiplies are skipped."""
     return math.exp(-0.5 * t) if t < 1400.0 else 0.0
 
 
@@ -112,9 +116,13 @@ class FieldSample:
     wave_remainder: Union[float, Array]
 
 
+# The largest t, where s = t/2 reaches the kernels' checked argument range.
+_MAX_TIME = 2.0 * _MAX_ARGUMENT
+
+
 def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be finite and positive, got {t}")
+    if not (math.isfinite(t) and 0.0 < t <= _MAX_TIME):
+        raise ValueError(f"t must be finite and positive and at most {_MAX_TIME:g}, got {t}")
 
 
 def _check_full(n: int) -> None:
@@ -126,23 +134,13 @@ def _check_full(n: int) -> None:
 
 def _as_points(datum: InitialDatum, x: Union[Array, float], t: float,
                omega: Optional[Array] = None) -> Tuple[Array, bool, Optional[Array]]:
-    """x as an (m, n) block of points (a point, or a number in 1D, is one
-    row), whether x was one point, and omega, if given, as a unit direction
-    per row (`_as_directions`). Every point must be finite with the datum's
-    dimension, and t finite and positive. Every evaluator starts here."""
+    """x as an (m, n) block of points and whether x was one point
+    (`geometry._point_rows`), and omega, if given, as a unit direction per
+    row (`_as_directions`); t must pass `_check_time`. Every evaluator
+    starts here."""
     _check_time(t)
     n = datum.dimension
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim <= 1
-    if single and arr.size != n:
-        raise ValueError(f"point has {arr.size} coordinates, expected {n}")
-    if not single and (arr.ndim != 2 or arr.shape[1] != n):
-        raise ValueError(f"a block of points has shape (m, {n}), got {arr.shape}")
-    pts = np.ascontiguousarray(arr.reshape(-1, n))
-    if not np.isfinite(pts).all():
-        row = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
-        where = "point" if single else f"row {row}"
-        raise ValueError(f"{where} has a non-finite coordinate: {pts[row]}")
+    pts, single = _point_rows(x, n)
     return pts, single, None if omega is None else _as_directions(omega, len(pts), n, single)
 
 

@@ -189,6 +189,10 @@ def test_rate_fit_rejections():
         rate_fit([(1.0, 1.0), (2.0, 0.5), (3.0, 0.33), (8.0, 0.125)])
     with pytest.raises(ValueError, match="positive"):
         rate_fit([(1.0, 1.0), (2.0, 0.5), (4.0, -0.25), (8.0, 0.125)])
+    for bad in ([(1.0, 1.0), (2.0, 0.5), (math.nan, 0.25), (8.0, 0.125)],
+                [(1.0, 1.0), (2.0, 0.5), (4.0, math.inf), (8.0, 0.125)]):
+        with pytest.raises(ValueError, match="must be finite"):
+            rate_fit(bad)
 
 
 def test_spot_report_structure(two_1d):

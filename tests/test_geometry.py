@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +16,9 @@ from dampedwave.geometry import (_BLOCK, _BUFFER, ConvexPolytope, NormalPoint,
                                  hull_of_points, inscribed_ball_containment,
                                  phi_map, sample_normal_bundle)
 from dampedwave.initial_data import load_datum
+from dampedwave.oracles import OracleRun
+from dampedwave.solution import (RadialField, eval_dir2_u, eval_grad_u,
+                                 eval_principal_general_n, eval_u, heat_eval)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -172,6 +176,22 @@ def test_inscribed_ball_containment_bundled(single_1d, two_1d, two_2d,
 def test_inscribed_ball_containment_rejects_oversized(two_2d):
     assert not inscribed_ball_containment(two_2d.hull, two_2d.incenter,
                                           10.0 * two_2d.inradius)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -0.1])
+def test_inscribed_ball_containment_refuses_bad_radius(two_2d, rho):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        inscribed_ball_containment(two_2d.hull, two_2d.incenter, rho)
+
+
+@pytest.mark.parametrize("dimension", [0, 4])
+def test_hulls_refuse_dimensions_outside_1_to_3(dimension):
+    # The facet form searches its faces as triangles.
+    cloud = np.random.default_rng(5).normal(size=(40, dimension))
+    for call in (lambda: hull_of_points(cloud, dimension),
+                 lambda: hull_of_balls(cloud[:2], [1.0, 0.5], dimension)):
+        with pytest.raises(ValueError, match="dimensions 1-3"):
+            call()
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -412,3 +432,66 @@ def test_hull_rejects_non_finite_points(dimension, bad):
     points[5, -1] = bad
     with pytest.raises(ValueError, match="must be finite"):
         hull_of_points(points, dimension)
+
+
+def _grid_run(n):
+    axis = np.linspace(-2.0, 2.0, 5)
+    return OracleRun("grid", (axis,) * n, 2.0, None, 1.0, np.zeros((5,) * n), False)
+
+
+def _axis(datum):
+    return np.eye(datum.dimension)[0]
+
+
+# Every public entry that takes query points, called on a datum and x; each
+# reads x through the one reader, geometry._point_rows.
+POINT_ENTRIES = {
+    "eval_u": lambda d, x: eval_u(d, x, 2.0, order=8),
+    "eval_grad_u": lambda d, x: eval_grad_u(d, x, 2.0, order=8),
+    "eval_dir2_u": lambda d, x: eval_dir2_u(d, x, 2.0, _axis(d), order=8),
+    "eval_principal_general_n": lambda d, x: eval_principal_general_n(d, x, 2.0, order=8),
+    "heat_eval": lambda d, x: heat_eval(d, x, 2.0, order=8),
+    "RadialField.u": lambda d, x: RadialField(d, 10.0, 8).u(x),
+    "RadialField.grad": lambda d, x: RadialField(d, 10.0, 8).grad(x),
+    "RadialField.dir2": lambda d, x: RadialField(d, 10.0, 8).dir2(x, _axis(d)),
+    "InitialDatum.value": lambda d, x: d.value(x),
+    "InitialDatum.gradient": lambda d, x: d.gradient(x),
+    "InitialDatum.dir2": lambda d, x: d.dir2(x, _axis(d)),
+    "SmoothBump.value": lambda d, x: d.bumps[0].value(x),
+    "SmoothBump.gradient": lambda d, x: d.bumps[0].gradient(x),
+    "SmoothBump.dir2": lambda d, x: d.bumps[0].dir2(x, _axis(d)),
+    "SmoothBump.dir3": lambda d, x: d.bumps[0].dir3(x, _axis(d), _axis(d)),
+    "SmoothBump.hvp": lambda d, x: d.bumps[0].hvp(x, _axis(d)),
+    "ConvexPolytope.inside": lambda d, x: d.hull.inside(x),
+    "ConvexPolytope.distance": lambda d, x: d.hull.distance(x),
+    "ConvexPolytope.contains": lambda d, x: d.hull.contains(x),
+    "inscribed_ball_containment": lambda d, x: inscribed_ball_containment(d.hull, x, 0.1),
+    "OracleRun.interpolate": lambda d, x: _grid_run(d.dimension).interpolate(x),
+}
+# Malformed query points by dimension, with the start of the message every
+# entry gives. In 1D a flat (3,) array is one point of three coordinates,
+# and a number is one point.
+MALFORMED_POINTS = {
+    "coordinate_count": ({1: np.zeros(3), 2: np.array([0.0, 0.0, 5.0, 5.0])},
+                         "point has {k} coordinates, expected {n}"),
+    "three_axes": ({1: np.zeros((2, 1, 1)), 2: np.zeros((1, 2, 2))},
+                   "a block of points has shape (m, {n}), got {shape}"),
+    "block_width": ({1: np.array([[0.0, 1.0]]), 2: np.array([[0.0]])},
+                    "a block of points has shape (m, {n}), got {shape}"),
+    "nan": ({1: np.array([math.nan]), 2: np.array([math.nan, 0.0])},
+            "point has a non-finite coordinate"),
+    "inf": ({1: np.array(math.inf), 2: np.array([0.3, -math.inf])},
+            "point has a non-finite coordinate"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POINT_ENTRIES))
+@pytest.mark.parametrize("case", sorted(MALFORMED_POINTS))
+@pytest.mark.parametrize("name", ["two_1d", "two_2d"])
+def test_point_entries_refuse_malformed_points(entry, case, name, request):
+    datum = request.getfixturevalue(name)
+    points, message = MALFORMED_POINTS[case]
+    x = points[datum.dimension]
+    want = message.format(k=x.size, n=datum.dimension, shape=x.shape)
+    with pytest.raises(ValueError, match="^" + re.escape(want)):
+        POINT_ENTRIES[entry](datum, x)

@@ -268,6 +268,16 @@ def test_input_validation():
         kernel_ktilde_scaled("odd", 0, 2.0, 1.0)
     with pytest.raises(ValueError):
         ktilde_leading_order("odd", 0, -1.0)
+    # Past the checked range s <= 1e6, or at a non-finite s (ive gives NaN
+    # above 2^30), every kernel refuses its argument.
+    for bad in (math.nan, math.inf, math.nextafter(1e6, math.inf), 2.0**31):
+        for call in (lambda: bessel_i_scaled(1, bad), lambda: kernel_scaled("odd", 1, bad),
+                     lambda: kernel_scaled("even", 2, np.array([1.0, bad])),
+                     lambda: kernel_ktilde_scaled("odd", 1, 0.0, 2.0 * bad)):
+            with pytest.raises(ValueError, match="finite and at most 1e"):
+                call()
+    with pytest.raises(ValueError, match="finite and at most 1e"):
+        kernel_ktilde_scaled("even", 0, math.nan, 10.0)
 
 
 @settings(max_examples=60, deadline=None)

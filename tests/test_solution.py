@@ -435,6 +435,10 @@ BAD_INPUTS = {
     "x_inf": ("two_1d", [-math.inf], 2.0, 64),
     "order_zero": ("two_2d", [0.2, 0.1], 2.0, 0),
     "order_negative": ("two_1d", [0.3], 2.0, -3),
+    # Past t = 2e6, s = t/2 leaves the kernels' checked range; at t = 3e9
+    # ive, and with it 1D and 3D u, is NaN.
+    "t_past_range_1d": ("two_1d", [0.3], 3e9, 64),
+    "t_past_range_3d": ("two_3d", [0.2, 0.2, 0.2], 3e9, 64),
 }
 
 
@@ -445,6 +449,16 @@ def test_evaluators_reject_bad_inputs(evaluator, bad, request):
     datum = request.getfixturevalue(name)
     with pytest.raises(ValueError):
         EVALUATORS[evaluator](datum, np.array(x), t, order=order)
+
+
+def test_time_range_ends_at_2e6(two_1d, two_3d):
+    # The last t whose kernel arguments s <= t/2 stay in the checked range.
+    for datum in (two_1d, two_3d):
+        x = np.full(datum.dimension, 0.2)
+        assert math.isfinite(eval_u(datum, x, 2e6).value)
+        assert np.all(np.isfinite(eval_grad_u(datum, x, 2e6)))
+        with pytest.raises(ValueError, match="at most 2e"):
+            eval_u(datum, x, math.nextafter(2e6, math.inf))
 
 
 @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
