@@ -317,6 +317,14 @@ def _mode_oracle_compare(datum: InitialDatum, config: Dict, out: Path,
     _write_csv(out / "oracle_compare.csv", header, rows)
 
 
+def _ratio(exact: float, expansion: float, t: float) -> float:
+    """exact / expansion; an expansion of exactly 0 (the leading order of
+    even ell = 0) has no ratio."""
+    if expansion == 0.0:
+        raise ConfigError(f"the expansion is exactly 0 at t = {t}, so it has no ratio")
+    return exact / expansion
+
+
 def _mode_asymptotics(datum: InitialDatum, config: Dict, out: Path, seed: int,
                       ts: List[float]) -> None:
     a_cfg = _section(config, "asymptotics")
@@ -329,14 +337,14 @@ def _mode_asymptotics(datum: InitialDatum, config: Dict, out: Path, seed: int,
         for t in ts:
             exact = kernel_ktilde_scaled(parity, ell, r, t)
             expansion = ktilde_leading_order(parity, ell, t)
-            rows.append([t, exact, expansion, exact / expansion])
+            rows.append([t, exact, expansion, _ratio(exact, expansion, t)])
     elif regime == "sqrt":
         c = _number(a_cfg.get("r_over_sqrt_t", 1.0), "r_over_sqrt_t")
         for t in ts:
             r = c * math.sqrt(t)
             exact = kernel_ktilde_scaled(parity, ell, r, t)
             expansion = ktilde_expansion_sqrt(parity, ell, r, t)
-            rows.append([t, exact, expansion, exact / expansion])
+            rows.append([t, exact, expansion, _ratio(exact, expansion, t)])
     else:
         raise ConfigError(f"asymptotics regime must be 'leading' or 'sqrt', "
                           f"got {regime!r}")
@@ -381,16 +389,16 @@ def run(config: Dict, mode_override: Optional[str] = None,
         raise ConfigError("config needs a 'datum' entry")
     try:
         datum = load_datum(config["datum"])
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad datum: {exc}") from exc
     mode = mode_override or config.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     ts = _time_list(config, t_override)
-    out = Path(out_override or config.get("out", "."))
+    seed = _integer(config if seed_override is None else {"seed": seed_override},
+                    "seed", 0, least=0)
+    out = Path(out_override or _string(config, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
-    seed = (seed_override if seed_override is not None
-            else _integer(config, "seed", 0, least=0))
     _HANDLERS[mode](datum, config, out, seed, ts)
 
 

@@ -21,10 +21,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import ConvexPolytope, NormalPoint, phi_map, sample_normal_bundle
+from .geometry import (ConvexPolytope, NormalPoint, _as_directions, _row_dots, phi_map,
+                       sample_normal_bundle)
 from .initial_data import InitialDatum
-from .solution import (DEFAULT_ORDER, RadialField, _row_dots, dimension_constants,
-                       radial_field)
+from .solution import DEFAULT_ORDER, RadialField, dimension_constants, radial_field
 
 __all__ = [
     "CertificateResult",
@@ -156,6 +156,11 @@ def _shell_bracket(datum: InitialDatum, target: float) -> Tuple[float, float]:
     return max(0.0, target - datum.diameter - 1.0), target + 1.0
 
 
+def _ray(datum: InitialDatum, point: NormalPoint) -> NormalPoint:
+    """point with its nu read as a direction (`_as_directions`), once per stage call."""
+    return NormalPoint(point.xi, _as_directions(point.nu, 1, datum.dimension, True, "nu")[0])
+
+
 def _bisect(fn, lo: float, hi: float) -> Optional[float]:
     """Root of fn on [lo, hi] to BISECTION_XTOL; None without a sign change.
 
@@ -189,8 +194,8 @@ def trace_null_radius(datum: InitialDatum, t: float, normal_point: NormalPoint,
     """
     _require_hull(datum)
     lo, hi = _shell_bracket(datum, _null_shell_radius(datum.dimension, t))
-    field = radial_field(datum, t, order)
-    return _bisect(lambda rho: field.u(phi_map(normal_point, rho)), lo, hi)
+    ray, field = _ray(datum, normal_point), radial_field(datum, t, order)
+    return _bisect(lambda rho: field.u(phi_map(ray, rho)), lo, hi)
 
 
 def find_critical_radius(datum: InitialDatum, t: float,
@@ -199,9 +204,8 @@ def find_critical_radius(datum: InitialDatum, t: float,
     """Distance along the outer normal at which nu . grad u crosses zero."""
     _require_hull(datum)
     lo, hi = _shell_bracket(datum, _critical_shell_radius(datum.dimension, t))
-    field = radial_field(datum, t, order)
-    return _bisect(lambda rho: float(field.grad(phi_map(normal_point, rho))
-                                     @ normal_point.nu), lo, hi)
+    ray, field = _ray(datum, normal_point), radial_field(datum, t, order)
+    return _bisect(lambda rho: float(field.grad(phi_map(ray, rho)) @ ray.nu), lo, hi)
 
 
 def _golden_max(fn, lo: float, hi: float, xtol: float = 1e-7) -> float:
@@ -287,11 +291,11 @@ def find_hot_spots(datum: InitialDatum, t: float,
     """
     _require_hull(datum)
     lo, hi = _shell_bracket(datum, _critical_shell_radius(datum.dimension, t))
-    field = radial_field(datum, t, order)
+    rays, field = [_ray(datum, point) for point in directions], radial_field(datum, t, order)
     candidates: List[Tuple[Array, float]] = []
-    for point in directions:
-        rho = _golden_max(lambda r: field.u(phi_map(point, r)), lo, hi)
-        seed = phi_map(point, rho)
+    for ray in rays:
+        rho = _golden_max(lambda r: field.u(phi_map(ray, r)), lo, hi)
+        seed = phi_map(ray, rho)
         spot, value = _extremum_search(field, seed, +1.0, cap=25,
                                        raise_on_cap=False)
         candidates.append((spot, value))
@@ -477,14 +481,9 @@ def certify_signs(datum: InitialDatum, t: float,
         out["ub_E"] = result(bound - np.abs(far))
 
     if "convex" in wanted:
-        rng = np.random.default_rng(seed)
         pts = _interior_points(hull, CONVEX_PAIRS, seed + 1)
-        omegas = []
-        for _ in pts:
-            omega = rng.normal(size=n)
-            omega /= np.linalg.norm(omega)
-            omegas.append(omega)
-        out["convex"] = result(field.dir2(pts, np.array(omegas)))
+        omegas = np.random.default_rng(seed).normal(size=(len(pts), n))
+        out["convex"] = result(field.dir2(pts, omegas))
 
     return out
 

@@ -85,6 +85,36 @@ def _point_rows(x: Array, n: int, block: bool = True) -> Tuple[Array, bool]:
     return rows, single
 
 
+def _as_directions(omega: Array, m: int, n: int, single: bool, name: str = "omega",
+                   unit: bool = True) -> Array:
+    """omega, one (n,) row for every point or one row per point, as m finite
+    rows (`single`: the points were one point). Every entry that takes a
+    direction reads it here: a `unit` row must be nonzero, and is divided by
+    its norm unless that is 1 to 1e-12; a vector that is not one is only read."""
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    if om.shape not in ((n,), (m, n)):
+        raise ValueError(f"{name} has shape {om.shape}, expected ({n},) or ({m}, {n})")
+    shared = om.ndim == 1
+    om = np.array(np.broadcast_to(om, (m, n)), order="C")
+    norm = np.sqrt(_row_dots(om, om)) if unit else 1.0
+    bad = np.flatnonzero(~(np.isfinite(om).all(axis=1) & (norm > 0.0)))
+    if bad.size:
+        where = name if single or shared else f"{name} row {bad[0]}"
+        need = "finite and nonzero" if unit else "finite"
+        raise ValueError(f"{where} must be {need}, got {om[bad[0]]}")
+    if unit:
+        off = np.abs(norm - 1.0) > 1e-12
+        om[off] /= norm[off, None]
+    return om
+
+
+def _row_dots(a: Array, b: Array) -> Array:
+    """a[i] @ b[i] for each row. The stacked product takes the same dot
+    product as `a[i] @ b[i]` and `np.linalg.norm`, bit for bit, where a
+    sum of the products per row rounds differently."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def fibonacci_sphere(count: int) -> Array:
     """Quasi-uniform unit vectors from the spherical Fibonacci lattice."""
     k = np.arange(count)

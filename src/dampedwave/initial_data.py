@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import ConvexPolytope, _point_rows, hull_of_balls
+from .geometry import ConvexPolytope, _as_directions, _point_rows, _row_dots, hull_of_balls
 from .quadrature import with_refinement
 
 __all__ = [
@@ -56,11 +56,13 @@ class SmoothBump:
     def center_array(self) -> Array:
         return np.asarray(self.center, dtype=float)
 
-    def _shape(self, pts: Array) -> Tuple[Array, Array]:
-        """Offsets y - c at the points, and the gap R^2 - |y - c|^2."""
-        offset = _point_rows(pts, len(self.center))[0] - self.center_array
+    def _shape(self, pts: Array) -> Tuple[Array, Array, bool]:
+        """Offsets y - c at the points, the gap R^2 - |y - c|^2, and whether
+        pts was one point."""
+        rows, single = _point_rows(pts, len(self.center))
+        offset = rows - self.center_array
         w = (offset * offset).sum(axis=1)
-        return offset, self.radius * self.radius - w
+        return offset, self.radius * self.radius - w, single
 
     def _g_table(self, gap: Array, top: int, out: Optional[Array] = None) -> Array:
         """g, g', ... up to the `top`-th derivative in w of
@@ -101,39 +103,33 @@ class SmoothBump:
         return self._g_table(self._shape(pts)[1], 0)[0]
 
     def gradient(self, pts: Array) -> Array:
-        offset, gap = self._shape(pts)
+        offset, gap, _ = self._shape(pts)
         return 2.0 * self._g_table(gap, 1)[1][:, None] * offset
 
     def dir2(self, pts: Array, omega: Array) -> Array:
-        """(omega . grad)^2 of the bump."""
-        offset, gap = self._shape(pts)
+        """(omega . grad)^2 of the bump along the direction omega."""
+        offset, gap, single = self._shape(pts)
         _, g1, g2 = self._g_table(gap, 2)
-        along = offset @ np.asarray(omega, dtype=float)
+        along = _row_dots(offset, _as_directions(omega, *offset.shape, single))
         return 2.0 * g1 + 4.0 * g2 * along * along
 
     def dir3(self, pts: Array, omega: Array, zeta: Array) -> Array:
-        """Third derivative D^3 f[omega, omega, zeta]; zeta may vary per point."""
-        offset, gap = self._shape(pts)
+        """Third derivative D^3 f[omega, omega, zeta], omega a direction."""
+        offset, gap, single = self._shape(pts)
         _, _, g2, g3 = self._g_table(gap, 3)
-        omega = np.asarray(omega, dtype=float)
-        zeta = np.asarray(zeta, dtype=float)
-        if zeta.ndim == 2:
-            a_ze = (offset * zeta).sum(axis=1)
-            om_ze = zeta @ omega
-        else:
-            a_ze = offset @ zeta
-            om_ze = float(omega @ zeta)
-        a_om = offset @ omega
+        omega = _as_directions(omega, *offset.shape, single)
+        zeta = _as_directions(zeta, *offset.shape, single, "zeta", unit=False)
+        a_ze, a_om, om_ze = (_row_dots(offset, zeta), _row_dots(offset, omega),
+                             _row_dots(omega, zeta))
         return (4.0 * g2 * a_ze + 8.0 * g3 * a_ze * a_om * a_om
                 + 8.0 * g2 * om_ze * a_om)
 
     def hvp(self, pts: Array, vecs: Array) -> Array:
         """Hessian-vector products H(y) v(y); vecs is (n,) or one row per point."""
-        offset, gap = self._shape(pts)
+        offset, gap, single = self._shape(pts)
         _, g1, g2 = self._g_table(gap, 2)
-        vecs = np.asarray(vecs, dtype=float)
-        v = vecs if vecs.ndim == 2 else vecs[None, :]
-        along = (offset * v).sum(axis=1)
+        v = _as_directions(vecs, *offset.shape, single, "vecs", unit=False)
+        along = _row_dots(offset, v)
         return 2.0 * g1[:, None] * v + 4.0 * (g2 * along)[:, None] * offset
 
     def mass(self, dimension: int) -> float:
@@ -195,9 +191,10 @@ class InitialDatum:
     def _bump_sum(self, x: Union[Array, float], method: Callable[..., Array],
                   *args: Array) -> Union[Array, float]:
         """Sum over the bumps of one `SmoothBump` method, at one point or at
-        each row of an (m, n) block; one point gives a float or an (n,) row."""
-        pts, single = _point_rows(x, self.dimension)
-        out = sum(method(bump, pts, *args) for bump in self.bumps)
+        each row of an (m, n) block; one point gives a float or an (n,) row.
+        Each bump reads x itself, so it knows one point from a block of one."""
+        single = _point_rows(x, self.dimension)[1]
+        out = sum(method(bump, x, *args) for bump in self.bumps)
         if not single:
             return out
         return float(out[0]) if out.ndim == 1 else out[0]

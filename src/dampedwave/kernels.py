@@ -282,13 +282,20 @@ def _even_ktilde0_scaled(r_arr, t_arr, s):
     return np.where(s >= 1.0, stable, generic)
 
 
+def _finite_time(t) -> np.ndarray:
+    """t as an array of finite positive times: an expansion in 1/t has no
+    value at a NaN or infinite t."""
+    t_arr = np.asarray(t, dtype=float)
+    if not (np.isfinite(t_arr) & (t_arr > 0)).all():
+        raise ValueError("t must be finite and > 0")
+    return t_arr
+
+
 def ktilde_leading_order(parity: str, ell: int, t):
     """Fixed-radius leading order of e^(-t/2) ktilde_ell(r, t) as t grows."""
     _check_parity(parity)
     ell = _check_order(ell)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
-        raise ValueError("t must be > 0")
+    t_arr = _finite_time(t)
     if parity == "odd":
         val = -(2.0 * ell + 1.0) * 2.0 ** (ell + 1) / (
             math.sqrt(math.pi) * t_arr ** (ell + 1.5)
@@ -317,7 +324,7 @@ def ktilde_expansion_sqrt(parity: str, ell: int, r, t):
     """
     _check_parity(parity)
     ell = _check_order(ell)
-    r_arr, t_arr = _check_rt(r, t)
+    r_arr, t_arr = _check_rt(r, _finite_time(t))
     q = (r_arr / t_arr) ** 2
     if parity == "odd":
         bracket = (

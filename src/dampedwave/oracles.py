@@ -95,8 +95,8 @@ def fd_solve_1d(datum: InitialDatum, T: float, dx: float = 1.0 / 512.0,
     """
     if datum.dimension != 1:
         raise ValueError("finite-difference oracle is one-dimensional")
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and positive, got {T}")
     if dx <= 0.0:
         raise ValueError("dx must be positive")
     if not 0.0 < cfl <= 0.5:
@@ -162,8 +162,8 @@ def spectral_solve(datum: InitialDatum, T: float, L: float,
     n = datum.dimension
     if n not in (1, 2, 3):
         raise ValueError("spectral oracle supports dimensions one to three")
-    if T < 0.0:
-        raise ValueError("T must be non-negative")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be finite and non-negative, got {T}")
     if modes < 8:
         raise ValueError("mode count too small")
 

@@ -35,11 +35,21 @@ class QuadratureConvergenceError(RuntimeError):
     """Doubling the rule order moved the result more than the tolerance."""
 
 
+# The largest rule order. leggauss(order) builds a dense order x order
+# companion matrix, so its memory grows as order^2: an order of 10**5 would
+# ask for about 75 GiB. The wave rules and the order-doubling check double
+# an order, and the tests reach 1024 after that.
+_MAX_ORDER = 4096
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> Tuple[Array, Array]:
-    """Nodes and weights on [-1, 1], cached per order."""
+    """Nodes and weights on [-1, 1], cached per order; the order is at most
+    _MAX_ORDER."""
     if order < 1:
         raise ValueError("quadrature order must be positive")
+    if order > _MAX_ORDER:
+        raise ValueError(f"quadrature order must be at most {_MAX_ORDER}, got {order}")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)

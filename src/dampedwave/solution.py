@@ -35,7 +35,7 @@ nodes (`_SLICE_NODES`), each slice into buffers made once, and each row's
 dot products over its radial nodes follow the last slice; so the memory of
 a pass is bounded whatever the block. The node passes form their arrays in
 place, in the order the formulas are written. Every row equals its
-single-point value bit for bit (see `_row_dots`), whatever the chunk and
+single-point value bit for bit (see `geometry._row_dots`), whatever the chunk and
 slice. All of them, and `heat_eval`, check their input in one front end
 (`_as_points`) and share one back end (`_evaluate`); all but the principal
 part alone refuse a dimension above three first (`_check_full`).
@@ -50,7 +50,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .geometry import _point_rows, unit_directions
+from .geometry import _as_directions, _point_rows, _row_dots, unit_directions
 from .initial_data import InitialDatum, SmoothBump
 from .kernels import (_MAX_ARGUMENT, kernel_at_zero, kernel_deriv_at_zero,
                       kernel_ktilde_scaled)
@@ -136,37 +136,12 @@ def _as_points(datum: InitialDatum, x: Union[Array, float], t: float,
                omega: Optional[Array] = None) -> Tuple[Array, bool, Optional[Array]]:
     """x as an (m, n) block of points and whether x was one point
     (`geometry._point_rows`), and omega, if given, as a unit direction per
-    row (`_as_directions`); t must pass `_check_time`. Every evaluator
+    row (`geometry._as_directions`); t must pass `_check_time`. Every evaluator
     starts here."""
     _check_time(t)
     n = datum.dimension
     pts, single = _point_rows(x, n)
     return pts, single, None if omega is None else _as_directions(omega, len(pts), n, single)
-
-
-def _as_directions(omega: Array, m: int, n: int, single: bool) -> Array:
-    """omega, shared or one per row, as m unit rows; each row must be finite
-    and nonzero, and is divided by its norm unless that is 1 to 1e-12."""
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    if om.shape not in ((n,), (m, n)):
-        raise ValueError(f"omega has shape {om.shape}, expected ({n},) or ({m}, {n})")
-    shared = om.ndim == 1
-    om = np.array(np.broadcast_to(om, (m, n)), order="C")
-    norm = np.sqrt(_row_dots(om, om))
-    bad = np.flatnonzero(~(np.isfinite(om).all(axis=1) & (norm > 0.0)))
-    if bad.size:
-        where = "omega" if single or shared else f"omega row {bad[0]}"
-        raise ValueError(f"{where} must be finite and nonzero, got {om[bad[0]]}")
-    off = np.abs(norm - 1.0) > 1e-12
-    om[off] /= norm[off, None]
-    return om
-
-
-def _row_dots(a: Array, b: Array) -> Array:
-    """a[i] @ b[i] for each row. The stacked product takes the same dot
-    product as `a[i] @ b[i]` and `np.linalg.norm`, bit for bit, where a
-    sum of the products per row rounds differently."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 # Angular nodes per pass of the node passes: 128 KiB of float64 an array.

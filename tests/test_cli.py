@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dampedwave import cli
@@ -318,6 +319,16 @@ NULL_FIELDS = [
      "t_max must be a finite positive number, got None"),
     (UNIT_DATUM, "sweep", {"t_min": 1.0, "t_max": 8.0, "factor": "2"},
      "factor must be a finite positive number, got '2'"),
+    (UNIT_DATUM, "evaluate", {"out": 5}, "out must be a string, got 5"),
+    (UNIT_DATUM, "evaluate", {"datum": "nope.json"},
+     "bad datum: [Errno 2] No such file or directory: 'nope.json'"),
+    # The leading order of even ell = 0 is exactly 0, and so is the sqrt
+    # expansion at r = 0.
+    (UNIT_DATUM, "asymptotics", {"asymptotics": {"parity": "even", "ell": 0}},
+     "the expansion is exactly 0 at t = 10.0, so it has no ratio"),
+    (UNIT_DATUM, "asymptotics",
+     {"asymptotics": {"parity": "even", "ell": 0, "regime": "sqrt", "r_over_sqrt_t": 0.0}},
+     "the expansion is exactly 0 at t = 10.0, so it has no ratio"),
 ]
 
 
@@ -333,6 +344,29 @@ def test_null_or_non_numeric_field_is_a_config_error(tmp_path, capsys, datum, mo
     cfg.write_text(json.dumps(config).replace('"1e309"', "1e309"), encoding="utf-8")
     assert main(["--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    assert main(["--config", str(cfg), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == ("config error: seed must be a non-negative "
+                                       "integer, got -1\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_order_past_the_rule_bound_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # Refused before leggauss builds its order x order companion matrix.
+    real = np.polynomial.legendre.leggauss
+
+    def leggauss(order):
+        assert order <= 4096, f"leggauss({order}) was called"
+        return real(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    cfg = _write_config(tmp_path, order=10**6)
+    assert main(["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == ("config error: quadrature order must be at most "
+                                       "4096, got 1000000\n")
 
 
 def test_asymptotics_mode(tmp_path):

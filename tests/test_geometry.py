@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, Delaunay
 
-from dampedwave.features import _interior_points
+from dampedwave.features import (_interior_points, find_critical_radius, find_hot_spots,
+                                 trace_null_radius)
 from dampedwave.geometry import (_BLOCK, _BUFFER, ConvexPolytope, NormalPoint,
                                  _ball_cloud, _probe_directions,
                                  fibonacci_sphere, hull_of_balls,
@@ -495,3 +496,122 @@ def test_point_entries_refuse_malformed_points(entry, case, name, request):
     want = message.format(k=x.size, n=datum.dimension, shape=x.shape)
     with pytest.raises(ValueError, match="^" + re.escape(want)):
         POINT_ENTRIES[entry](datum, x)
+
+
+def _ray_stage(stage):
+    """A ray stage at t = 400 on the ray from the point x along omega, its
+    result as an array: a radius (NaN for None), or each hot spot and its
+    value."""
+    def entry(datum, x, omega):
+        point = NormalPoint(np.reshape(x, -1), omega)
+        if stage is find_hot_spots:
+            return np.array([np.append(spot, value)
+                             for spot, value in stage(datum, 400.0, [point], order=8)])
+        rho = stage(datum, 400.0, point, order=8)
+        return np.array([math.nan if rho is None else rho])
+    return entry
+
+
+# Every entry that takes a direction, called on a datum, x and omega; each
+# reads omega through the one reader, geometry._as_directions. A ray stage
+# reads its normal nu there and takes one point x.
+RAY_STAGES = {"trace_null_radius": trace_null_radius,
+              "find_critical_radius": find_critical_radius,
+              "find_hot_spots": find_hot_spots}
+DIRECTION_ENTRIES = {
+    "eval_dir2_u": lambda d, x, w: eval_dir2_u(d, x, 2.0, w, order=8),
+    "RadialField.dir2": lambda d, x, w: RadialField(d, 10.0, 8).dir2(x, w),
+    "InitialDatum.dir2": lambda d, x, w: d.dir2(x, w),
+    "SmoothBump.dir2": lambda d, x, w: d.bumps[0].dir2(x, w),
+    "SmoothBump.dir3": lambda d, x, w: d.bumps[0].dir3(x, w, _axis(d)),
+    **{name: _ray_stage(stage) for name, stage in RAY_STAGES.items()},
+}
+# Malformed directions by dimension, with the start of the message every
+# entry gives.
+MALFORMED_DIRECTIONS = {
+    "length": ({1: np.zeros(2), 2: np.zeros(3)},
+               "{name} has shape {shape}, expected ({n},) or ("),
+    "three_axes": ({1: np.ones((1, 1, 1)), 2: np.ones((1, 1, 2))},
+                   "{name} has shape {shape}, expected ({n},) or ("),
+    "nan": ({1: np.array([math.nan]), 2: np.array([math.nan, 1.0])},
+            "{name} must be finite and nonzero"),
+    "inf": ({1: np.array([math.inf]), 2: np.array([0.0, -math.inf])},
+            "{name} must be finite and nonzero"),
+    "zero": ({1: np.zeros(1), 2: np.zeros(2)}, "{name} must be finite and nonzero"),
+}
+
+
+def _direction_points(entry, datum):
+    """Three points near the bumps, or for a ray stage one boundary point of
+    the hull, as a block."""
+    if entry in RAY_STAGES:
+        return sample_normal_bundle(datum.hull, 4)[0].xi[None, :]
+    return {1: np.array([[-0.4], [0.1], [0.95]]),
+            2: np.array([[0.1, 0.2], [0.5, -0.3], [1.5, 0.8]])}[datum.dimension]
+
+
+@pytest.mark.parametrize("entry", sorted(DIRECTION_ENTRIES))
+@pytest.mark.parametrize("case", sorted(MALFORMED_DIRECTIONS))
+@pytest.mark.parametrize("name", ["two_1d", "two_2d"])
+def test_direction_entries_refuse_malformed_directions(entry, case, name, request):
+    datum = request.getfixturevalue(name)
+    directions, message = MALFORMED_DIRECTIONS[case]
+    omega = directions[datum.dimension]
+    want = message.format(name="nu" if entry in RAY_STAGES else "omega",
+                          shape=omega.shape, n=datum.dimension)
+    with pytest.raises(ValueError, match="^" + re.escape(want)):
+        DIRECTION_ENTRIES[entry](datum, _direction_points(entry, datum), omega)
+
+
+@pytest.mark.parametrize("entry", sorted(DIRECTION_ENTRIES))
+@pytest.mark.parametrize("name", ["two_1d", "two_2d"])
+def test_direction_entries_read_a_scaled_direction_as_the_unit_one(entry, name, request):
+    # omega -> omega / |omega|, bit for bit: the scale 4 is exact.
+    datum = request.getfixturevalue(name)
+    x = _direction_points(entry, datum)
+    omega = np.random.default_rng(11).normal(size=datum.dimension)
+    unit = DIRECTION_ENTRIES[entry](datum, x, omega / np.linalg.norm(omega))
+    assert np.array_equal(DIRECTION_ENTRIES[entry](datum, x, 4.0 * omega), unit,
+                          equal_nan=True)
+    assert np.array_equal(DIRECTION_ENTRIES[entry](datum, x, -0.25 * omega),
+                          DIRECTION_ENTRIES[entry](datum, x, -omega / np.linalg.norm(omega)),
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("entry", sorted(DIRECTION_ENTRIES))
+@pytest.mark.parametrize("name", ["two_1d", "two_2d"])
+def test_direction_entries_take_one_direction_per_row(entry, name, request):
+    # One (scaled) direction a row gives each row's single-point value, and
+    # a bad row is named.
+    datum = request.getfixturevalue(name)
+    x = _direction_points(entry, datum)
+    omegas = np.random.default_rng(12).normal(size=x.shape) * [[1.0], [3.0], [0.5]][:len(x)]
+    rows = np.concatenate([np.atleast_1d(DIRECTION_ENTRIES[entry](datum, p, w))
+                           for p, w in zip(x, omegas)])
+    assert np.array_equal(DIRECTION_ENTRIES[entry](datum, x, omegas), rows, equal_nan=True)
+    if len(x) > 1:
+        omegas[1] = math.nan
+        with pytest.raises(ValueError, match="^omega row 1 must be finite and nonzero"):
+            DIRECTION_ENTRIES[entry](datum, x, omegas)
+        # One point has no row to name, whichever layer reads it.
+        with pytest.raises(ValueError, match="^omega must be finite and nonzero"):
+            DIRECTION_ENTRIES[entry](datum, x[1], omegas[1:2])
+
+
+@pytest.mark.parametrize("name", ["two_1d", "two_2d"])
+def test_bump_vectors_are_read_not_normalised(name, request):
+    # hvp's vecs and dir3's zeta are vectors: one for every point or one per
+    # point, finite, and taken as they are.
+    datum = request.getfixturevalue(name)
+    bump, x = datum.bumps[0], _direction_points("eval_dir2_u", datum)
+    v = np.random.default_rng(13).normal(size=x.shape)
+    for vector, call in (("vecs", lambda z: bump.hvp(x, z)),
+                         ("zeta", lambda z: bump.dir3(x, _axis(datum), z))):
+        assert np.array_equal(call(4.0 * v), 4.0 * call(v))
+        assert np.array_equal(call(v)[1], call(v[1])[1])
+        v_bad = v.copy()
+        v_bad[2, 0] = math.nan
+        with pytest.raises(ValueError, match=f"^{vector} row 2 must be finite, got"):
+            call(v_bad)
+        with pytest.raises(ValueError, match=f"^{vector} has shape"):
+            call(v[:2])

@@ -278,6 +278,15 @@ def test_input_validation():
                 call()
     with pytest.raises(ValueError, match="finite and at most 1e"):
         kernel_ktilde_scaled("even", 0, math.nan, 10.0)
+    # A non-finite time has no expansion: they gave NaN, and the leading
+    # order -0.0 at t = inf.
+    for bad in (math.nan, math.inf):
+        for call in (lambda: ktilde_leading_order("odd", 0, bad),
+                     lambda: ktilde_leading_order("even", 1, np.array([10.0, bad])),
+                     lambda: ktilde_expansion_sqrt("odd", 1, 1.0, bad),
+                     lambda: ktilde_expansion_sqrt("even", 0, 0.0, bad)):
+            with pytest.raises(ValueError, match="t must be finite and > 0"):
+                call()
 
 
 @settings(max_examples=60, deadline=None)

@@ -86,6 +86,9 @@ def test_fd_rejects_bad_setups(unit_1d, two_2d):
         fd_solve_1d(unit_1d, -1.0)
     with pytest.raises(ValueError):
         fd_solve_1d(unit_1d, 1.0, dx=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            fd_solve_1d(unit_1d, bad)
 
 
 def test_spectral_rejects_bad_setups(unit_1d):
@@ -95,6 +98,10 @@ def test_spectral_rejects_bad_setups(unit_1d):
         spectral_solve(unit_1d, 1.0, 8.0, 4)
     with pytest.raises(ValueError):
         spectral_solve(unit_1d, -0.5, 8.0, 256)
+    # A NaN time gave an all-NaN snapshot.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="T must be finite and non-negative"):
+            spectral_solve(unit_1d, bad, 8.0, 256)
     d4 = make_datum([SmoothBump((0.0,) * 4, 1.0, 1.0)], 4)
     with pytest.raises(ValueError):
         spectral_solve(d4, 1.0, 8.0, 16)

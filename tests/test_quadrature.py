@@ -17,6 +17,17 @@ def test_gauss_legendre_polynomial_exactness():
             exact, abs=1e-14)
 
 
+def test_gauss_legendre_refuses_an_order_past_the_bound(monkeypatch):
+    # The bound holds before leggauss builds its dense order x order
+    # companion matrix, which at 10**6 would take 7.3 TiB.
+    def leggauss(order):
+        raise AssertionError(f"leggauss({order}) was called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    with pytest.raises(ValueError, match="at most 4096, got 1000000"):
+        gauss_legendre(10**6)
+
+
 def test_interval_nodes_affine():
     nodes, weights = interval_nodes(2.0, 5.0, 16)
     assert float(weights.sum()) == pytest.approx(3.0, rel=1e-14)
