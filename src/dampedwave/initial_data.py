@@ -97,6 +97,9 @@ class SmoothBump:
         if top >= 3:
             out[3] = g * (-(r2**3) * inv**6 + 6.0 * r2 * r2 * inv**5
                           - 6.0 * r2 * inv**4)
+        if top >= 4:
+            out[4] = g * (r2**4 * inv**8 - 12.0 * r2**3 * inv**7
+                          + 36.0 * r2 * r2 * inv**6 - 24.0 * r2 * inv**5)
         return out
 
     def value(self, pts: Array) -> Array:

@@ -3,7 +3,9 @@
 Two schemes with disjoint error mechanisms cross-check the closed-form
 evaluator: a second-order leapfrog finite-difference scheme on a padded
 interval (dimension one), and an exact per-mode Fourier evolution on a torus
-(dimensions one to three) whose only error is spatial sampling of f.
+(dimensions one to three) whose only error is spatial sampling of f. The
+per-mode response (`hankel.mode_response`) is the one the radial profiles
+integrate, finite at every T.
 
 Both integrate u_tt - Lap u + u_t = 0 from the initial state (f, -f).
 """
@@ -17,14 +19,12 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .geometry import _point_rows
+from .hankel import mode_response
 from .initial_data import InitialDatum
 
 __all__ = ["OracleRun", "fd_solve_1d", "spectral_solve"]
 
 Array = np.ndarray
-
-CONFLUENT_SWITCH = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class OracleRun:
@@ -129,27 +129,6 @@ def fd_solve_1d(datum: InitialDatum, T: float, dx: float = 1.0 / 512.0,
                      periodic=False)
 
 
-def _mode_response(k2: Array, T: float) -> Array:
-    """Closed-form u_hat(T)/f_hat for one Fourier mode of the (f, -f) problem.
-
-    Roots of z^2 + z + |k|^2: lambda = (-1 +- delta)/2 with
-    delta = sqrt(1 - 4|k|^2). The response is
-    exp(-T/2) * (cosh(delta T/2) - sinh(delta T/2)/delta), evaluated through
-    sinh(z)/z so nearly confluent modes lose no precision; the double root
-    itself gets the exact (1 - T/2) exp(-T/2).
-    """
-    disc = 1.0 - 4.0 * k2
-    delta = np.sqrt(disc.astype(complex))
-    z = 0.5 * T * delta
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 0.0, z)
-    sinhc = np.where(small, 1.0 + z * z / 6.0 + z**4 / 120.0,
-                     np.sinh(zs) / np.where(small, 1.0, zs))
-    response = np.cosh(z) - 0.5 * T * sinhc
-    response = np.where(np.abs(disc) < CONFLUENT_SWITCH, 1.0 - 0.5 * T, response)
-    return math.exp(-0.5 * T) * response.real
-
-
 def spectral_solve(datum: InitialDatum, T: float, L: float,
                    modes: int, margin: float = 1.0) -> OracleRun:
     """Exact per-mode evolution of the sampled datum on the torus [-L, L)^n.
@@ -188,7 +167,7 @@ def spectral_solve(datum: InitialDatum, T: float, L: float,
         shape = [1] * n
         shape[d] = modes
         k2 = k2 + (freqs**2).reshape(shape)
-    evolved = np.fft.ifftn(np.fft.fftn(f) * _mode_response(k2, T))
+    evolved = np.fft.ifftn(np.fft.fftn(f) * mode_response(k2, T))
     return OracleRun(scheme="spectral-torus", axes=axes, half_width=L,
                      dt=None, time=T, snapshot=np.real(evolved),
                      periodic=True)

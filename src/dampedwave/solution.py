@@ -39,6 +39,14 @@ single-point value bit for bit (see `geometry._row_dots`), whatever the chunk an
 slice. All of them, and `heat_eval`, check their input in one front end
 (`_as_points`) and share one back end (`_evaluate`); all but the principal
 part alone refuse a dimension above three first (`_check_full`).
+
+The feature stages evaluate through `RadialField` instead: per bump, the
+Hankel integral of its share of u (`hankel.hankel_profile`) at the 33
+distances of a Chebyshev-Lobatto grid, fitted as an even series, which
+holds from about t = 100 on. The field turns to this core where the light
+cone enters the profile domain, where the tail bound of the Hankel integral
+exceeds a profile's error bar, where 65 nodes do not resolve a profile, and
+at points beyond the profile domain.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from .geometry import _as_directions, _point_rows, _row_dots, unit_directions
+from .hankel import _sphere_area, hankel_profile, tail_bound
 from .initial_data import InitialDatum, SmoothBump
 from .kernels import (_MAX_ARGUMENT, kernel_at_zero, kernel_deriv_at_zero,
                       kernel_ktilde_scaled)
@@ -232,11 +241,6 @@ def _wave_pair(n: int, t: float) -> Tuple[float, float]:
     if n == 2:
         return 0.25 * t * t - t + 2.0, 2.0 * t
     return 0.5 * t * t - 2.0 * t + 4.0, 4.0 * t
-
-
-def _sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 class _Radial(NamedTuple):
@@ -883,12 +887,12 @@ def error_decay_diagnostic(datum: InitialDatum, t_values: List[float],
 # Degree of the profile series: the Chebyshev-Lobatto grid s_j = cos(j pi/N),
 # j = 0..N, on [-1, 1], whose distances |s_j| are N/2 + 1 = 33 values.
 _PROFILE_DEGREE = 64
-# No value of the profile data is known better than this fraction of its
-# |kernel| mass: the kernels agree with 60-digit mpmath to 3.5e-12 at worst
-# (acceptance criterion 04), and a value at order 128 sums about 33,000
-# nodes. At order 64 in 2D the node and order gaps both sit at 1e-13 to
-# 4e-13 of the mass, so without this floor a converged profile of two_bump_2d
-# would be refused on noise.
+# No value of the profile data is taken as known better than this fraction
+# of its bound sum |W| k^q (`hankel.hankel_profile`); for h it bounds |h|,
+# and is |h(0)| where f^ m keeps one sign below k = 1/2. Node counts move the
+# Hankel sums by about 1e-14 of it, and the direct evaluators, which the
+# stages and the tests set beside the field, sit up to 3e-12 of it from
+# them at t = 12800 (`tests/test_hankel.py`).
 _PROFILE_FLOOR = 1e-12
 
 
@@ -1001,49 +1005,44 @@ class RadialProfile(NamedTuple):
     """One bump's share of u at one t, h(d) with d = |x - c|, on [0, D].
 
     errors holds the error bars of h, of h' and of the dir2 terms (the
-    larger of h'' and h'/d) over [0, D]. Each is the largest of the gap
-    between the 33- and 65-node interpolants, the gap between the
-    interpolants of the data at `order` and at 2*`order` (the rule's own
-    error at `order`), and, for h, the rounding floor of the data.
-    converged says whether the node gap of h is within the larger of the
-    order gap and the floor: where it is not, 65 nodes do not resolve h.
+    larger of h'' and h'/d) over [0, D]: each is the gap between the 33- and
+    65-node interpolants plus twice the rule gap, between the
+    interpolants of the Hankel data on rules of 4*`order` and of `order`
+    nodes, floored at the rounding floor of the data. A rule of `order`
+    nodes has about the error of a direct evaluation at `order`, so the bar
+    also holds against that. converged says whether the node gap of h is
+    within the larger of the rule gap and the floor: where it is not,
+    65 nodes do not resolve h. tail bounds the part of h from the modes
+    above k = 1/2, which the Hankel integral leaves out (`hankel.tail_bound`).
     """
     series: _Series
     reach: float
     t: float
     errors: Array
     converged: bool
+    tail: float
 
 
 def _radial_profile(bump: SmoothBump, t: float, order: int) -> RadialProfile:
-    """The bump's profile at t: one block call of the full field `_sums` at
-    the 33 distances at 2*`order`, fitted as h(d) exp(d**2/4t), and one at
-    `order` for the error bar.
+    """The bump's profile at t from its Hankel integrals (`hankel.hankel_profile`)
+    at the 33 distances, fitted as h(d) exp(d**2/4t).
 
-    u is linear in the datum, so the profile is built for the bump with
-    amplitude 1 and scaled; a bump of amplitude 0 adds nothing. The bump is
-    moved to the origin, so that the points d e_1 lie at distance d exactly.
+    u is linear in the datum, so a bump of amplitude 0 adds nothing, and
+    the profile of the bump about its own centre is its share of u at every
+    point. The fit holds the data on rules of 4*`order` nodes; the data on
+    `order` nodes give the rule gap.
     """
     n = len(bump.center)
-    one = InitialDatum((SmoothBump((0.0,) * n, bump.radius, 1.0),), n, None)
     reach = profile_reach(n, t)
     dist = reach * _lobatto_distances(_PROFILE_DEGREE)
-    pts = np.zeros((len(dist), n))
-    pts[:, 0] = dist
-    damp = wave_factor(t)
     lift = np.exp(dist * dist / (4.0 * t))
-
-    def lifted(o: int) -> Tuple[Array, Array]:
-        p, wave, mass = _sums(0, one, t, pts, o, damp > 0.0)
-        return (p + wave * damp) * lift, mass
-
-    values, mass = lifted(2 * order)
-    values *= bump.amplitude
+    values, coarse, bounds = hankel_profile(bump, n, t, dist, order)
+    values *= lift
     fine = _lobatto_matrix(_PROFILE_DEGREE) @ values
     # The 33-node grid is every other node of the 65-node one.
     nodes = fine.copy()
     nodes[:_PROFILE_DEGREE // 4 + 1] -= _lobatto_matrix(_PROFILE_DEGREE // 2) @ values[::2]
-    orders = fine - _lobatto_matrix(_PROFILE_DEGREE) @ (bump.amplitude * lifted(order)[0])
+    rules = fine - _lobatto_matrix(_PROFILE_DEGREE) @ (coarse * lift)
     # The gaps are taken on the 65 distances of the 129-node grid, so that
     # they are seen between the nodes as well.
     check = reach * _lobatto_distances(2 * _PROFILE_DEGREE)
@@ -1052,12 +1051,11 @@ def _radial_profile(bump: SmoothBump, t: float, order: int) -> RadialProfile:
         h, slope, curv = np.abs(_series_jet(_series(coef), reach, t, check))
         return np.array([h.max(), (slope * check).max(), max(slope.max(), curv.max())])
 
-    node_gap, order_gap = gaps(nodes), gaps(orders)
-    floor = _PROFILE_FLOOR * bump.amplitude * float(mass.max())
-    errors = np.maximum(node_gap, order_gap)
-    errors[0] = max(errors[0], floor)
-    return RadialProfile(_series(fine), reach, t, errors,
-                         bool(node_gap[0] <= max(order_gap[0], floor)))
+    node_gap, rule_gap = gaps(nodes), gaps(rules)
+    floor = _PROFILE_FLOOR * bounds
+    return RadialProfile(_series(fine), reach, t, np.maximum(node_gap + 2.0 * rule_gap, floor),
+                         bool(node_gap[0] <= max(rule_gap[0], floor[0])),
+                         tail_bound(bump, n, t))
 
 
 class RadialField:
@@ -1068,15 +1066,19 @@ class RadialField:
         (omega . grad)^2 u = sum h_b'' (e_b . omega)**2
                              + (h_b'/d_b) (1 - (e_b . omega)**2),
 
-    which is h_b'' at d_b = 0. The profiles hold the data at 2*`order`, so
-    the field is the more accurate of the two; `errors` holds the error bars
-    of its three quantities, the sums of the bumps' error bars.
+    which is h_b'' at d_b = 0. The profiles hold Hankel data on rules of
+    4*`order` nodes, so the field is more accurate than a direct evaluation
+    at `order`; `errors` holds the error bars of its three quantities, the
+    sums of the bumps' error bars. At the default order every bundled shape
+    holds profiles from t = 200 to 12800 at least.
 
     It evaluates with the direct evaluators at `order` instead:
     - every point, where some bump has D + R_b >= t (`fallback` says so):
       the light cone then enters [0, D], and h_b is not smooth there;
+    - every point, where a profile's tail bound exceeds its error bar of h,
+      below about t = 100 for a unit bump;
     - every point, where a profile has not converged: 65 nodes leave a gap
-      above both the order gap and the rounding floor;
+      above both the rule gap and the rounding floor;
     - each point farther than D from some bump centre, where no profile
       holds data.
     Such points give exactly what the direct evaluators give.
@@ -1093,6 +1095,9 @@ class RadialField:
             self.fallback: Optional[str] = "the light cone reaches the profile domain"
             return
         profiles = [_radial_profile(bump, t, order) for bump in datum.bumps]
+        if any(p.tail > p.errors[0] for p in profiles):
+            self.fallback = "the high-frequency tail bound exceeds a profile's error bar"
+            return
         if not all(p.converged for p in profiles):
             self.fallback = "a profile has not converged on 65 nodes"
             return

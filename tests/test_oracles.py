@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dampedwave.initial_data import SmoothBump, make_datum
-from dampedwave.oracles import _mode_response, fd_solve_1d, spectral_solve
+from dampedwave.hankel import mode_response
+from dampedwave.oracles import fd_solve_1d, spectral_solve
 from dampedwave.solution import eval_u
 
 
@@ -12,23 +13,23 @@ def test_mode_response_confluent_root():
     # At |k|^2 = 1/4 the characteristic roots coincide; the response must be
     # the exact double-root formula, not a 0/0 artifact.
     for T in (0.5, 2.0, 10.0):
-        got = _mode_response(np.array([0.25]), T)[0]
+        got = mode_response(np.array([0.25]), T)[0]
         want = (1.0 - 0.5 * T) * math.exp(-0.5 * T)
         assert abs(got - want) < 1e-14
 
 
 def test_mode_response_continuous_near_confluence():
     T = 3.0
-    center = _mode_response(np.array([0.25]), T)[0]
+    center = mode_response(np.array([0.25]), T)[0]
     for eps in (1e-9, -1e-9, 1e-7, -1e-7):
-        near = _mode_response(np.array([0.25 + eps]), T)[0]
+        near = mode_response(np.array([0.25 + eps]), T)[0]
         assert abs(near - center) < 1e-7
 
 
 def test_mode_response_zero_mode_mass_decay():
     # k = 0 evolves by u'' + u' = 0 with data (1, -1): constant 0 plus e^{-T}.
     for T in (0.1, 1.0, 7.0):
-        got = _mode_response(np.array([0.0]), T)[0]
+        got = mode_response(np.array([0.0]), T)[0]
         assert got == pytest.approx(math.exp(-T), rel=1e-12)
 
 
