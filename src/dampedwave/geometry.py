@@ -15,12 +15,11 @@ Andrew, Inf. Process. Lett. 9, 1979), so 2D data load no SciPy; the 3D
 hull is qhull, through scipy.spatial, imported at the first 3D hull.
 
 The dense products run in row blocks: the support over the probe in blocks
-of _BLOCK entries, and the diameter's pairwise squares and the membership
-test against the facets through one reused buffer of _BUFFER entries. The
-diameter adds its squares in the dense order, and a max is exact, so it
-keeps every bit. BLAS may round a support entry on a tile edge differently
-from one dense product in its last bit; every bundled datum keeps its
-hull_tol bit for bit.
+of _BLOCK entries, and the membership test against the facets through one
+reused buffer of _BUFFER entries. BLAS may round a support entry on a tile
+edge differently from one dense product in its last bit; every bundled
+datum keeps its hull_tol bit for bit. Membership and containment scale
+their rounding slacks with `width`, one pass over the vertices.
 """
 
 from __future__ import annotations
@@ -57,10 +56,8 @@ _PROBE_DIRECTIONS = {1: 2, 2: 4096, 3: 8192}
 # blocks of 64 KiB a fresh process that runs the grid-2d benchmark workload
 # peaked at 34.07-34.23 MB instead of 32.35-32.69 MB (ten processes each).
 _BLOCK = 1 << 16
-# Entries of the one buffer that the diameter's pairwise squares and the
-# membership test reuse for every block: 64 KiB of float64. In the spots-3d
-# benchmark the first `inside` of `certify_signs` computes the diameter,
-# and 512 KiB blocks there set the peak RSS of the run.
+# Entries of the one buffer that the membership test reuses for every
+# block of rows: 64 KiB of float64.
 _BUFFER = _BLOCK // 8
 
 
@@ -180,30 +177,11 @@ class ConvexPolytope:
         return _derived_facets(self.vertices, self.dimension)[1]
 
     @cached_property
-    def diameter(self) -> float:
-        """Largest distance between two vertices.
-
-        The vertices are read-only, so the O(V^2) pairwise scan runs once. It
-        takes _BUFFER // 2V rows at a time, into the two halves of one
-        buffer, and adds the squared coordinate differences one coordinate
-        after the other, in the order of a sum over the last axis. The
-        square root is taken once, of the largest square: it is monotone and
-        correctly rounded, so that equals the largest root (in 1D,
-        sqrt(fl(d^2)) = |d|)."""
-        v = self.vertices
-        rows = max(1, _BUFFER // (2 * len(v)))
-        pair = np.empty((2, min(rows, len(v)), len(v)))
-        widest = 0.0
-        for start in range(0, len(v), rows):
-            block = v[start:start + rows]
-            total, gap = pair[:, :len(block)]
-            total.fill(0.0)
-            for axis in range(self.dimension):
-                np.subtract.outer(block[:, axis], v[:, axis], out=gap)
-                gap *= gap
-                total += gap
-            widest = max(widest, float(total.max()))
-        return float(np.sqrt(widest))
+    def width(self) -> float:
+        """Widest side of the vertex bounding box: the diameter in 1D, and at
+        least 1/sqrt(n) of it in R^n. It scales the rounding slacks of
+        `inside` and `inscribed_ball_containment`."""
+        return float(np.ptp(self.vertices, axis=0).max())
 
     def support(self, directions: Array) -> Array:
         """Support function h(d) = max_v v . d, vectorized over rows.
@@ -225,12 +203,12 @@ class ConvexPolytope:
     def inside(self, points: Array) -> Array:
         """Row-wise membership of an (m, n) array, without the nearest-point
         problem: the rows `distance` puts at 0. A row is inside when no
-        facet equation exceeds 1e-12 * max(diameter, 1), the boundary slack.
+        facet equation exceeds 1e-12 * max(width, 1), the boundary slack.
         The rows go _BUFFER // F at a time against the F facets, in one
         buffer."""
         x = _point_rows(points, self.dimension)[0]
         normals, offsets = self.equations[:, :-1].T, self.equations[:, -1]
-        slack = 1e-12 * max(self.diameter, 1.0)
+        slack = 1e-12 * max(self.width, 1.0)
         rows = max(1, _BUFFER // len(offsets))
         buffer = np.empty((min(rows, len(x)), len(offsets)))
         out = np.empty(len(x), dtype=bool)
@@ -462,7 +440,7 @@ def inscribed_ball_containment(body: ConvexPolytope, center: Array, rho: float,
         raise ValueError(f"containment radius must be finite and non-negative, got {rho}")
     if count is None:
         count = {1: 2, 2: 256, 3: 1024}[body.dimension]
-    tol = body.hull_tol + 1e-9 * max(body.diameter, 1.0)
+    tol = body.hull_tol + 1e-9 * max(body.width, 1.0)
     for point in sample_normal_bundle(body, count):
         if float(center @ point.nu) + 0.5 * rho > float(point.xi @ point.nu) - 0.5 * rho + tol:
             return False

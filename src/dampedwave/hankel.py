@@ -16,6 +16,10 @@ For k >= 1/2 the roots of z^2 + z + k^2 are complex and |m| <= e^(-t/2)
 (1 + t/2). Below 1/2, m is e^(-k^2 t) to leading order, so at t >= 180 the
 integral is cut at k = sqrt(45/t), where that factor is e^(-45). What the
 cut at 1/2 leaves out is bounded by `tail_bound`.
+
+`radial_mean`, `tail_bound` and `hankel_profile` serve dimensions one to
+three, the radial means written out here, and refuse another n, and a bump
+whose centre does not have n coordinates, with a ValueError.
 """
 
 from __future__ import annotations
@@ -96,6 +100,13 @@ def _circle_count(top: float) -> int:
     return count
 
 
+def _check_dimension(n: int, bump: Optional[SmoothBump] = None) -> None:
+    if n not in (1, 2, 3):
+        raise ValueError(f"the radial means cover dimensions 1-3, got {n}")
+    if bump is not None and len(bump.center) != n:
+        raise ValueError(f"bump centre {bump.center} does not have {n} coordinates")
+
+
 def radial_mean(n: int, z: Array, out: Optional[Array] = None) -> Array:
     """Lambda_nu(z) for z >= 0, the mean of cos(z theta_1) over the unit
     sphere S^(n-1) in dimensions one to three: cos z, J_0(z) and sin(z)/z.
@@ -104,6 +115,7 @@ def radial_mean(n: int, z: Array, out: Optional[Array] = None) -> Array:
     on a Gauss-Chebyshev rule (`_circle_count` nodes for the largest z), so
     it needs no SciPy. In 3D, below z = 0.01, sin(z)/z is its series
     1 - z^2/6 + z^4/120, whose next term is under 2e-17."""
+    _check_dimension(n)
     if out is None:
         out = np.empty_like(z)
     if n == 1:
@@ -147,12 +159,23 @@ def _sphere_area(n: int) -> float:
 def tail_bound(bump: SmoothBump, n: int, t: float) -> float:
     """A bound on the part of h from k >= 1/2, at every d, from
     |m| <= e^(-t/2) (1 + t/2), |Lambda_nu| <= 1 and
-    |f^(k)| <= ||Delta^2 f||_1 k^(-4) (two is the least power j > n/2 in
-    n <= 3): (2 pi)^(-n) S e^(-t/2) (1 + t/2) ||Delta^2 f||_1 2^(4-n)/(4-n).
-    f = a F((y - c)/R) has ||Delta^2 f||_1 = a R^(n-4) ||Delta^2 F||_1."""
+    |f^(k)| <= min(M, B k^(-4)), with M = ||f||_1 (`SmoothBump.mass`) and
+    B = ||Delta^2 f||_1 (two is the least power j > n/2 in n <= 3):
+    (2 pi)^(-n) S e^(-t/2) (1 + t/2) times the integral I of
+    min(M, B k^(-4)) k^(n-1) over k >= 1/2. With k* = (B/M)^(1/4),
+    I = B 2^(4-n)/(4-n) if k* <= 1/2, and otherwise
+    I = M (k*^n - 2^(-n))/n + B k*^(n-4)/(4-n).
+    f = a F((y - c)/R) has B = a R^(n-4) ||Delta^2 F||_1."""
+    _check_dimension(n, bump)
     norm = bump.amplitude * bump.radius ** (n - 4) * _unit_bilaplacian_norm(n)
+    mass = bump.mass(n)
+    knee = (norm / mass) ** 0.25 if mass > 0.0 else 0.0
+    if knee <= 0.5:
+        modes = norm * 2.0 ** (4 - n) / (4 - n)
+    else:
+        modes = mass * (knee ** n - 0.5 ** n) / n + norm * knee ** (n - 4) / (4 - n)
     return ((2.0 * math.pi) ** (-n) * _sphere_area(n) * math.exp(-0.5 * t) * (1.0 + 0.5 * t)
-            * norm * 2.0 ** (4 - n) / (4 - n))
+            * modes)
 
 
 def _blocked(n: int, rows: Array, cols: Array, weights: Array) -> Array:
@@ -182,6 +205,7 @@ def hankel_profile(bump: SmoothBump, n: int, t: float, d: Array,
     |h''| and |h'/d|, since every radial mean, its first two derivatives and
     Lambda_nu'(z)/z are at most 1 in size.
     """
+    _check_dimension(n, bump)
     radius = bump.radius
     scale = (2.0 * math.pi) ** (-n) * _sphere_area(n) ** 2
     top = min(0.5, math.sqrt(45.0 / t))

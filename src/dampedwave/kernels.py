@@ -226,36 +226,27 @@ def _check_rt(r, t):
     return r_arr, np.broadcast_to(t_arr, np.broadcast_shapes(r_arr.shape, t_arr.shape))
 
 
-def kernel_ktilde_scaled(parity: str, ell, r, t):
-    """e^(-t/2) [t k_(ell+1)(s) - 2 k_ell(s)] at s = sqrt(t^2 - r^2)/2.
+def kernel_ktilde_scaled(parity: str, ell: int, r, t):
+    """e^(-t/2) [t k_(ell+1)(s) - 2 k_ell(s)] at s = sqrt(t^2 - r^2)/2, for
+    one integer order ell.
 
     Uses e^(-t/2) k(s) = e^(s - t/2) [e^(-s) k(s)] with
     s - t/2 = -r^2 / (2 (t + sqrt(t^2 - r^2))), which is exact and free of
     cancellation at r ~ t; nothing here overflows for s up to 1e6, the
     checked argument range (t up to 2e6); a larger s is refused.
-
-    ell may also be a sequence of orders. The kernels then come back as a
-    tuple, in that order, and share s, the exponential factor and each
-    e^(-s) k_l(s), so consecutive orders cost one family evaluation each.
     """
     _check_parity(parity)
-    orders = [_check_order(e) for e in ([ell] if np.ndim(ell) == 0 else ell)]
+    ell = _check_order(ell)
     r_arr, t_arr = _check_rt(r, t)
     gap = np.maximum(t_arr - r_arr, 0.0)
     s = 0.5 * np.sqrt(gap * (t_arr + r_arr))
-    expfac = np.exp(-r_arr * r_arr / (2.0 * (t_arr + 2.0 * s)))
-    family = {}
-
-    def k(order: int) -> np.ndarray:
-        if order not in family:
-            family[order] = kernel_scaled(parity, order, s)
-        return family[order]
-
-    vals = [_even_ktilde0_scaled(r_arr, t_arr, s) if parity == "even" and order == 0
-            else expfac * (t_arr * k(order + 1) - 2.0 * k(order)) for order in orders]
-    if np.ndim(r) == 0 and np.ndim(t) == 0:
-        vals = [float(v) for v in vals]
-    return vals[0] if np.ndim(ell) == 0 else tuple(vals)
+    if parity == "even" and ell == 0:
+        val = _even_ktilde0_scaled(r_arr, t_arr, s)
+    else:
+        expfac = np.exp(-r_arr * r_arr / (2.0 * (t_arr + 2.0 * s)))
+        val = expfac * (t_arr * kernel_scaled(parity, ell + 1, s)
+                        - 2.0 * kernel_scaled(parity, ell, s))
+    return _give_back(val, s)
 
 
 def _even_ktilde0_scaled(r_arr, t_arr, s):

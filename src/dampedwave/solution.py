@@ -43,8 +43,9 @@ part alone refuse a dimension above three first (`_check_full`).
 The feature stages evaluate through `RadialField` instead: per bump, the
 Hankel integral of its share of u (`hankel.hankel_profile`) at the 33
 distances of a Chebyshev-Lobatto grid, fitted as an even series, which
-holds from about t = 100 on. The field turns to this core where the light
-cone enters the profile domain, where the tail bound of the Hankel integral
+holds for the bundled shapes from t = 85 (two_bump_1d) to 104
+(single_bump_3d) on. The field turns to this core where the light cone
+enters the profile domain, where the tail bound of the Hankel integral
 exceeds a profile's error bar, where 65 nodes do not resolve a profile, and
 at points beyond the profile domain.
 """
@@ -480,11 +481,11 @@ def _ball_dir2(bump: SmoothBump, ball: _Radial, t: float,
                order: int) -> Tuple[Array, Array]:
     """One bump's principal ball terms of dir2 at each point (k_(ell+2)
     times ((y - x) . omega)**2, less k_(ell+1)), and their |kernel| mass,
-    as (h'/d, h'') pairs: omega across and along e (`_squares`). Both
-    kernel orders come from one call."""
+    as (h'/d, h'') pairs: omega across and along e (`_squares`)."""
     n = len(bump.center)
     dc = dimension_constants(n)
-    k2, k1 = kernel_ktilde_scaled(dc.parity, (dc.ell + 2, dc.ell + 1), ball.r, t)
+    k2 = kernel_ktilde_scaled(dc.parity, dc.ell + 2, ball.r, t)
+    k1 = kernel_ktilde_scaled(dc.parity, dc.ell + 1, ball.r, t)
     w2 = (dc.gamma / 64.0) * ball.wr * k2 * ball.r ** (n + 1)
     w1 = (dc.gamma / 16.0) * ball.wr * k1 * ball.r ** (n - 1)
     sq, mass = _angular_sums(bump, ball, order, 0, lambda nodes, f: (
@@ -1002,7 +1003,8 @@ def _series_jet(series: _Series, reach: float, t: float, d: Array,
 
 
 class RadialProfile(NamedTuple):
-    """One bump's share of u at one t, h(d) with d = |x - c|, on [0, D].
+    """One bump's share of u at one t, h(d) with d = |x - c|, on [0, D],
+    D the reach of its `RadialField`.
 
     errors holds the error bars of h, of h' and of the dir2 terms (the
     larger of h'' and h'/d) over [0, D]: each is the gap between the 33- and
@@ -1016,8 +1018,6 @@ class RadialProfile(NamedTuple):
     above k = 1/2, which the Hankel integral leaves out (`hankel.tail_bound`).
     """
     series: _Series
-    reach: float
-    t: float
     errors: Array
     converged: bool
     tail: float
@@ -1053,7 +1053,7 @@ def _radial_profile(bump: SmoothBump, t: float, order: int) -> RadialProfile:
 
     node_gap, rule_gap = gaps(nodes), gaps(rules)
     floor = _PROFILE_FLOOR * bounds
-    return RadialProfile(_series(fine), reach, t, np.maximum(node_gap + 2.0 * rule_gap, floor),
+    return RadialProfile(_series(fine), np.maximum(node_gap + 2.0 * rule_gap, floor),
                          bool(node_gap[0] <= max(rule_gap[0], floor[0])),
                          tail_bound(bump, n, t))
 
@@ -1075,8 +1075,9 @@ class RadialField:
     It evaluates with the direct evaluators at `order` instead:
     - every point, where some bump has D + R_b >= t (`fallback` says so):
       the light cone then enters [0, D], and h_b is not smooth there;
-    - every point, where a profile's tail bound exceeds its error bar of h,
-      below about t = 100 for a unit bump;
+    - every point, where a profile's tail bound exceeds its error bar of h:
+      at the default order, below t = 85 for two_bump_1d, 95 for
+      two_bump_2d and 104 for single_bump_3d;
     - every point, where a profile has not converged: 65 nodes leave a gap
       above both the rule gap and the rounding floor;
     - each point farther than D from some bump centre, where no profile
@@ -1135,7 +1136,7 @@ class RadialField:
             rows = slice(None) if near.all() else near
             dists = [dist[rows] for dist in dists]
             out = _assemble(top, [offset[rows] for offset in offsets], dists,
-                            [_series_jet(p.series, p.reach, p.t, d, top)[min(top, 1):]
+                            [_series_jet(p.series, self.reach, self.t, d, top)[min(top, 1):]
                              for p, d in zip(self.profiles, dists)],
                             None if om is None else om[rows])
             if rows is near:

@@ -153,20 +153,6 @@ def test_hull_tol_formula_2d():
     assert body.hull_tol <= 2.0 * (1.0 - math.cos(math.pi / 256)) + 2e-6
 
 
-def test_diameter_3d_is_pairwise_maximum():
-    # A two-ball 3D hull: the cached diameter equals a brute-force maximum
-    # over all vertex pairs, is stored after the first read, and lies
-    # within the hull's discretization slack of the exact span.
-    centers = np.array([[0.0, 0.0, 0.0], [1.5, -0.4, 0.8]])
-    body = hull_of_balls(centers, [1.0, 0.6], 3)
-    verts = body.vertices
-    brute = max(float(np.linalg.norm(verts - v, axis=1).max()) for v in verts)
-    assert body.diameter == pytest.approx(brute, rel=1e-15)
-    assert vars(body)["diameter"] == body.diameter
-    exact = float(np.linalg.norm(centers[1] - centers[0])) + 1.6
-    assert exact - 2.0 * body.hull_tol <= body.diameter <= exact
-
-
 def test_inscribed_ball_containment_bundled(single_1d, two_1d, two_2d,
                                             single_3d):
     for datum in (single_1d, two_1d, two_2d, single_3d):
@@ -260,11 +246,6 @@ def _dense_support(dirs, verts):
     return (dirs @ verts.T).max(axis=1)
 
 
-def _dense_diameter(verts):
-    diff = verts[:, None, :] - verts[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2)).max())
-
-
 def _dense_hull_tol(verts, centers, radii):
     probes = _probe_directions(verts.shape[1])
     exact = ((probes @ centers.T) + radii[None, :]).max(axis=1)
@@ -282,9 +263,7 @@ def _dot_error_bound(dirs, verts):
 def test_blocked_geometry_matches_dense(dimension, count):
     # Support rows _BLOCK // V leave a partial last block for every size
     # here, and every size but the smallest takes several support blocks.
-    # The diameter takes _BUFFER // 2V rows a block: several blocks for all
-    # but the smallest, and 701 vertices leave one remainder row. Each
-    # check runs on the cloud and on the cloud offset by 1e6.
+    # Each check runs on the cloud and on the cloud offset by 1e6.
     rng = np.random.default_rng(100 + count)
     cloud = rng.normal(size=(count, dimension)) * rng.uniform(0.5, 5.0, size=dimension)
     rows = _BLOCK // count
@@ -294,8 +273,6 @@ def test_blocked_geometry_matches_dense(dimension, count):
     pts = rng.normal(size=(3 * _BUFFER // 1000 + 7, dimension)) * 1.5
     for shift in (0.0, 1e6):
         body = ConvexPolytope(cloud + shift, dimension)
-        # The diameter is elementwise arithmetic in the dense order: bit-equal.
-        assert body.diameter == _dense_diameter(body.vertices)
         # BLAS may round a dot product on a tile edge of one product
         # differently from the same dot product inside a tile of the other,
         # so a support value may differ from the dense one in its last bits,
@@ -306,7 +283,6 @@ def test_blocked_geometry_matches_dense(dimension, count):
         assert np.all(np.abs(got - want) <= _dot_error_bound(dirs, body.vertices))
         balls = hull_of_balls(centers + shift, radii, dimension)
         probes = _probe_directions(dimension)
-        assert balls.diameter == _dense_diameter(balls.vertices)
         assert abs(balls.hull_tol - _dense_hull_tol(balls.vertices, centers + shift, radii)) <= \
             _dot_error_bound(probes, balls.vertices).max()
         if dimension == 3:
@@ -315,7 +291,7 @@ def test_blocked_geometry_matches_dense(dimension, count):
             # here lies within rounding of a facet.
             eqs = balls.equations
             assert len(pts) % (_BUFFER // len(eqs)) > 0
-            slack = 1e-12 * max(balls.diameter, 1.0)
+            slack = 1e-12 * max(np.ptp(balls.vertices, axis=0).max(), 1.0)
             want = np.all((pts + shift) @ eqs[:, :3].T + eqs[:, 3] <= slack, axis=1)
             assert want.any() and not want.all()
             np.testing.assert_array_equal(balls.inside(pts + shift), want)
@@ -332,37 +308,53 @@ def test_bundled_hull_tol_and_diameter_bit_equal_dense(path):
     body = load_datum(spec).hull
     if body.dimension == 1:
         assert body.hull_tol == 1e-6
-        assert body.diameter == float(body.vertices.max() - body.vertices.min())
+        # In 1D the width of the bounding box is the diameter.
+        assert body.width == float(body.vertices.max() - body.vertices.min())
         return
     centers = np.array([b["center"] for b in spec["bumps"]], dtype=float)
     radii = np.array([b["radius"] for b in spec["bumps"]], dtype=float)
     assert body.hull_tol == _dense_hull_tol(body.vertices, centers, radii)
-    assert body.diameter == _dense_diameter(body.vertices)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_inside_slack_follows_the_bounding_box(dimension):
+    # A vertex pushed out along the normal of one of its facets by half the
+    # boundary slack 1e-12 * max(width, 1) is inside, and by twice it is
+    # not; the width, the widest side of the vertex bounding box, is 20
+    # here, so the slack is not its floor.
+    if dimension == 1:
+        body = hull_of_points(np.array([[-3.0], [17.0], [2.0]]), 1)
+    else:
+        centers = np.zeros((2, dimension))
+        centers[1, 0] = 14.0
+        body = hull_of_balls(centers, [3.0, 3.0], dimension)
+    width = float(np.ptp(body.vertices, axis=0).max())
+    assert width == pytest.approx(20.0, rel=1e-3)
+    slack = 1e-12 * width
+    for face, equation in zip(body.faces[:50], body.equations[:50]):
+        vertex, normal = body.vertices[face[0]], equation[:-1]
+        pushed = vertex + np.array([[0.5], [2.0]]) * slack * normal
+        np.testing.assert_array_equal(body.inside(pushed), [True, False])
 
 
 def test_3d_hull_memory_is_bounded():
-    # A dense probe product of single_bump_3d would hold 32 MiB and dense
-    # pairwise differences for its diameter 14 MiB; a support block holds
-    # 512 KiB, and the diameter and `inside` reuse one 64 KiB buffer. The
-    # tracemalloc high-waters of loading it and of its diameter (the hull
-    # included) are 0.89 and 0.20 MiB, rounded up, and `_interior_points`
-    # peaks 0.14 MiB above what is live before it (in 512 KiB blocks the
-    # diameter's was 1.57 MiB and _interior_points' 0.57 MiB). The 2D
-    # `inside` goes through the same buffer: on two_bump_2d's 258 edges a
-    # warm `_interior_points` peaks at 0.13 MiB, against 2.09 MiB for the
-    # dense (m, V, 2) product of its edge cross products.
+    # A dense probe product of single_bump_3d would hold 32 MiB; a support
+    # block holds 512 KiB, and `inside` reuses one 64 KiB buffer. The
+    # tracemalloc high-water of loading it is 0.89 MiB, rounded up, and
+    # `_interior_points` peaks 0.14 MiB above what is live before it (in
+    # 512 KiB blocks it peaked at 0.57 MiB). The 2D `inside` goes through
+    # the same buffer: on two_bump_2d's 258 edges a warm `_interior_points`
+    # peaks at 0.13 MiB, against 2.09 MiB for the dense (m, V, 2) product
+    # of its edge cross products.
     spec_2d = json.loads((CONFIG_DIR / "two_bump_2d.json").read_text(encoding="utf-8"))["datum"]
     hull_2d = load_datum(spec_2d).hull
-    _interior_points(hull_2d, 64, 0)  # facets and diameter, outside the measurement
+    _interior_points(hull_2d, 64, 0)  # facets and width, outside the measurement
     spec = json.loads((CONFIG_DIR / "single_bump_3d.json").read_text(encoding="utf-8"))["datum"]
     load_datum(spec)  # imports and cached rules, outside the measurement
     tracemalloc.start()
     try:
         body = load_datum(spec).hull
         datum_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        body.diameter
-        diameter_peak = tracemalloc.get_traced_memory()[1]
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         _interior_points(body, 64, 0)
@@ -374,7 +366,6 @@ def test_3d_hull_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert datum_peak <= 0.89 * 2**20
-    assert diameter_peak <= 0.20 * 2**20
     assert interior_peak <= 0.14 * 2**20
     assert interior_peak_2d <= 0.20 * 2**20
 
@@ -402,7 +393,7 @@ def test_3d_polytope_without_faces_names_hull_of_points():
     # A 3D body's facets are qhull's; without them only the vertex
     # functions work, and membership says where the facets come from.
     body = ConvexPolytope(fibonacci_sphere(64), 3)
-    assert body.diameter > 1.9
+    assert body.width > 1.9
     for call in (lambda: body.inside(np.zeros((1, 3))), lambda: body.distance(np.zeros(3))):
         with pytest.raises(ValueError, match="hull_of_points"):
             call()

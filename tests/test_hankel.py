@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, jv
 
-from dampedwave.hankel import mode_response, radial_mean, tail_bound
+from dampedwave.hankel import hankel_profile, mode_response, radial_mean, tail_bound
 from dampedwave.initial_data import SmoothBump, load_datum
 from dampedwave.oracles import spectral_solve
 from dampedwave.solution import (eval_dir2_u, eval_grad_u, eval_u, profile_reach,
@@ -191,14 +191,16 @@ def test_radial_means_match_scipy():
 
 
 
-@pytest.mark.parametrize("t", [200.0, 800.0, 3200.0, 12800.0])
-@pytest.mark.parametrize("name", SHAPES)
+@pytest.mark.parametrize("name, t", [(name, t) for name in SHAPES
+                                     for t in (200.0, 800.0, 3200.0, 12800.0)]
+                         + [("two_bump_1d", 100.0), ("two_bump_2d", 100.0)])
 def test_profile_bars_are_true_and_tight(name, t):
     # Each of RadialField.errors at the default order bounds the field's
     # distance to the Hankel form, and the measured distance to the direct
-    # evaluators at order 128 lies between 1/200 of it (0.013 at the least)
-    # and 4 times it (2.8 at the most, at t = 12800, where the direct
-    # rounding dominates). A floor of 1e-9 instead of 1e-12 puts every bar
+    # evaluators at order 128 lies between 1/200 of it (0.011 at the least,
+    # two_bump_1d's u at t = 100) and 4 times it (2.8 at the most, at
+    # t = 12800, where the direct rounding dominates). single_bump_3d falls
+    # back at t = 100. A floor of 1e-9 instead of 1e-12 puts every bar
     # 1,000 times too high.
     datum = _bundled(name)
     field = radial_field(datum, t)
@@ -224,3 +226,23 @@ def test_tail_bound_covers_the_modes_above_one_half(n):
         assert 0.0 < abs(part) <= tail_bound(bump, n, t)
     h0 = abs(_hankel_jet(bump, n, 100.0, np.zeros(1))[0][0])
     assert tail_bound(bump, n, 100.0) < 1e-9 * h0
+
+
+def test_hankel_refuses_dimensions_it_cannot_serve():
+    # The radial means are written out for n = 1, 2 and 3 only: another n
+    # once read as J_0, the 2D mean, or gave a tail bound below zero (n = 5)
+    # or a division by zero (n = 4). A bump is read in its own dimension.
+    z = np.linspace(0.0, 5.0, 6)
+    bump_4d = SmoothBump((0.0,) * 4, 1.0, 1.0)
+    bump_2d = SmoothBump((0.0, 0.5), 1.0, 1.0)
+    calls = [lambda: radial_mean(4, z), lambda: radial_mean(0, z),
+             lambda: hankel_profile(bump_4d, 4, 200.0, z, 16),
+             lambda: tail_bound(bump_4d, 4, 200.0),
+             lambda: tail_bound(SmoothBump((0.0,) * 5, 1.0, 1.0), 5, 200.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="dimensions 1-3"):
+            call()
+    for call in (lambda: tail_bound(bump_2d, 3, 200.0),
+                 lambda: hankel_profile(bump_2d, 1, 200.0, z, 16)):
+        with pytest.raises(ValueError, match="does not have"):
+            call()

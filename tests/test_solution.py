@@ -1062,9 +1062,8 @@ def test_block_check_holds_each_row_to_its_own_test(two_2d):
 def test_one_kernel_call_per_bump_order_and_chunk(two_3d, monkeypatch):
     # Every row below reaches both bumps, and the block runs in two chunks
     # of three rows, whose angular passes run in slices of 12 radial nodes:
-    # each bump then costs one kernel call per chunk, on all the chunk's
-    # radial nodes, and dir2 asks for both of its kernel orders in that one
-    # call.
+    # each bump then costs one kernel call per chunk and kernel order, on
+    # all the chunk's radial nodes; dir2 takes two orders.
     order = 16
     monkeypatch.setattr(solution, "_SLICE_NODES", 4 * order * 3)
     calls, rules, slices = [], [], []
@@ -1101,11 +1100,12 @@ def test_one_kernel_call_per_bump_order_and_chunk(two_3d, monkeypatch):
         rules.clear()
         slices.clear()
         evaluate()
-        assert len(calls) == bumps * chunks
-        assert all(count == orders for count, _ in calls)
+        assert len(calls) == orders * bumps * chunks
+        assert all(count == 1 for count, _ in calls)
         # Each call takes all the radial nodes of its chunk's rule: three
         # rows, each with one or two radial panels.
-        assert [nodes for _, nodes in calls] == rules
+        assert [nodes for _, nodes in calls] == [nodes for nodes in rules
+                                                 for _ in range(orders)]
         assert all(3 * order <= nodes <= 6 * order for nodes in rules)
         # The angular passes of a rule take it 12 radial nodes at a time.
         assert sum(slices) == sum(rules)
